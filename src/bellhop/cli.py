@@ -13,6 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
+import mpmath
+
 from . import boson, combinatorics, egf, hopf, partition_function as pf
 from .errors import ExpressionParseError, QuadratureError, ResourceLimitError
 
@@ -95,8 +97,9 @@ def cmd_dobinski(args) -> int:
         "n": args.n,
         "y": args.y,
         "terms": res.terms_used,
-        "value": str(res.value),
-        "tail_bound": str(res.tail_bound),
+        # one digit past --precision, so rounding stays inside the certificate
+        "value": mpmath.nstr(res.value, args.precision + 1),
+        "tail_bound": mpmath.nstr(res.tail_bound, args.precision + 1),
     }]
     _emit(args, rows, ["n", "y", "terms", "value", "tail_bound"])
     return EXIT_OK
@@ -189,6 +192,8 @@ def cmd_partition_function(args) -> int:
 
 
 def cmd_hopf_verify(args) -> int:
+    if args.max_weight < 0:
+        raise ValueError("--max-weight must be nonnegative")
     antipode_fn = hopf.antipode
     if args.corrupt_antipode:
         # deliberate fault: drop the sign, so the convolution identity fails
@@ -283,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return EXIT_RESOURCE
-    except (ValueError, QuadratureError) as exc:
+    except (ValueError, QuadratureError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

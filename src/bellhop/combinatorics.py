@@ -1,6 +1,6 @@
 """Exact integer combinatorics: Stirling and Bell numbers, Bell polynomials,
-truncated Dobinski evaluation with certified tail bounds, and set-partition
-enumeration with the block-size census.
+truncated Dobinski evaluation with certified tail bounds, set-partition
+enumeration, and the block-size census as the complete Bell polynomial.
 """
 
 from __future__ import annotations
@@ -18,15 +18,6 @@ from .errors import ResourceLimitError
 from .hopf import Monomial
 
 ENUMERATION_LIMIT = 14
-
-try:
-    from bellhop._fastcensus import census_counts as _census_counts
-
-    HAVE_NATIVE_CENSUS = True
-except ImportError:  # extension not built; pure-Python fallback
-    from bellhop._census_py import census_counts as _census_counts
-
-    HAVE_NATIVE_CENSUS = False
 
 
 # --------------------------------------------------------------------------
@@ -244,9 +235,18 @@ def enumerate_set_partitions(n: int, limit: int = ENUMERATION_LIMIT) -> Iterator
 def diagram_census(n: int, limit: int = ENUMERATION_LIMIT) -> DiagramCensus:
     """Tally all partitions of {1..n} by block-size multiset.
 
-    Uses the compiled kernel when available; the pure-Python kernel is the
-    fallback and the reference for tests.
+    The tally is the complete Bell polynomial Y_n(y_1..y_n), computed by its
+    recurrence without enumerating the partitions.
     """
     _check_limit(n, limit)
-    raw = _census_counts(n)
-    return DiagramCensus(n, {Monomial(sizes): count for sizes, count in raw.items()})
+    # exp in BELL, i.e. the complete Bell polynomial: Y_m = sum_k C(m-1,k-1) y_k Y_{m-k}
+    Y: list[dict[Monomial, int]] = [{Monomial(): 1}]
+    for m in range(1, n + 1):
+        row: dict[Monomial, int] = {}
+        for k in range(1, m + 1):
+            c = math.comb(m - 1, k - 1)
+            for mono, count in Y[m - k].items():
+                key = Monomial((k,) + mono.letters)
+                row[key] = row.get(key, 0) + c * count
+        Y.append(row)
+    return DiagramCensus(n, Y[n])

@@ -5,10 +5,12 @@ would see them."""
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
 from bellhop import cli
+from bellhop.combinatorics import bell_polynomial
 
 
 def run(argv, capsys):
@@ -102,6 +104,17 @@ def test_dobinski_polynomial_argument(capsys):
     row = json.loads(out)[0]
     # B_3(y) = y + 3y^2 + y^3 at y = 1/2 is 11/8
     assert abs(float(row["value"]) - 11 / 8) < 1e-12
+
+
+def test_dobinski_prints_enclosure_at_precision(capsys):
+    code, out, _ = run(["--format", "json", "dobinski", "10", "--y", "2/3", "--precision", "50"], capsys)
+    assert code == 0
+    row = json.loads(out)[0]
+    value, tail = Fraction(row["value"]), Fraction(row["tail_bound"])
+    exact = bell_polynomial(10, Fraction(2, 3))
+    slack = exact / 10**50
+    assert value <= exact + slack
+    assert exact <= value + tail + slack
 
 
 def test_egf_bell(capsys):
@@ -207,6 +220,13 @@ def test_hopf_verify_corrupted_antipode_exit_1(capsys):
     assert "all axioms pass" not in out
 
 
+def test_hopf_verify_negative_weight_exit_2(capsys):
+    code, out, err = run(["hopf-verify", "--max-weight", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 
@@ -224,6 +244,13 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())[-1]["bell"] == 5
+
+
+def test_out_missing_directory_exit_2(tmp_path, capsys):
+    code, out, err = run(["--out", str(tmp_path / "missing" / "x"), "bell", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_determinism_byte_identical(capsys):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellhop import _census_py
 from bellhop.combinatorics import (
     SetPartition,
     bell,
@@ -232,7 +231,7 @@ def _partitions_of(n, largest=None):
             yield (part,) + rest
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 15))
 def test_census_invariants(n):
     census = diagram_census(n)
     assert census.total() == bell(n)
@@ -241,13 +240,6 @@ def test_census_invariants(n):
         assert m.weight == n
     oracle = multinomial_census_oracle(n)
     assert {m.letters: c for m, c in census.counts.items()} == oracle
-
-
-@pytest.mark.parametrize("n", range(1, 11))
-def test_python_census_kernel_matches(n):
-    # the pure-Python fallback is the reference for the compiled kernel
-    raw = _census_py.census_counts(n)
-    assert {Monomial(k): v for k, v in raw.items()} == diagram_census(n).counts
 
 
 def test_setpartition_validation():

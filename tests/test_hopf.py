@@ -243,7 +243,7 @@ def test_code_diagram_examples():
     assert code_diagram(SetPartition(5, ((1, 2, 3, 4, 5),))) == y(5)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_coding_bijection_with_census(n):
     counted: dict[Monomial, int] = {}
     for sp in enumerate_set_partitions(n):
