@@ -242,6 +242,26 @@ def test_census_invariants(n):
     assert {m.letters: c for m, c in census.counts.items()} == oracle
 
 
+def _census_py(n):
+    """Pure-Python census kernel: tally every restricted growth string of
+    length n by the sorted sizes of its blocks."""
+    counts = {}
+    for rgs in restricted_growth_strings(n):
+        sizes = [0] * (max(rgs) + 1)
+        for v in rgs:
+            sizes[v] += 1
+        key = tuple(sorted(sizes))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_python_census_kernel_matches(n):
+    # the enumerating kernel is the reference for the Bell-polynomial recurrence
+    raw = _census_py(n)
+    assert {Monomial(k): v for k, v in raw.items()} == diagram_census(n).counts
+
+
 def test_setpartition_validation():
     with pytest.raises(ValueError):
         SetPartition(3, ((1, 2),))  # missing 3
