@@ -6,12 +6,15 @@ coherent-state expectation values.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from itertools import groupby
+from typing import Iterable
 
 from .errors import ExpressionParseError, ResourceLimitError
+from .lincomb import LinearCombination
 
 # word letters
 A = 0   # annihilation operator a
@@ -23,18 +26,21 @@ MOMENT_LIMIT = 24
 Word = tuple[int, ...]
 
 
-class BosonExpression:
+class BosonExpression(LinearCombination):
     """Finite rational linear combination of boson words."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    unit_key = ()
+    key_product = staticmethod(operator.add)  # words concatenate
+    sort_key = staticmethod(lambda word: (len(word), word))
 
-    def __init__(self, terms: dict[Word, Fraction] | None = None):
-        self.terms: dict[Word, Fraction] = {}
-        if terms:
-            for w, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[w] = c
+    @staticmethod
+    def key_text(word: Word) -> str:
+        parts = []
+        for letter, run in groupby(word):
+            name, n = ("ad" if letter == AD else "a"), len(list(run))
+            parts.append(name if n == 1 else f"{name}^{n}")
+        return " ".join(parts)
 
     @classmethod
     def a(cls) -> "BosonExpression":
@@ -45,88 +51,28 @@ class BosonExpression:
         return cls({(AD,): Fraction(1)})
 
     @classmethod
-    def one(cls) -> "BosonExpression":
-        return cls({(): Fraction(1)})
-
-    @classmethod
     def from_word(cls, word: Iterable[int], coeff=1) -> "BosonExpression":
         return cls({tuple(word): Fraction(coeff)})
-
-    def __add__(self, other: "BosonExpression") -> "BosonExpression":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return BosonExpression(out)
-
-    def __sub__(self, other: "BosonExpression") -> "BosonExpression":
-        return self + (other * -1)
-
-    def __mul__(self, other) -> "BosonExpression":
-        if isinstance(other, (int, Fraction)):
-            return BosonExpression({w: c * other for w, c in self.terms.items()})
-        out: dict[Word, Fraction] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                out[w] = out.get(w, Fraction(0)) + c1 * c2
-        return BosonExpression(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "BosonExpression":
-        out = BosonExpression.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BosonExpression) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def max_word_length(self) -> int:
         return max((len(w) for w in self.terms), default=0)
 
-    def __str__(self) -> str:
-        return format_expression(self)
 
-    def __repr__(self) -> str:
-        return f"BosonExpression({format_expression(self)!r})"
+class NormalOrderedForm(LinearCombination):
+    """sum c_{rs} (ad)^r a^s with exact rational coefficients, keyed by (r, s)."""
 
-
-class NormalOrderedForm:
-    """sum c_{rs} (ad)^r a^s with exact rational coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[int, int], Fraction] | None = None):
-        self.terms: dict[tuple[int, int], Fraction] = {}
-        if terms:
-            for rs, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[rs] = c
+    __slots__ = ()
+    unit_key = (0, 0)
+    sort_key = staticmethod(lambda rs: (-rs[0], -rs[1]))  # descending (r, s)
+    key_text = staticmethod(lambda rs: BosonExpression.key_text((AD,) * rs[0] + (A,) * rs[1]))
 
     def coefficient(self, r: int, s: int) -> Fraction:
         return self.terms.get((r, s), Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NormalOrderedForm) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def to_expression(self) -> BosonExpression:
         return BosonExpression(
             {(AD,) * r + (A,) * s: c for (r, s), c in self.terms.items()}
         )
-
-    def __str__(self) -> str:
-        return format_normal_form(self)
-
-    def __repr__(self) -> str:
-        return f"NormalOrderedForm({format_normal_form(self)!r})"
 
 
 @lru_cache(maxsize=None)
@@ -268,65 +214,12 @@ def word_moments(w: BosonExpression, nmax: int, z, limit: int = MOMENT_LIMIT) ->
 
 def format_expression(expr: BosonExpression) -> str:
     """Canonical text form, e.g. '2 ad a + 1/2 a^2'; parseable back."""
-    if not expr.terms:
-        return "0"
-
-    def word_str(word: Word) -> str:
-        parts = []
-        i = 0
-        while i < len(word):
-            j = i
-            while j < len(word) and word[j] == word[i]:
-                j += 1
-            name = "ad" if word[i] == AD else "a"
-            parts.append(name if j - i == 1 else f"{name}^{j - i}")
-            i = j
-        return " ".join(parts)
-
-    keyed = sorted(expr.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    parts = []
-    for i, (word, c) in enumerate(keyed):
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if not word:
-            body = str(mag)
-        elif mag == 1:
-            body = word_str(word)
-        else:
-            body = f"{mag} {word_str(word)}"
-        if i == 0:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f" {sign} {body}")
-    return "".join(parts)
+    return str(expr)
 
 
-def format_normal_form(form: NormalOrderedForm, ascending: bool = False) -> str:
-    """Print 'ad^r a^s' terms; descending (r, s) by default, e.g.
-    'ad^2 a^2 + ad a'."""
-    if not form.terms:
-        return "0"
-    keyed = sorted(form.terms.items(), reverse=not ascending)
-    parts = []
-    for i, ((r, s), c) in enumerate(keyed):
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        word = []
-        if r:
-            word.append("ad" if r == 1 else f"ad^{r}")
-        if s:
-            word.append("a" if s == 1 else f"a^{s}")
-        if not word:
-            body = str(mag)
-        elif mag == 1:
-            body = " ".join(word)
-        else:
-            body = f"{mag} " + " ".join(word)
-        if i == 0:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f" {sign} {body}")
-    return "".join(parts)
+def format_normal_form(form: NormalOrderedForm) -> str:
+    """Print 'ad^r a^s' terms in descending (r, s), e.g. 'ad^2 a^2 + ad a'."""
+    return str(form)
 
 
 class _Tokenizer:

@@ -63,7 +63,7 @@ def _parse_rational_list(values: list[str]) -> list[Fraction]:
 def cmd_bell(args) -> int:
     nmax = args.nmax
     if nmax < 0:
-        raise ResourceLimitError("nmax must be nonnegative")
+        raise ValueError("nmax must be nonnegative")
     rows = []
     for n in range(nmax + 1):
         row = {"n": n, "bell": combinatorics.bell(n)}

@@ -193,13 +193,11 @@ class DiagramCensus:
         return sum(self.counts.values())
 
 
-def _check_limit(n: int, limit: int):
+def _check_limit(n: int, limit: int, what: str):
     if n < 1:
         raise ValueError("n must be positive")
     if n > limit:
-        raise ResourceLimitError(
-            f"set-partition enumeration for n={n} exceeds the limit {limit}"
-        )
+        raise ResourceLimitError(f"{what} for n={n} exceeds the limit {limit}")
 
 
 def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
@@ -223,7 +221,7 @@ def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
 def enumerate_set_partitions(n: int, limit: int = ENUMERATION_LIMIT) -> Iterator[SetPartition]:
     """Every partition of {1..n} exactly once, in restricted-growth-string
     lexicographic order (blocks come out sorted by least element)."""
-    _check_limit(n, limit)
+    _check_limit(n, limit, "set-partition enumeration")
     for rgs in restricted_growth_strings(n):
         nblocks = max(rgs) + 1
         blocks: list[list[int]] = [[] for _ in range(nblocks)]
@@ -238,7 +236,7 @@ def diagram_census(n: int, limit: int = ENUMERATION_LIMIT) -> DiagramCensus:
     The tally is the complete Bell polynomial Y_n(y_1..y_n), computed by its
     recurrence without enumerating the partitions.
     """
-    _check_limit(n, limit)
+    _check_limit(n, limit, "diagram census")
     # exp in BELL, i.e. the complete Bell polynomial: Y_m = sum_k C(m-1,k-1) y_k Y_{m-k}
     Y: list[dict[Monomial, int]] = [{Monomial(): 1}]
     for m in range(1, n + 1):

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .errors import ExpressionParseError
+from .lincomb import LinearCombination
 
 Rational = Fraction | int
 
@@ -63,18 +65,15 @@ class Monomial:
 UNIT = Monomial()
 
 
-class HopfElement:
+class HopfElement(LinearCombination):
     """Finite rational linear combination of monomials."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Monomial, Rational] | None = None):
-        self.terms: dict[Monomial, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[m] = c
+    __slots__ = ()
+    unit_key = UNIT
+    separator = "*"
+    key_product = staticmethod(operator.mul)  # monomials merge
+    sort_key = staticmethod(lambda m: (m.weight, m.degree, m.letters))
+    key_text = staticmethod(str)
 
     @classmethod
     def unit(cls, c: Rational = 1) -> "HopfElement":
@@ -88,92 +87,23 @@ class HopfElement:
     def from_monomial(cls, m: Monomial, c: Rational = 1) -> "HopfElement":
         return cls({m: c})
 
-    def __add__(self, other: "HopfElement") -> "HopfElement":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return HopfElement(out)
-
-    def __sub__(self, other: "HopfElement") -> "HopfElement":
-        return self + (other * -1)
-
-    def __mul__(self, other) -> "HopfElement":
-        if isinstance(other, (int, Fraction)):
-            return HopfElement({m: c * other for m, c in self.terms.items()})
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return HopfElement(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "HopfElement":
-        out = HopfElement.unit()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HopfElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __str__(self) -> str:
-        return format_element(self)
 
-    def __repr__(self) -> str:
-        return f"HopfElement({format_element(self)!r})"
-
-
-class TensorElement:
+class TensorElement(LinearCombination):
     """Element of BELL (x) BELL: rational combination of monomial pairs."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[Monomial, Monomial], Rational] | None = None):
-        self.terms: dict[tuple[Monomial, Monomial], Fraction] = {}
-        if terms:
-            for p, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[p] = c
+    __slots__ = ()
+    unit_key = (UNIT, UNIT)
+    separator = "*"
+    key_product = staticmethod(lambda p, q: (p[0] * q[0], p[1] * q[1]))  # pairs merge per side
+    sort_key = staticmethod(lambda p: (p[0].letters, p[1].letters))
+    key_text = staticmethod(lambda p: f"{p[0]} (x) {p[1]}")
 
     @classmethod
     def pure(cls, left: Monomial, right: Monomial, c: Rational = 1) -> "TensorElement":
         return cls({(left, right): c})
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, Fraction(0)) + c
-        return TensorElement(out)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (other * -1)
-
-    def __mul__(self, other) -> "TensorElement":
-        if isinstance(other, (int, Fraction)):
-            return TensorElement({p: c * other for p, c in self.terms.items()})
-        out: dict[tuple[Monomial, Monomial], Fraction] = {}
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                key = (l1 * l2, r1 * r2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return TensorElement(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TensorElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def swap(self) -> "TensorElement":
         return TensorElement({(r, l): c for (l, r), c in self.terms.items()})
@@ -293,12 +223,8 @@ def _triple_coproduct(t: TensorElement, left_first: bool) -> dict[tuple[Monomial
         inner = _coproduct_monomial(l if left_first else r)
         for (p, q), d in inner.terms.items():
             key = (p, q, r) if left_first else (l, p, q)
-            val = out.get(key, Fraction(0)) + c * d
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
-    return out
+            out[key] = out.get(key, Fraction(0)) + c * d
+    return {key: c for key, c in out.items() if c}
 
 
 def check_coassociativity(max_weight: int) -> CheckReport:
@@ -411,24 +337,7 @@ def run_all_checks(
 
 def format_element(a: HopfElement) -> str:
     """Canonical text form, e.g. '3/2*y1^2*y3 + y2'."""
-    if not a.terms:
-        return "0"
-    keyed = sorted(a.terms.items(), key=lambda kv: (kv[0].weight, kv[0].degree, kv[0].letters))
-    parts = []
-    for i, (m, c) in enumerate(keyed):
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if m is UNIT or not m.letters:
-            body = str(mag)
-        elif mag == 1:
-            body = str(m)
-        else:
-            body = f"{mag}*{m}"
-        if i == 0:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f" {sign} {body}")
-    return "".join(parts)
+    return str(a)
 
 
 class _ElementParser:
@@ -520,9 +429,8 @@ def parse_element(text: str) -> HopfElement:
 
 
 def element_to_json(a: HopfElement) -> str:
-    terms = sorted(a.terms.items(), key=lambda kv: (kv[0].weight, kv[0].degree, kv[0].letters))
     return json.dumps(
-        {"terms": [{"monomial": list(m.letters), "coeff": str(c)} for m, c in terms]}
+        {"terms": [{"monomial": list(m.letters), "coeff": str(c)} for m, c in a.sorted_terms()]}
     )
 
 
@@ -534,12 +442,11 @@ def element_from_json(text: str) -> HopfElement:
 
 
 def tensor_to_json(t: TensorElement) -> str:
-    terms = sorted(t.terms.items(), key=lambda kv: (kv[0][0].letters, kv[0][1].letters))
     return json.dumps(
         {
             "terms": [
                 {"left": list(l.letters), "right": list(r.letters), "coeff": str(c)}
-                for (l, r), c in terms
+                for (l, r), c in t.sorted_terms()
             ]
         }
     )

@@ -1,0 +1,98 @@
+"""Finite linear combinations with exact rational coefficients over a key
+set: boson words, normal-ordered pairs (r, s), BELL monomials and monomial
+pairs.  A subclass supplies only its hooks: the key product, the unit key,
+the sort key, the text of a key and the coefficient separator.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Any, Callable
+
+
+class LinearCombination:
+    """sum c_k k; ``terms`` maps each key k to its nonzero Fraction c_k."""
+
+    __slots__ = ("terms",)
+
+    unit_key: Any
+    sort_key: Callable[[Any], Any]
+    key_text: Callable[[Any], str]
+    separator = " "
+    key_product: Callable[[Any, Any], Any] | None = None  # None: scalars only
+
+    def __init__(self, terms: dict | None = None):
+        self.terms: dict[Any, Fraction] = {}
+        if terms:
+            for k, c in terms.items():
+                c = Fraction(c)
+                if c:
+                    self.terms[k] = c
+
+    @classmethod
+    def one(cls):
+        return cls({cls.unit_key: 1})
+
+    def sorted_terms(self) -> list[tuple[Any, Fraction]]:
+        return sorted(self.terms.items(), key=lambda kc: self.sort_key(kc[0]))
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c
+        return type(self)(out)
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return type(self)({k: c * other for k, c in self.terms.items()})
+        product = self.key_product
+        if type(other) is not type(self) or product is None:
+            return NotImplemented
+        out: dict[Any, Fraction] = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = product(k1, k2)
+                out[k] = out.get(k, 0) + c1 * c2
+        return type(self)(out)
+
+    # only scalars reach __rmul__, so a noncommutative key product is safe
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        out = self.one()
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other) -> bool:
+        # type-strict: equal keys of two algebras, e.g. the word (1, 1) and
+        # the pair (1, 1), are different elements
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __str__(self) -> str:
+        parts = []
+        for key, c in self.sorted_terms():
+            mag = abs(c)
+            if key == self.unit_key:
+                body = str(mag)
+            elif mag == 1:
+                body = self.key_text(key)
+            else:
+                body = f"{mag}{self.separator}{self.key_text(key)}"
+            if parts:
+                body = f" {'-' if c < 0 else '+'} {body}"
+            elif c < 0:
+                body = f"-{body}"
+            parts.append(body)
+        return "".join(parts) or "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"

@@ -93,6 +93,32 @@ def test_linearity():
 
 
 # ---------------------------------------------------------------------------
+# The shared linear-combination core
+
+
+def random_expression(rng: random.Random) -> BosonExpression:
+    return BosonExpression(
+        {random_word(rng, 6): Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(3)}
+    )
+
+
+def test_combination_arithmetic():
+    rng = random.Random(11)
+    for _ in range(20):
+        x, y, z = (random_expression(rng) for _ in range(3))
+        for u, v in ((x, y), (normal_order(x), normal_order(y))):
+            assert (u - u).terms == {}
+            assert (u * 0).terms == {}
+            assert (u + v) - v == u
+        assert (x + y) * z == x * z + y * z
+
+
+def test_combination_equality_is_type_strict():
+    assert BosonExpression({(1, 1): 1}) != NormalOrderedForm({(1, 1): 1})
+    assert NormalOrderedForm({(1, 1): 1}) != BosonExpression({(1, 1): 1})
+
+
+# ---------------------------------------------------------------------------
 # Oracle 2: matrix action on the polynomial number basis e_m, where
 # ad e_m = e_{m+1} and a e_m = m e_{m-1}; all coefficients stay rational.
 

@@ -52,6 +52,13 @@ def test_bell_csv_format(capsys):
     assert rows == [{"n": "0", "bell": "1"}, {"n": "1", "bell": "1"}, {"n": "2", "bell": "2"}]
 
 
+def test_bell_negative_exit_2(capsys):
+    code, out, err = run(["bell", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_stirling_single(capsys):
     code, out, _ = run(["--format", "json", "stirling", "5", "3"], capsys)
     assert code == 0

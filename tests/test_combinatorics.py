@@ -181,6 +181,13 @@ def test_enumeration_limit():
     assert diagram_census(9, limit=9).total() == bell(9)
 
 
+def test_limit_messages_name_the_work():
+    with pytest.raises(ResourceLimitError, match=r"^diagram census for n=15 exceeds the limit 14$"):
+        diagram_census(15)
+    with pytest.raises(ResourceLimitError, match=r"^set-partition enumeration for n=15 "):
+        list(enumerate_set_partitions(15))
+
+
 def test_enumeration_n10_count():
     assert sum(1 for _ in enumerate_set_partitions(10)) == 115975
 

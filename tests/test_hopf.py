@@ -78,6 +78,22 @@ def test_grading_additive():
         assert prod.degree == m1.degree + m2.degree
 
 
+def test_combination_arithmetic():
+    rng = random.Random(12)
+    for _ in range(20):
+        x, y, z = (random_element(rng, 5) for _ in range(3))
+        for u, v, w in ((x, y, z), (coproduct(x), coproduct(y), coproduct(z))):
+            assert (u - u).terms == {}
+            assert (u * 0).terms == {}
+            assert (u + v) - v == u
+            assert (u + v) * w == u * w + v * w
+
+
+def test_tensor_text():
+    delta = coproduct(HopfElement.from_monomial(y(1, 1), Fraction(-3, 2)) + HopfElement.unit(4))
+    assert str(delta) == "4 - 3/2*1 (x) y1^2 - 3*y1 (x) y1 - 3/2*y1^2 (x) 1"
+
+
 # ---------------------------------------------------------------------------
 # Structure maps
 
