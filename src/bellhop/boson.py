@@ -6,7 +6,6 @@ coherent-state expectation values.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,7 +30,7 @@ class BosonExpression(LinearCombination):
 
     __slots__ = ()
     unit_key = ()
-    key_product = staticmethod(operator.add)  # words concatenate
+    key_product = staticmethod(lambda u, v: ((u + v, 1),))  # words concatenate
     sort_key = staticmethod(lambda word: (len(word), word))
 
     @staticmethod
@@ -66,6 +65,17 @@ class NormalOrderedForm(LinearCombination):
     sort_key = staticmethod(lambda rs: (-rs[0], -rs[1]))  # descending (r, s)
     key_text = staticmethod(lambda rs: BosonExpression.key_text((AD,) * rs[0] + (A,) * rs[1]))
 
+    @staticmethod
+    @lru_cache(maxsize=2**14)
+    def key_product(rs: tuple[int, int], pq: tuple[int, int]) -> tuple[tuple[tuple[int, int], int], ...]:
+        # Wick: ad^r a^s ad^p a^q = sum_k k! C(s,k) C(p,k) ad^(r+p-k) a^(s+q-k),
+        # k the number of contractions of an a with an ad
+        (r, s), (p, q) = rs, pq
+        return tuple(
+            ((r + p - k, s + q - k), math.perm(s, k) * math.comb(p, k))
+            for k in range(min(s, p) + 1)
+        )
+
     def coefficient(self, r: int, s: int) -> Fraction:
         return self.terms.get((r, s), Fraction(0))
 
@@ -75,7 +85,7 @@ class NormalOrderedForm(LinearCombination):
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**14)
 def _normal_order_word(word: Word) -> tuple[tuple[tuple[int, int], int], ...]:
     # Left-to-right fold: append each letter to a normal-ordered accumulator.
     # Appending a is a shift; appending ad uses a^s ad = ad a^s + s a^(s-1).
@@ -102,15 +112,26 @@ def normal_order(expr: BosonExpression, limit: int = 2 * MOMENT_LIMIT) -> Normal
     Words longer than ``limit`` letters are refused: the intermediate term
     count grows quadratically with word length.
     """
-    out: dict[tuple[int, int], Fraction] = {}
+    # Integer numerators per coefficient denominator; one Fraction per
+    # (denominator, key) at the end.  No common denominator: the lcm of many
+    # coefficients' denominators can grow without bound.
+    numerators: dict[int, dict[tuple[int, int], int]] = {}
     for word, coeff in expr.terms.items():
         if len(word) > limit:
             raise ResourceLimitError(
                 f"word of length {len(word)} exceeds the ordering limit {limit}"
             )
+        num = coeff.numerator
+        acc = numerators.setdefault(coeff.denominator, {})
         for rs, c in _normal_order_word(word):
-            out[rs] = out.get(rs, Fraction(0)) + coeff * c
-    return NormalOrderedForm(out)
+            if rs in acc:
+                acc[rs] += num * c
+            else:
+                acc[rs] = num * c
+    out = NormalOrderedForm()
+    for den, acc in numerators.items():
+        out += NormalOrderedForm._exact({rs: Fraction(num, den) for rs, num in acc.items() if num})
+    return out
 
 
 def forgetful_normal_order(expr: BosonExpression) -> NormalOrderedForm:
@@ -200,10 +221,13 @@ def word_moments(w: BosonExpression, nmax: int, z, limit: int = MOMENT_LIMIT) ->
             f"exceeds the limit {limit}"
         )
     moments: list = [Fraction(1)]
-    power = BosonExpression.one()
+    if nmax == 0:  # w is never ordered, so its length is unchecked
+        return moments
+    step = normal_order(w)
+    power = NormalOrderedForm.one()
     for _ in range(nmax):
-        power = power * w
-        moments.append(coherent_expectation(normal_order(power), z))
+        power = power * step
+        moments.append(coherent_expectation(power, z))
     return moments
 
 
@@ -303,13 +327,15 @@ class _ExpressionParser:
         return expr
 
     def parse_expr(self) -> BosonExpression:
-        sign = 1
-        if self.toks.peek()[0] in "+-":
-            sign = -1 if self.toks.next()[0] == "-" else 1
-        acc = self.parse_term() * sign
+        negate = self.toks.peek()[0] in "+-" and self.toks.next()[0] == "-"
+        acc = self.parse_term()
+        if negate:
+            acc = acc * -1
         while self.toks.peek()[0] in "+-":
-            sign = -1 if self.toks.next()[0] == "-" else 1
-            acc = acc + self.parse_term() * sign
+            if self.toks.next()[0] == "-":
+                acc = acc - self.parse_term()
+            else:
+                acc = acc + self.parse_term()
         return acc
 
     def parse_term(self) -> BosonExpression:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,7 +70,7 @@ class HopfElement(LinearCombination):
     __slots__ = ()
     unit_key = UNIT
     separator = "*"
-    key_product = staticmethod(operator.mul)  # monomials merge
+    key_product = staticmethod(lambda m, n: ((m * n, 1),))  # monomials merge
     sort_key = staticmethod(lambda m: (m.weight, m.degree, m.letters))
     key_text = staticmethod(str)
 
@@ -97,7 +96,7 @@ class TensorElement(LinearCombination):
     __slots__ = ()
     unit_key = (UNIT, UNIT)
     separator = "*"
-    key_product = staticmethod(lambda p, q: (p[0] * q[0], p[1] * q[1]))  # pairs merge per side
+    key_product = staticmethod(lambda p, q: (((p[0] * q[0], p[1] * q[1]), 1),))  # pairs merge per side
     sort_key = staticmethod(lambda p: (p[0].letters, p[1].letters))
     key_text = staticmethod(lambda p: f"{p[0]} (x) {p[1]}")
 

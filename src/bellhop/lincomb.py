@@ -7,7 +7,7 @@ the sort key, the text of a key and the coefficient separator.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 
 class LinearCombination:
@@ -19,7 +19,10 @@ class LinearCombination:
     sort_key: Callable[[Any], Any]
     key_text: Callable[[Any], str]
     separator = " "
-    key_product: Callable[[Any, Any], Any] | None = None  # None: scalars only
+    # k1 * k2 as (key, integer weight) pairs: one pair (k1 k2, 1) for words
+    # and monomials, a weighted sum for the Wick product of normal forms.
+    # None: scalars only.
+    key_product: Callable[[Any, Any], Iterable[tuple[Any, int]]] | None = None
 
     def __init__(self, terms: dict | None = None):
         self.terms: dict[Any, Fraction] = {}
@@ -28,6 +31,13 @@ class LinearCombination:
                 c = Fraction(c)
                 if c:
                     self.terms[k] = c
+
+    @classmethod
+    def _exact(cls, terms: dict[Any, Fraction]):
+        """Wrap a dict of nonzero Fractions as it is."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
     @classmethod
     def one(cls):
@@ -41,32 +51,55 @@ class LinearCombination:
             return NotImplemented
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return type(self)(out)
+            if k in out:
+                c += out[k]
+                if not c:  # a sum is the only way to reach zero
+                    del out[k]
+                    continue
+            out[k] = c
+        return self._exact(out)
 
     def __sub__(self, other):
         return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return type(self)({k: c * other for k, c in self.terms.items()})
+            if not other:
+                return type(self)()
+            return self._exact({k: c * other for k, c in self.terms.items()})
         product = self.key_product
         if type(other) is not type(self) or product is None:
             return NotImplemented
         out: dict[Any, Fraction] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                k = product(k1, k2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return type(self)(out)
+                c12 = c1 * c2
+                for k, w in product(k1, k2):
+                    c = c12 if w == 1 else c12 * w
+                    if k in out:
+                        c += out[k]
+                        if not c:
+                            del out[k]
+                            continue
+                    out[k] = c
+        return self._exact(out)
 
     # only scalars reach __rmul__, so a noncommutative key product is safe
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        # binary squaring: powers of one element commute in any associative
+        # algebra, so x^(a+b) = x^a x^b whatever the grouping
+        if n < 0:
+            raise ValueError("exponent must be nonnegative")
         out = self.one()
-        for _ in range(n):
-            out = out * self
+        square = self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     def __eq__(self, other) -> bool:

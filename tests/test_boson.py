@@ -1,8 +1,11 @@
 """Boson algebra: rewriting engine vs independent reduction strategies and
 a truncated number-basis oracle, all in exact arithmetic."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from bellhop.boson import (
     A,
     AD,
+    MOMENT_LIMIT,
     BosonExpression,
     CoherentParam,
     NormalOrderedForm,
@@ -23,6 +27,7 @@ from bellhop.boson import (
     parse_expression,
     stirling_via_ordering,
     word_moments,
+    _normal_order_word,
 )
 from bellhop.combinatorics import bell, bell_polynomial, stirling2
 from bellhop.errors import ExpressionParseError, ResourceLimitError
@@ -63,6 +68,16 @@ def test_normal_order_single_commutator():
 def test_normal_order_number_word_powers():
     assert normal_order(number_word(2)).terms == {(2, 2): 1, (1, 1): 1}
     assert normal_order(number_word(3)).terms == {(3, 3): 1, (2, 2): 3, (1, 1): 1}
+
+
+def test_normal_order_drops_cancelled_terms():
+    # ad a cancels within one coefficient denominator; the constants 1 and
+    # -3!/6 cancel across two
+    assert normal_order(parse_expression("a ad - ad a")).terms == {(0, 0): 1}
+    expr = parse_expression("a ad - 1/6 a^3 ad^3")
+    form = normal_order(expr)
+    assert (0, 0) not in form.terms
+    assert form == random_strategy_normal_order(expr, random.Random(0))
 
 
 def test_confluence_random_strategies():
@@ -116,6 +131,49 @@ def test_combination_arithmetic():
 def test_combination_equality_is_type_strict():
     assert BosonExpression({(1, 1): 1}) != NormalOrderedForm({(1, 1): 1})
     assert NormalOrderedForm({(1, 1): 1}) != BosonExpression({(1, 1): 1})
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_power_is_left_fold_product(n):
+    rng = random.Random(100 + n)
+    for _ in range(3):
+        x = BosonExpression(
+            {random_word(rng, 3): Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(2)}
+        )
+        for u in (x, normal_order(x)):
+            assert u ** n == reduce(lambda acc, _: acc * u, range(n), type(u).one())
+    assert x ** 0 == BosonExpression.one()
+    assert normal_order(x) ** 0 == NormalOrderedForm.one()
+    with pytest.raises(ValueError):
+        x ** -1
+
+
+# ---------------------------------------------------------------------------
+# The Wick product of normal forms against the word fold
+
+
+def test_wick_rule_on_single_terms():
+    for r, s, p, q in itertools.product(range(5), repeat=4):
+        wick = NormalOrderedForm({(r, s): 1}) * NormalOrderedForm({(p, q): 1})
+        joined = BosonExpression.from_word((AD,) * r + (A,) * s + (AD,) * p + (A,) * q)
+        assert wick == normal_order(joined), (r, s, p, q)
+
+
+def test_wick_product_of_forms_matches_ordering_the_product():
+    rng = random.Random(31)
+    for _ in range(60):
+        x, y = random_expression(rng), random_expression(rng)
+        fx, fy = normal_order(x), normal_order(y)
+        assert fx * fy == normal_order(x * y)
+        assert normal_order(fx.to_expression()) == fx
+        assert (fx * fy) * fx == fx * (fy * fx)
+
+
+def test_word_cache_is_bounded():
+    normal_order(parse_expression("(a + ad)^15"))  # 2^15 distinct words
+    info = _normal_order_word.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +295,56 @@ def test_word_moments_vacuum():
 def test_word_moments_limit():
     with pytest.raises(ResourceLimitError):
         word_moments(number_word(1), 30, 1)
+
+
+def word_moments_by_expansion(w: BosonExpression, nmax: int, z) -> list:
+    """Reference: expand w^n into words and order each power afresh."""
+    moments: list = [Fraction(1)]
+    power = BosonExpression.one()
+    for _ in range(nmax):
+        power = power * w
+        moments.append(coherent_expectation(normal_order(power), z))
+    return moments
+
+
+def assert_moments_agree(got: list, want: list, w: BosonExpression, z) -> None:
+    # Exact moments agree exactly. Floating-point ones are sums of up to a
+    # few hundred doubles taken in another order: within 1e-12 of the sum
+    # of the terms' magnitudes (n * 2^-53 ~ 1e-14 for n terms, with margin).
+    param = z if isinstance(z, CoherentParam) else CoherentParam(z=z)
+    for n, (g, v) in enumerate(zip(got, want, strict=True)):
+        if isinstance(g, Fraction) and isinstance(v, Fraction):
+            assert g == v, (str(w), n)
+            continue
+        form = normal_order(w ** n)
+        scale = sum(abs(c) * abs(complex(param.powers(r, s))) for (r, s), c in form.terms.items())
+        assert abs(complex(g) - complex(v)) <= 1e-12 * scale, (str(w), n)
+
+
+@pytest.mark.parametrize("text", ["ad a", "ad + a", "ad^2 a", "a ad + 1/2 a^2"])
+@pytest.mark.parametrize(
+    "z",
+    [Fraction(3, 4), CoherentParam.from_mod_sq(Fraction(9, 4)), CoherentParam.from_mod_sq(2), 0.6 - 0.8j],
+    ids=["fraction", "mod_sq_9/4", "mod_sq_2", "complex"],
+)
+def test_word_moments_match_word_expansion(text, z):
+    w = parse_expression(text)
+    nmax = min(MOMENT_LIMIT, 2 * MOMENT_LIMIT // w.max_word_length())
+    if len(w.terms) > 1:
+        nmax = min(nmax, 12)  # 2^n words per power for the reference
+    assert_moments_agree(word_moments(w, nmax, z), word_moments_by_expansion(w, nmax, z), w, z)
+
+
+def test_quadrature_moments_to_the_limit():
+    # <z|(a + ad)^n|z> for real z is the n-th moment of a normal law with
+    # mean 2z and variance 1: sum_k C(n, 2k) (2k-1)!! (2z)^(n-2k)
+    z = Fraction(5, 4)
+    want = [
+        sum(math.comb(n, 2 * k) * math.prod(range(1, 2 * k, 2)) * (2 * z) ** (n - 2 * k)
+            for k in range(n // 2 + 1))
+        for n in range(MOMENT_LIMIT + 1)
+    ]
+    assert word_moments(parse_expression("ad + a"), MOMENT_LIMIT, z) == want
 
 
 # ---------------------------------------------------------------------------

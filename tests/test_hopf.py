@@ -3,6 +3,7 @@ coding, and the text/JSON forms."""
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +88,17 @@ def test_combination_arithmetic():
             assert (u * 0).terms == {}
             assert (u + v) - v == u
             assert (u + v) * w == u * w + v * w
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_power_is_left_fold_product(n):
+    rng = random.Random(200 + n)
+    for _ in range(3):
+        x = random_element(rng, 3, 3)
+        for u in (x, coproduct(x)):
+            assert u ** n == reduce(lambda acc, _: acc * u, range(n), type(u).one())
+    assert x ** 0 == HopfElement.unit()
+    assert coproduct(x) ** 0 == TensorElement.pure(UNIT, UNIT)
 
 
 def test_tensor_text():
