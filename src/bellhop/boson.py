@@ -6,13 +6,15 @@ coherent-state expectation values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
+from operator import itemgetter
 from typing import Iterable
 
-from .errors import ExpressionParseError, ResourceLimitError
+from .errors import ResourceLimitError
 from .lincomb import LinearCombination
 
 # word letters
@@ -50,6 +52,11 @@ class BosonExpression(LinearCombination):
         return cls({(AD,): Fraction(1)})
 
     @classmethod
+    def symbol(cls, name: str):
+        if name in ("a", "ad"):
+            return cls.from_word((AD if name == "ad" else A,))
+
+    @classmethod
     def from_word(cls, word: Iterable[int], coeff=1) -> "BosonExpression":
         return cls({tuple(word): Fraction(coeff)})
 
@@ -75,6 +82,46 @@ class NormalOrderedForm(LinearCombination):
             ((r + p - k, s + q - k), math.perm(s, k) * math.comb(p, k))
             for k in range(min(s, p) + 1)
         )
+
+    @classmethod
+    def symbol(cls, name: str):
+        if name in ("a", "ad"):
+            return cls({(1, 0) if name == "ad" else (0, 1): 1})
+
+    def __mul__(self, other):
+        """Refuse a product of forms with top degrees (R, S) and (P, Q)
+        before it is built when its term bound (R+P+1)(S+Q+1) exceeds
+        (2 MOMENT_LIMIT + 1)^2."""
+        if type(other) is NormalOrderedForm:
+            (r, s), (p, q) = self._top_degrees(), other._top_degrees()
+            keys, limit = (r + p + 1) * (s + q + 1), (2 * MOMENT_LIMIT + 1) ** 2
+            if keys > limit:
+                raise ResourceLimitError(
+                    f"product of forms of top degrees ({r}, {s}) and ({p}, {q}) "
+                    f"may have {keys} terms, over the limit {limit}"
+                )
+        return LinearCombination.__mul__(self, other)
+
+    def __pow__(self, n: int):
+        """Refuse a power whose coefficients would be longer than Python
+        prints an integer: the term bound does not bound a scalar power
+        such as 2^99999999."""
+        if self.terms:
+            largest = max(max(abs(c.numerator), c.denominator) for c in self.terms.values())
+            digits = n * math.log10(largest)
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+            if 0 < limit < digits:
+                raise ResourceLimitError(
+                    f"power {n} has coefficients of ~{digits:.0f} digits, over the "
+                    f"{limit} digits an integer prints with"
+                )
+        return LinearCombination.__pow__(self, n)
+
+    def _top_degrees(self) -> tuple[int, int]:
+        if not self.terms:
+            return 0, 0
+        # map and max: this runs before every product
+        return max(self.terms)[0], max(map(itemgetter(1), self.terms))
 
     def coefficient(self, r: int, s: int) -> Fraction:
         return self.terms.get((r, s), Fraction(0))
@@ -202,8 +249,19 @@ class CoherentParam:
 
 
 def coherent_expectation(form: NormalOrderedForm, z) -> Fraction | float | complex:
-    """<z| form |z> by the eigenvalue property: (r,s) term -> conj(z)^r z^s."""
+    """<z| form |z> by the eigenvalue property: (r,s) term -> conj(z)^r z^s.
+
+    With |z|^2 exact, each parity of r + s is summed exactly and the odd sum
+    is multiplied by sqrt(|z|^2) once, so the value does not depend on the
+    order of the terms.
+    """
     param = z if isinstance(z, CoherentParam) else CoherentParam(z=z)
+    if param.mod_sq is not None:
+        sums: dict[int, Fraction] = {}
+        for (r, s), c in form.terms.items():
+            sums[(r + s) % 2] = sums.get((r + s) % 2, 0) + c * param.mod_sq ** ((r + s) // 2)
+        even = sums.get(0, Fraction(0))
+        return even + sums[1] * math.sqrt(param.mod_sq) if 1 in sums else even
     acc = None
     for (r, s), c in form.terms.items():
         contrib = c * param.powers(r, s)
@@ -232,7 +290,7 @@ def word_moments(w: BosonExpression, nmax: int, z, limit: int = MOMENT_LIMIT) ->
 
 
 # --------------------------------------------------------------------------
-# Text syntax:  letters `a` and `ad`, `+`, `-`, rational scalars, `^`, parens
+# Text syntax: the grammar of bellhop.lincomb with the symbols `a` and `ad`
 # --------------------------------------------------------------------------
 
 
@@ -246,137 +304,6 @@ def format_normal_form(form: NormalOrderedForm) -> str:
     return str(form)
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, object, int]] = []
-        self._scan()
-        self.index = 0
-
-    def _scan(self):
-        text = self.text
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "+-()^*":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                num = int(text[i:j])
-                if j < len(text) and text[j] == "/":
-                    k = j + 1
-                    while k < len(text) and text[k].isdigit():
-                        k += 1
-                    if k == j + 1:
-                        raise ExpressionParseError("expected denominator", j + 1)
-                    self.tokens.append(("num", Fraction(num, int(text[j + 1:k])), i))
-                    i = k
-                else:
-                    self.tokens.append(("num", Fraction(num), i))
-                    i = j
-                continue
-            if ch == "a":
-                if text[i:i + 2] == "ad" and (i + 2 >= len(text) or not text[i + 2].isalnum()):
-                    self.tokens.append(("ad", AD, i))
-                    i += 2
-                elif i + 1 >= len(text) or not text[i + 1].isalnum():
-                    self.tokens.append(("a", A, i))
-                    i += 1
-                else:
-                    raise ExpressionParseError(f"unknown symbol {text[i]!r}", i)
-                continue
-            raise ExpressionParseError(f"unexpected character {ch!r}", i)
-
-    def peek(self) -> tuple[str, object, int]:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return ("end", None, len(self.text))
-
-    def next(self) -> tuple[str, object, int]:
-        tok = self.peek()
-        self.index += 1
-        return tok
-
-
-class _ExpressionParser:
-    """Grammar:
-    expr   := ['+'|'-'] term (('+'|'-') term)*
-    term   := factor (['*'] factor)*
-    factor := atom ['^' integer]
-    atom   := 'a' | 'ad' | rational | '(' expr ')'
-    """
-
-    def __init__(self, text: str):
-        if not text.strip():
-            raise ExpressionParseError("empty expression", 0)
-        self.toks = _Tokenizer(text)
-
-    def parse(self) -> BosonExpression:
-        expr = self.parse_expr()
-        kind, _, pos = self.toks.peek()
-        if kind != "end":
-            raise ExpressionParseError("unexpected trailing input", pos)
-        return expr
-
-    def parse_expr(self) -> BosonExpression:
-        negate = self.toks.peek()[0] in "+-" and self.toks.next()[0] == "-"
-        acc = self.parse_term()
-        if negate:
-            acc = acc * -1
-        while self.toks.peek()[0] in "+-":
-            if self.toks.next()[0] == "-":
-                acc = acc - self.parse_term()
-            else:
-                acc = acc + self.parse_term()
-        return acc
-
-    def parse_term(self) -> BosonExpression:
-        acc = self.parse_factor()
-        while True:
-            kind = self.toks.peek()[0]
-            if kind == "*":
-                self.toks.next()
-                acc = acc * self.parse_factor()
-            elif kind in ("a", "ad", "num", "("):
-                acc = acc * self.parse_factor()
-            else:
-                return acc
-
-    def parse_factor(self) -> BosonExpression:
-        atom = self.parse_atom()
-        if self.toks.peek()[0] == "^":
-            self.toks.next()
-            kind, value, pos = self.toks.next()
-            if kind != "num" or value.denominator != 1 or value < 0:
-                raise ExpressionParseError("exponent must be a nonnegative integer", pos)
-            return atom ** value.numerator
-        return atom
-
-    def parse_atom(self) -> BosonExpression:
-        kind, value, pos = self.toks.next()
-        if kind == "a":
-            return BosonExpression.a()
-        if kind == "ad":
-            return BosonExpression.ad()
-        if kind == "num":
-            return BosonExpression.one() * value
-        if kind == "(":
-            inner = self.parse_expr()
-            kind2, _, pos2 = self.toks.next()
-            if kind2 != ")":
-                raise ExpressionParseError("expected ')'", pos2)
-            return inner
-        raise ExpressionParseError("expected 'a', 'ad', a number, or '('", pos)
-
-
 def parse_expression(text: str) -> BosonExpression:
     """Parse the boson-word text syntax, e.g. '(ad a)^3' or 'ad + a'."""
-    return _ExpressionParser(text).parse()
+    return BosonExpression.parse(text)

@@ -43,7 +43,11 @@ def _emit(args, rows: list[dict], columns: list[str]):
         buf.write("  ".join(c.ljust(widths[c]) for c in columns).rstrip() + "\n")
         for r in rows:
             buf.write("  ".join(str(r[c]).ljust(widths[c]) for c in columns).rstrip() + "\n")
-    text = buf.getvalue()
+    _write(args, buf.getvalue())
+
+
+def _write(args, text: str):
+    """Write text to --out or stdout."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -51,8 +55,11 @@ def _emit(args, rows: list[dict], columns: list[str]):
         sys.stdout.write(text)
 
 
-def _parse_rational_list(values: list[str]) -> list[Fraction]:
-    return [Fraction(v) for v in values]
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 # --------------------------------------------------------------------------
@@ -84,14 +91,18 @@ def cmd_stirling(args) -> int:
 
 
 def cmd_normal_order(args) -> int:
-    expr = boson.parse_expression(args.expression)
-    form = boson.normal_order(expr)
-    sys.stdout.write(boson.format_normal_form(form) + "\n")
+    # parsed straight into the normal-ordered basis: no word is built
+    form = boson.NormalOrderedForm.parse(args.expression)
+    if args.format == "plain":
+        _write(args, str(form) + "\n")
+    else:
+        rows = [{"r": r, "s": s, "coeff": str(c)} for (r, s), c in form.sorted_terms()]
+        _emit(args, rows, ["r", "s", "coeff"])
     return EXIT_OK
 
 
 def cmd_dobinski(args) -> int:
-    res = combinatorics.dobinski_bell_poly(args.n, Fraction(args.y), args.k_max, args.precision) \
+    res = combinatorics.dobinski_bell_poly(args.n, _rational(args.y), args.k_max, args.precision) \
         if args.y != "1" else combinatorics.dobinski_bell(args.n, args.k_max, args.precision)
     rows = [{
         "n": args.n,
@@ -109,20 +120,15 @@ def cmd_egf(args) -> int:
     if args.action == "bell":
         series = egf.bell_egf(args.order)
     else:
-        coeffs = _parse_rational_list(args.coefficients)
+        coeffs = [_rational(v) for v in args.coefficients]
         series = egf.EGFSeries(tuple(coeffs))
         series = egf.egf_exp(series) if args.action == "exp" else egf.egf_log(series)
-    out = series.to_json() + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _write(args, series.to_json() + "\n")
     return EXIT_OK
 
 
 def cmd_wv(args) -> int:
-    values = _parse_rational_list(args.values)
+    values = [_rational(v) for v in args.values]
     if args.direction == "w-to-v":
         out = egf.w_to_v(values)
     else:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .errors import ExpressionParseError
 from .lincomb import LinearCombination
 
 Rational = Fraction | int
@@ -77,6 +76,13 @@ class HopfElement(LinearCombination):
     @classmethod
     def unit(cls, c: Rational = 1) -> "HopfElement":
         return cls({UNIT: c})
+
+    @classmethod
+    def symbol(cls, name: str):
+        # y<k>, k >= 1
+        index = name[1:]
+        if name[0] == "y" and index.isdecimal() and int(index) >= 1:
+            return cls.generator(int(index))
 
     @classmethod
     def generator(cls, k: int) -> "HopfElement":
@@ -339,92 +345,9 @@ def format_element(a: HopfElement) -> str:
     return str(a)
 
 
-class _ElementParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, msg: str):
-        raise ExpressionParseError(msg, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse(self) -> HopfElement:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            self.error("empty element")
-        out = HopfElement()
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.peek() == "-" else 1
-            self.pos += 1
-        out = out + self.parse_term(sign)
-        while self.peek() in ("+", "-"):
-            sign = -1 if self.peek() == "-" else 1
-            self.pos += 1
-            out = out + self.parse_term(sign)
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("unexpected trailing input")
-        return out
-
-    def parse_term(self, sign: int) -> HopfElement:
-        coeff = Fraction(sign)
-        letters: list[int] = []
-        saw_factor = False
-        while True:
-            ch = self.peek()
-            if ch == "y":
-                self.pos += 1
-                k = self.parse_int("generator index")
-                if k < 1:
-                    self.error("generator index must be at least 1")
-                mult = 1
-                if self.peek() == "^":
-                    self.pos += 1
-                    mult = self.parse_int("exponent")
-                letters.extend([k] * mult)
-                saw_factor = True
-            elif ch.isdigit():
-                coeff *= self.parse_rational()
-                saw_factor = True
-            else:
-                self.error("expected coefficient or generator")
-            if self.peek() == "*":
-                self.pos += 1
-                continue
-            break
-        if not saw_factor:
-            self.error("empty term")
-        return HopfElement({Monomial(tuple(letters)): coeff})
-
-    def parse_int(self, what: str) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            self.error(f"expected {what}")
-        return int(self.text[start:self.pos])
-
-    def parse_rational(self) -> Fraction:
-        num = self.parse_int("numerator")
-        if self.pos < len(self.text) and self.text[self.pos] == "/":
-            self.pos += 1
-            den = self.parse_int("denominator")
-            return Fraction(num, den)
-        return Fraction(num)
-
-
 def parse_element(text: str) -> HopfElement:
-    """Parse the canonical text form produced by format_element."""
-    return _ElementParser(text).parse()
+    """Parse BELL text, e.g. the canonical form format_element prints."""
+    return HopfElement.parse(text)
 
 
 def element_to_json(a: HopfElement) -> str:

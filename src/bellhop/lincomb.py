@@ -1,13 +1,18 @@
 """Finite linear combinations with exact rational coefficients over a key
 set: boson words, normal-ordered pairs (r, s), BELL monomials and monomial
 pairs.  A subclass supplies only its hooks: the key product, the unit key,
-the sort key, the text of a key and the coefficient separator.
+the sort key, the text of a key, the coefficient separator and the element
+a symbol name stands for in text.  One parser reads the text of every
+subclass, and ``str`` prints text it reads back.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Any, Callable, Iterable
+
+from .errors import ExpressionParseError
 
 
 class LinearCombination:
@@ -42,6 +47,16 @@ class LinearCombination:
     @classmethod
     def one(cls):
         return cls({cls.unit_key: 1})
+
+    @classmethod
+    def symbol(cls, name: str):
+        """The element that ``name`` stands for in text, or None."""
+        return None
+
+    @classmethod
+    def parse(cls, text: str):
+        """Read text in the grammar of ``_Parser``, e.g. '2 ad a + 1/2 a^2'."""
+        return _Parser(cls, text).parse()
 
     def sorted_terms(self) -> list[tuple[Any, Fraction]]:
         return sorted(self.terms.items(), key=lambda kc: self.sort_key(kc[0]))
@@ -129,3 +144,103 @@ class LinearCombination:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({str(self)!r})"
+
+
+def _tokens(text: str) -> list[tuple[str, Any, int]]:
+    """(kind, value, position) triples, closed by ('end', None, len(text))."""
+    out: list[tuple[str, Any, int]] = []
+    # a number with an optional /denominator, a symbol name, or one other character
+    for m in re.finditer(r"(\d+)(?:/(\d*))?|([A-Za-z]\w*)|(\S)", text):
+        num, den, name, char = m.groups()
+        if num is not None:
+            if den == "":
+                raise ExpressionParseError("expected denominator", m.end())
+            if den is not None and not int(den):
+                raise ExpressionParseError("zero denominator", m.start(2))
+            out.append(("num", Fraction(int(num), int(den or 1)), m.start()))
+        elif name is not None:
+            out.append(("name", name, m.start()))
+        elif char in "+-*^()":
+            out.append((char, char, m.start()))
+        else:
+            raise ExpressionParseError(f"unexpected character {char!r}", m.start())
+    out.append(("end", None, len(text)))
+    return out
+
+
+class _Parser:
+    """Recursive descent, building elements of ``cls`` as it reads:
+
+    expr   := ['+'|'-'] term (('+'|'-') term)*
+    term   := factor (['*'] factor)*
+    factor := atom ['^' integer]
+    atom   := symbol | rational | '(' expr ')'
+    """
+
+    def __init__(self, cls, text: str):
+        self.cls = cls
+        self.tokens = _tokens(text)[::-1]  # the next token last
+
+    def peek(self) -> str:
+        return self.tokens[-1][0]
+
+    def next(self) -> tuple[str, Any, int]:
+        return self.tokens.pop()
+
+    def expect(self, kind: str, message: str) -> None:
+        got, _, pos = self.next()
+        if got != kind:
+            raise ExpressionParseError(message, pos)
+
+    def parse(self):
+        try:
+            out = self.expr()
+        except RecursionError:  # one level per open '(': the stack is the bound
+            raise ExpressionParseError("parentheses nested too deeply", self.tokens[-1][2]) from None
+        self.expect("end", "unexpected trailing input")
+        return out
+
+    def expr(self):
+        negate = self.peek() in "+-" and self.next()[0] == "-"
+        acc = self.term()
+        if negate:
+            acc = acc * -1
+        while self.peek() in "+-":
+            if self.next()[0] == "-":
+                acc = acc - self.term()
+            else:
+                acc = acc + self.term()
+        return acc
+
+    def term(self):
+        acc = self.factor()
+        while self.peek() in ("*", "name", "num", "("):
+            if self.peek() == "*":
+                self.next()
+            acc = acc * self.factor()
+        return acc
+
+    def factor(self):
+        atom = self.atom()
+        if self.peek() != "^":
+            return atom
+        self.next()
+        kind, value, pos = self.next()
+        if kind != "num" or value.denominator != 1:
+            raise ExpressionParseError("exponent must be a nonnegative integer", pos)
+        return atom ** value.numerator
+
+    def atom(self):
+        kind, value, pos = self.next()
+        if kind == "name":
+            element = self.cls.symbol(value)
+            if element is None:
+                raise ExpressionParseError(f"unknown symbol {value!r}", pos)
+            return element
+        if kind == "num":
+            return self.cls.one() * value
+        if kind == "(":
+            inner = self.expr()
+            self.expect(")", "expected ')'")
+            return inner
+        raise ExpressionParseError("expected a symbol, a number or '('", pos)

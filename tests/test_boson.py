@@ -176,6 +176,28 @@ def test_word_cache_is_bounded():
     assert info.currsize <= info.maxsize
 
 
+@pytest.mark.parametrize(
+    "text,ok",
+    [
+        ("ad^2400", True),       # top degrees (2400, 0): 2,401 keys
+        ("ad^2401", False),
+        ("a^48 ad^48", True),    # 49 * 49 = 2,401 keys
+        ("a^48 ad^49", False),   # 50 * 49
+        ("(ad a)^40", True),
+        ("(a + ad)^49", False),  # (a + ad)^17 (a + ad)^32: 50 * 50
+        ("a^10000000", False),
+        ("2^99999999", False),   # one key, coefficients past printing
+        ("1^99999999", True),
+    ],
+)
+def test_product_bound(text, ok):
+    if ok:
+        NormalOrderedForm.parse(text)
+    else:
+        with pytest.raises(ResourceLimitError):
+            NormalOrderedForm.parse(text)
+
+
 # ---------------------------------------------------------------------------
 # Oracle 2: matrix action on the polynomial number basis e_m, where
 # ad e_m = e_{m+1} and a e_m = m e_{m-1}; all coefficients stay rational.
@@ -277,6 +299,18 @@ def test_coherent_expectation_complex_z():
     z = 1 + 2j
     val = coherent_expectation(normal_order(number_word(1)), z)
     assert abs(val - 5) < 1e-12
+
+
+@pytest.mark.parametrize("text", ["(ad + 1/3 a)^9", "(a ad + 1/2 a - 1/7 ad)^5"])
+def test_coherent_moments_do_not_depend_on_term_order(text):
+    form = normal_order(parse_expression(text))
+    flipped = NormalOrderedForm(dict(reversed(list(form.terms.items()))))
+    assert flipped == form and list(flipped.terms) != list(form.terms)
+    z = CoherentParam.from_mod_sq(Fraction(9, 4))
+    got = coherent_expectation(form, z)
+    assert coherent_expectation(flipped, z) == got
+    # |z|^2 = 9/4 is z = 3/2: the exact value
+    assert math.isclose(got, coherent_expectation(form, Fraction(3, 2)), rel_tol=1e-15)
 
 
 def test_word_moments_bell():
@@ -402,3 +436,33 @@ def test_parse_print_roundtrip(raw):
         terms[key] = terms.get(key, Fraction(0)) + coeff
     expr = BosonExpression(terms)
     assert parse_expression(format_expression(expr)) == expr
+
+
+def test_parse_error_positions():
+    for text, pos in [("", 0), ("a +", 3), ("3/", 2), ("3/0", 2), ("2 ^ a", 4),
+                      ("a2", 0), ("y1", 0), ("a ? ad", 2), ("(a", 2)]:
+        with pytest.raises(ExpressionParseError) as exc:
+            parse_expression(text)
+        assert exc.value.position == pos, text
+
+
+def test_parse_nesting_is_a_parse_error():
+    parse_expression("(" * 100 + "a" + ")" * 100)
+    with pytest.raises(ExpressionParseError) as exc:
+        NormalOrderedForm.parse("(" * 5000 + "a" + ")" * 5000)
+    assert 0 < exc.value.position < 5000
+
+
+@settings(max_examples=60)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        st.fractions(max_denominator=9).filter(bool),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_normal_form_parse_print_roundtrip(terms):
+    form = NormalOrderedForm(terms)
+    assert NormalOrderedForm.parse(format_normal_form(form)) == form
+

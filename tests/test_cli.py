@@ -2,15 +2,22 @@
 ``cli.main`` so exit codes and output are observed exactly as a shell
 would see them."""
 
+import contextlib
 import csv
 import io
 import json
+import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bellhop import cli
-from bellhop.combinatorics import bell_polynomial
+from bellhop import boson, cli
+from bellhop.boson import format_normal_form, normal_order, parse_expression
+from bellhop.combinatorics import bell_polynomial, stirling2
 
 
 def run(argv, capsys):
@@ -88,9 +95,155 @@ def test_normal_order_parse_error_exit_2(capsys):
 
 
 def test_normal_order_resource_limit_exit_3(capsys):
-    code, _, err = run(["normal-order", "(ad a)^40"], capsys)
+    code, _, err = run(["normal-order", "(a + ad)^49"], capsys)
     assert code == 3
     assert "resource limit" in err
+
+
+def random_text(rng: random.Random, nested: bool = False) -> str:
+    """A random sentence of the expression grammar, with one level of
+    parentheses, so that its words stay few and short."""
+    def factor():
+        x = rng.random()
+        if x < 0.55:
+            f = rng.choice(["a", "ad"])
+        elif x < 0.8 or nested:
+            f = str(rng.randint(0, 9)) + rng.choice(["", "/" + str(rng.randint(1, 9))])
+        else:
+            f = "(" + random_text(rng, True) + ")"
+        return f + rng.choice(["", "", "^2", " ^ 3", "^0"])
+
+    def term():
+        return rng.choice([" ", "*", " * "]).join(factor() for _ in range(rng.randint(1, 3)))
+
+    out = rng.choice(["", "-", "+"]) + term()
+    for _ in range(rng.randint(0, 2)):
+        out += rng.choice([" + ", " - ", "-"]) + term()
+    return out
+
+
+def test_normal_order_matches_word_fold(capsys):
+    # the CLI builds forms by Wick products; the oracle parses words and
+    # folds each word (normal_order)
+    rng = random.Random(41)
+    texts = [random_text(rng) for _ in range(300)] + [
+        "(a + ad)^12", "(2 ad - 1/3 a)^8", "(a ad + 1/2 a^2)^5", "-(ad^2 a)^4 + 3/7",
+        "(ad a)^12", "(a + ad + 1)^6", "a^24 ad^24", "a ad - ad a - 1", "0 a",
+    ]
+    for text in texts:
+        expr = parse_expression(text)
+        assert expr.max_word_length() <= 2 * boson.MOMENT_LIMIT
+        code, out, err = run(["normal-order", "--", text], capsys)  # '--': text may start with '-'
+        assert (code, err) == (0, "")
+        assert out == format_normal_form(normal_order(expr)) + "\n", text
+
+
+@pytest.mark.parametrize("n", [10, 24, 40])
+def test_normal_order_bch_coefficients(n, capsys):
+    # e^{x(a + ad)} = e^{x ad} e^{x a} e^{x^2/2}: the coefficient of
+    # ad^j a^l in (a + ad)^n is n!/(j! l! m! 2^m) with j + l + 2m = n
+    code, out, _ = run(["--format", "json", "normal-order", f"(a + ad)^{n}"], capsys)
+    assert code == 0
+    got = {(row["r"], row["s"]): Fraction(row["coeff"]) for row in json.loads(out)}
+    want = {
+        (j, n - j - 2 * m): Fraction(math.factorial(n), math.factorial(j) * math.factorial(n - j - 2 * m)
+                                     * math.factorial(m) * 2**m)
+        for m in range(n // 2 + 1)
+        for j in range(n - 2 * m + 1)
+    }
+    assert got == want
+
+
+def test_normal_order_number_operator_40(capsys):
+    code, out, _ = run(["--format", "json", "normal-order", "(ad a)^40"], capsys)
+    assert code == 0
+    got = {(row["r"], row["s"]): int(row["coeff"]) for row in json.loads(out)}
+    assert got == {(k, k): stirling2(40, k) for k in range(1, 41)}
+
+
+def test_normal_order_never_builds_words(monkeypatch, capsys):
+    def refuse(*_):
+        raise AssertionError("the word path was used")
+
+    monkeypatch.setattr(boson, "normal_order", refuse)
+    monkeypatch.setattr(boson, "_normal_order_word", refuse)
+    for text in ["a ad", "(a + ad)^16", "(ad a)^3 - 1/2 a^2"]:
+        code, out, err = run(["normal-order", text], capsys)
+        assert (code, err) == (0, "") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["a^10000000", "2^99999999", "(a + ad)^49", "a^48 ad^49"])
+def test_normal_order_term_bound_exit_3(text, capsys):
+    code, out, err = run(["normal-order", text], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit:")
+
+
+def test_normal_order_formats(tmp_path, capsys):
+    code, out, _ = run(["--format", "json", "normal-order", "(ad a)^2 - 1/2"], capsys)
+    assert code == 0
+    assert json.loads(out) == [
+        {"r": 2, "s": 2, "coeff": "1"}, {"r": 1, "s": 1, "coeff": "1"}, {"r": 0, "s": 0, "coeff": "-1/2"},
+    ]
+    code, out, _ = run(["--format", "csv", "normal-order", "a ad"], capsys)
+    assert code == 0
+    assert list(csv.DictReader(io.StringIO(out))) == [
+        {"r": "1", "s": "1", "coeff": "1"}, {"r": "0", "s": "0", "coeff": "1"},
+    ]
+    target = tmp_path / "form.txt"
+    code, out, _ = run(["--out", str(target), "normal-order", "a ad"], capsys)
+    assert (code, out) == (0, "")
+    assert target.read_text() == "ad a + 1\n"
+    code, out, _ = run(["--format", "json", "normal-order", "a - a"], capsys)
+    assert (code, json.loads(out)) == (0, [])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normal-order", "3/0"],
+        ["wv", "w-to-v", "1", "1/0"],
+        ["egf", "exp", "0", "1/0"],
+        ["dobinski", "5", "--y", "1/0"],
+    ],
+    ids=["normal-order", "wv", "egf", "dobinski"],
+)
+def test_zero_denominator_exit_2(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(("parse error:", "error:")) and err.count("\n") == 1
+    assert "denominator" in err
+
+
+def test_normal_order_deep_nesting_exit_2(capsys):
+    code, _, err = run(["normal-order", "(" * 3000 + "a" + ")" * 3000], capsys)
+    assert code == 2
+    assert err.startswith("parse error:")
+
+
+# Tokens of the grammar's alphabet, and exponents up to past any bound.
+_FUZZ_TOKENS = st.one_of(
+    st.sampled_from(["a", "ad", "0", "1", "2", "7", "/", "+", "-", "*", "^", "(", ")", " "]),
+    st.integers(0, 10**12).map(str),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_FUZZ_TOKENS, max_size=16).map("".join))
+def test_normal_order_fuzz(text):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(["normal-order", text])
+        except SystemExit as exc:  # argparse: an expression that looks like an option
+            code = exc.code
+    elapsed = time.perf_counter() - start
+    assert code in (0, 2, 3), (text, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    # the slowest texts of this size the term bound admits, such as
+    # '(1+a+ad+ad a)^48', take ~21 s on a 2-vCPU machine
+    assert elapsed < 60, text
 
 
 # ---------------------------------------------------------------------------

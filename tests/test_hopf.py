@@ -331,3 +331,17 @@ def test_tensor_json():
     t = coproduct(parse_element("y1*y2"))
     text = tensor_to_json(t)
     assert '"left"' in text and '"coeff"' in text
+
+
+def test_parse_error_positions():
+    for text, pos in [("", 0), ("y0", 0), ("y1 +", 4), ("x1", 0), ("1/0*y1", 2), ("y1 + y", 5)]:
+        with pytest.raises(ExpressionParseError) as exc:
+            parse_element(text)
+        assert exc.value.position == pos, text
+
+
+def test_parse_shares_the_expression_grammar():
+    y1, y2 = HopfElement.generator(1), HopfElement.generator(2)
+    assert parse_element("(y1 + y2)^2") == y1 * y1 + y1 * y2 * 2 + y2 * y2
+    assert parse_element("-(2 y1 - 1/2)^3 y2") == (y1 * 2 - HopfElement.unit(Fraction(1, 2))) ** 3 * y2 * -1
+    assert parse_element("2^3 * y12") == HopfElement.generator(12) * 8
