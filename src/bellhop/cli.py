@@ -13,8 +13,6 @@ import json
 import sys
 from fractions import Fraction
 
-import mpmath
-
 from . import boson, combinatorics, egf, hopf, partition_function as pf
 from .errors import ExpressionParseError, QuadratureError, ResourceLimitError
 
@@ -102,6 +100,8 @@ def cmd_normal_order(args) -> int:
 
 
 def cmd_dobinski(args) -> int:
+    import mpmath  # only the Dobinski paths pay for it
+
     res = combinatorics.dobinski_bell_poly(args.n, _rational(args.y), args.k_max, args.precision) \
         if args.y != "1" else combinatorics.dobinski_bell(args.n, args.k_max, args.precision)
     rows = [{
@@ -130,10 +130,14 @@ def cmd_egf(args) -> int:
 def cmd_wv(args) -> int:
     values = [_rational(v) for v in args.values]
     if args.direction == "w-to-v":
-        out = egf.w_to_v(values)
+        out, first = egf.w_to_v(values), 1  # V_1..V_N
     else:
-        out = egf.v_to_w(values)
-    sys.stdout.write(" ".join(str(v) for v in out) + "\n")
+        out, first = egf.v_to_w(values), 0  # W_0..W_N
+    if args.format == "plain":
+        _write(args, " ".join(str(v) for v in out) + "\n")
+    else:
+        rows = [{"index": i, "value": str(v)} for i, v in enumerate(out, first)]
+        _emit(args, rows, ["index", "value"])
     return EXIT_OK
 
 
@@ -205,12 +209,13 @@ def cmd_hopf_verify(args) -> int:
         # deliberate fault: drop the sign, so the convolution identity fails
         antipode_fn = lambda a: hopf.HopfElement(dict(a.terms))
     reports = hopf.run_all_checks(args.max_weight, antipode_fn)
-    for rep in reports:
-        sys.stdout.write(str(rep) + "\n")
-    if all(r.ok for r in reports):
-        sys.stdout.write("all axioms pass\n")
-        return EXIT_OK
-    return EXIT_VERIFY
+    ok = all(r.ok for r in reports)
+    if args.format == "plain":
+        _write(args, "".join(str(rep) + "\n" for rep in reports) + ("all axioms pass\n" if ok else ""))
+    else:
+        rows = [{"axiom": rep.name, "ok": rep.ok, "cases": rep.checked} for rep in reports]
+        _emit(args, rows, ["axiom", "ok", "cases"])
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 # --------------------------------------------------------------------------

@@ -8,14 +8,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import math
 
-import mpmath
-
 from .errors import ResourceLimitError
 from .hopf import Monomial
+
+if TYPE_CHECKING:
+    import mpmath
 
 ENUMERATION_LIMIT = 14
 
@@ -116,6 +117,8 @@ def dobinski_bell(n: int, K: int, precision: int = 50) -> DobinskiResult:
 
 def dobinski_bell_poly(n: int, y, K: int, precision: int = 50) -> DobinskiResult:
     """e^{-y} sum_{k=0}^{K} (k^n / k!) y^k  with a certified tail bound."""
+    import mpmath  # only the Dobinski paths pay for it
+
     if K < 1:
         raise ValueError("K must be >= 1")
     if precision < 10:

@@ -9,12 +9,12 @@ term-wise divergence of the illegal sum/integral interchange.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
-
-import numpy as np
 
 from .boson import BosonExpression, CoherentParam, word_moments
 from .combinatorics import _stirling_row
@@ -84,16 +84,54 @@ def integrand(y: float, p: ModelParams) -> float:
     return math.exp(-p.alpha * y)
 
 
+@lru_cache(maxsize=8)
+def _legendre_rule(points: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Each positive root of P_n comes from Newton's method on the three-term
+    recurrence, started at Tricomi's estimate cos(pi (i + 3/4) / (n + 1/2)).
+    The rule is symmetric by construction and its weights are scaled to sum
+    to 2, the length of [-1, 1].
+    """
+    n = points
+
+    def legendre(x: float) -> tuple[float, float]:
+        # P_n(x) and P_n'(x) = n (x P_n - P_{n-1}) / (x^2 - 1)
+        p0, p1 = 1.0, x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, n * (x * p1 - p0) / (x * x - 1)
+
+    roots = [0.0] if n % 2 else []
+    for i in range(n // 2):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(100):  # quadratic convergence: a handful of steps
+            p, dp = legendre(x)
+            step = p / dp
+            x -= step
+            if abs(step) < 1e-15:
+                break
+        roots.append(x)
+    roots.sort()
+    nodes = [-x for x in reversed(roots) if x > 0] + roots
+    weights = []
+    for x in nodes:
+        _, dp = legendre(x)
+        weights.append(2 / ((1 - x * x) * dp * dp))
+    scale = 2 / sum(weights)
+    return tuple(nodes), tuple(w * scale for w in weights)
+
+
 def _composite_gauss(f, lo: float, hi: float, panels: int, points: int) -> float:
-    nodes, weights = np.polynomial.legendre.leggauss(points)
-    edges = np.linspace(lo, hi, panels + 1)
+    nodes, weights = _legendre_rule(points)
+    step = (hi - lo) / panels
     total = 0.0
     for i in range(panels):
-        a, b = edges[i], edges[i + 1]
+        a = lo + i * step
+        b = hi if i == panels - 1 else lo + (i + 1) * step  # the last edge is hi exactly
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
-        ys = mid + half * nodes
-        total += half * float(np.dot(weights, f(ys)))
+        total += half * sum(w * f(mid + half * t) for t, w in zip(nodes, weights))
     return total
 
 
@@ -103,15 +141,20 @@ def regularized_Z(p: ModelParams, q: QuadratureConfig) -> tuple[float, float]:
     The analytic route returns (1 - e^(-alpha M)) / alpha; the quadrature
     route integrates numerically and Richardson-checks against doubled
     panels.  Converges to closed_form_Z at rate e^(-alpha M) / alpha.
+
+    Quadrature stops at M' = min(M, 60 ln 2 / alpha), where e^(-alpha M')
+    < 2^-60, so the panels resolve the integrand whatever M is; the omitted
+    integral over [M', M] is added to the error estimate.
     """
     alpha, M = p.alpha, q.cutoff
     analytic = -math.expm1(-alpha * M) / alpha
     if q.method == "analytic":
         return analytic, abs(analytic) * 1e-15
-    f = lambda ys: np.exp(-alpha * ys)
-    coarse = _composite_gauss(f, 0.0, M, q.panels, q.points_per_panel)
-    fine = _composite_gauss(f, 0.0, M, 2 * q.panels, q.points_per_panel)
-    estimate = abs(fine - coarse)
+    top = min(M, 60 * math.log(2) / alpha)  # past it, e^(-alpha y) < 2^-60
+    f = lambda y: math.exp(-alpha * y)
+    coarse = _composite_gauss(f, 0.0, top, q.panels, q.points_per_panel)
+    fine = _composite_gauss(f, 0.0, top, 2 * q.panels, q.points_per_panel)
+    estimate = abs(fine - coarse) + (math.exp(-alpha * top) - math.exp(-alpha * M)) / alpha
     if estimate > q.tolerance:
         raise QuadratureError("regularized_Z quadrature", fine, estimate)
     return fine, estimate
@@ -142,6 +185,10 @@ def regularized_series_Z(p: ModelParams, M: float, N: int) -> float:
     The legal order of operations: finite cutoff first, so summation and
     integration commute; as N grows this converges to
     (1 - e^(-alpha M)) / alpha at fixed M.
+
+    The terms are summed in floats.  When they pass the float range (large
+    alpha M), the sum is taken exactly instead and rounded once, to an
+    infinity if it lies beyond the float range.
     """
     if M <= 0:
         raise ValueError("M must be positive")
@@ -152,27 +199,49 @@ def regularized_series_Z(p: ModelParams, M: float, N: int) -> float:
     for n in range(N + 1):
         terms.append(t)
         t = t * (-p.alpha * M) / (n + 2)  # term ratio: (-alpha M) / (n+2)
-    return math.fsum(terms)
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # a finite sum past the range, or inf - inf
+        total = math.inf
+    if math.isfinite(total):
+        return total
+    if not math.isfinite(M):
+        raise ValueError("the series needs a finite cutoff M")
+    # M sum_n x^n / (n+1)! with x = -alpha M
+    u = _over_common_denominator(Fraction(-p.alpha) * Fraction(M), N, 1)
+    a, b = Fraction(M).as_integer_ratio()
+    numerator = a * sum(u)
+    try:
+        return numerator / (b * u[0])
+    except OverflowError:
+        return math.inf if numerator > 0 else -math.inf
 
 
-def _bell_poly_coeffs(x: float, N: int) -> list[Fraction]:
+def _over_common_denominator(x: Fraction, N: int, shift: int) -> list[int]:
+    """Integers u_0..u_N with u_n / u_0 = x^n / (n + shift)! for shift 0 or 1.
+
+    With x = m / d, u_n = m^n d^(N-n) (N + shift)! / (n + shift)!, so sums of
+    terms x^n / (n + shift)! become integer sums with one division at the end.
+    """
+    m, d = x.as_integer_ratio()
+    u = [d**N * math.factorial(N + shift)]
+    for n in range(N):
+        u.append(u[n] * m // (d * (n + 1 + shift)))  # exact: d and n + 1 + shift divide u[n]
+    return u
+
+
+def _bell_poly_coeffs(x: float, N: int) -> list[float]:
     """g_k = sum_{n=k}^{N} S(n,k) x^n / n!, so that
-    sum_{n<=N} B_n(y) x^n/n! = sum_k g_k y^k.  Exact in x."""
-    xf = Fraction(x)
+    sum_{n<=N} B_n(y) x^n/n! = sum_k g_k y^k.  Each g_k is the float
+    nearest its exact value at the binary float x.
+
+    With x = m / 2^e, every term is an integer over the common denominator
+    2^(eN) N!.  The numerators are summed in integers and divided once per
+    k, which rounds correctly.
+    """
+    u = _over_common_denominator(Fraction(x), N, 0)
     rows = [_stirling_row(n) for n in range(N + 1)]
-    xpow = [Fraction(1)]
-    for _ in range(N):
-        xpow.append(xpow[-1] * xf)
-    fact = [math.factorial(n) for n in range(N + 1)]
-    gs = []
-    for k in range(N + 1):
-        g = Fraction(0)
-        for n in range(k, N + 1):
-            s = rows[n][k] if k <= n else 0
-            if s:
-                g += s * xpow[n] / fact[n]
-        gs.append(g)
-    return gs
+    return [sum(rows[n][k] * u[n] for n in range(k, N + 1)) / u[0] for k in range(N + 1)]
 
 
 def combinatorial_Z(
@@ -194,12 +263,12 @@ def combinatorial_Z(
         raise ValueError("M must be positive")
     if N < 0:
         raise ValueError("N must be nonnegative")
-    gs = np.array([float(g) for g in _bell_poly_coeffs(p.x, N)])
+    gs = _bell_poly_coeffs(p.x, N)[::-1]
 
-    def f(ys: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(ys)
-        for g in gs[::-1]:  # Horner
-            out = out * ys + g
+    def f(y: float) -> float:
+        out = 0.0
+        for g in gs:  # Horner
+            out = out * y + g
         return out
 
     coarse = _composite_gauss(f, 0.0, M, panels, points_per_panel)
@@ -233,7 +302,11 @@ def general_F(w: BosonExpression, x: float, z, N: int) -> GeneralFResult:
     vs = w_to_v(moments)
     f_value = sum(complex(moments[n]) * x**n / math.factorial(n) for n in range(N + 1))
     exponent = sum(complex(vs[n - 1]) * x**n / math.factorial(n) for n in range(1, N + 1))
-    exp_form = complex(np.exp(exponent))
+    try:
+        exp_form = cmath.exp(exponent)
+    except OverflowError:  # past the float range: infinite parts, not an error
+        y = exponent.imag
+        exp_form = complex(math.inf * math.cos(y), math.inf * math.sin(y) if y else 0.0)
     if f_value.imag == 0 and exp_form.imag == 0:
         return GeneralFResult(tuple(moments), tuple(vs), f_value.real, exp_form.real)
     return GeneralFResult(tuple(moments), tuple(vs), f_value, exp_form)

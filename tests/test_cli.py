@@ -7,9 +7,14 @@ import csv
 import io
 import json
 import math
+import os
 import random
+import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -306,6 +311,26 @@ def test_wv_roundtrip(capsys):
     assert out.split() == ["1", "1", "2", "5", "15"]
 
 
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (["w-to-v", "1", "1", "2", "5", "15"], [(1, "1"), (2, "1"), (3, "1"), (4, "1")]),
+        (["v-to-w", "2", "2"], [(0, "1"), (1, "2"), (2, "6")]),
+    ],
+)
+def test_wv_formats(argv, rows, tmp_path, capsys):
+    code, out, _ = run(["--format", "json", "wv"] + argv, capsys)
+    assert code == 0
+    assert json.loads(out) == [{"index": i, "value": v} for i, v in rows]
+    code, out, _ = run(["--format", "csv", "wv"] + argv, capsys)
+    assert code == 0
+    assert list(csv.DictReader(io.StringIO(out))) == [{"index": str(i), "value": v} for i, v in rows]
+    target = tmp_path / "wv.txt"
+    code, out, _ = run(["--out", str(target), "wv"] + argv, capsys)
+    assert (code, out) == (0, "")
+    assert target.read_text() == " ".join(v for _, v in rows) + "\n"
+
+
 def test_diagrams_n3(capsys):
     code, out, _ = run(["--format", "json", "diagrams", "3"], capsys)
     assert code == 0
@@ -363,6 +388,22 @@ def test_partition_function_combinatorial_small_cutoff(capsys):
     assert abs(float(comb["value"]) - float(reg["value"])) < 1e-8
 
 
+@pytest.mark.parametrize("cutoff", ["1e3", "1e6", "1e9"])
+def test_partition_function_gauss_large_cutoffs(cutoff, capsys):
+    code, out, err = run(
+        ["--format", "json", "partition-function", "--beta-eps", "0.05", "1", "5",
+         "--cutoff", cutoff, "--method", "gauss"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    rows = json.loads(out)
+    closed = {r["beta_epsilon"]: float(r["value"]) for r in rows if r["method"] == "closed_form"}
+    gauss = {r["beta_epsilon"]: float(r["value"]) for r in rows if r["method"] == "regularized_gauss"}
+    assert sorted(gauss) == sorted(closed) == ["0.05", "1.0", "5.0"]
+    for be, value in gauss.items():
+        assert abs(value - closed[be]) < 1e-10, be
+
+
 # ---------------------------------------------------------------------------
 # hopf-verify
 
@@ -378,6 +419,37 @@ def test_hopf_verify_corrupted_antipode_exit_1(capsys):
     code, out, _ = run(["hopf-verify", "--max-weight", "4", "--corrupt-antipode"], capsys)
     assert code == 1
     assert "all axioms pass" not in out
+
+
+HOPF_CASES_W3 = [("coassociativity", 7), ("counit", 7), ("antipode", 7), ("bialgebra", 100),
+                 ("commutativity", 100), ("cocommutativity", 7)]
+
+
+def test_hopf_verify_formats(tmp_path, capsys):
+    code, out, _ = run(["--format", "json", "hopf-verify", "--max-weight", "3"], capsys)
+    assert code == 0
+    assert json.loads(out) == [{"axiom": a, "ok": True, "cases": n} for a, n in HOPF_CASES_W3]
+    code, out, _ = run(["--format", "csv", "hopf-verify", "--max-weight", "3"], capsys)
+    assert code == 0
+    assert list(csv.DictReader(io.StringIO(out))) == [
+        {"axiom": a, "ok": "True", "cases": str(n)} for a, n in HOPF_CASES_W3
+    ]
+    target = tmp_path / "hopf.txt"
+    code, out, _ = run(["--out", str(target), "hopf-verify", "--max-weight", "3"], capsys)
+    assert (code, out) == (0, "")
+    assert target.read_text() == "".join(f"{a}: pass ({n} cases)\n" for a, n in HOPF_CASES_W3) + "all axioms pass\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_hopf_verify_corrupted_antipode_formats_exit_1(fmt, tmp_path, capsys):
+    target = tmp_path / f"hopf.{fmt}"
+    code, out, _ = run(["--format", fmt, "--out", str(target), "hopf-verify", "--max-weight", "3",
+                        "--corrupt-antipode"], capsys)
+    assert (code, out) == (1, "")
+    text = target.read_text()
+    rows = json.loads(text) if fmt == "json" else list(csv.DictReader(io.StringIO(text)))
+    failed = [r["axiom"] for r in rows if r["ok"] in (False, "False")]
+    assert failed == ["antipode"]
 
 
 def test_hopf_verify_negative_weight_exit_2(capsys):
@@ -424,3 +496,49 @@ def test_determinism_byte_identical(capsys):
         _, first, _ = run(argv, capsys)
         _, second, _ = run(argv, capsys)
         assert first == second
+
+
+# ---------------------------------------------------------------------------
+# third-party imports
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_import_loads_neither_numpy_nor_mpmath():
+    proc = _python("import sys, bellhop.cli; print(sorted({'numpy', 'mpmath'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every `bellhop ...` line in README's command-line block."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("bellhop ")]
+
+
+_NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from bellhop import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+sys.stderr.write("mpmath loaded" if "mpmath" in sys.modules else "")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_commands_run_without_numpy(argv, capsys):
+    proc = _python(_NO_NUMPY, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("mpmath loaded" if argv[0] == "dobinski" else "")
+    code, out, _ = run(argv, capsys)
+    assert (code, proc.stdout) == (0, out)

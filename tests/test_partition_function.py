@@ -2,17 +2,20 @@
 truncated combinatorial expansion, and the divergence demonstration."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from bellhop.boson import BosonExpression, CoherentParam, number_word
-from bellhop.combinatorics import bell, bell_polynomial
+from bellhop.combinatorics import _stirling_row, bell, bell_polynomial
 from bellhop.errors import QuadratureError
 from bellhop.partition_function import (
     GeneralFResult,
     ModelParams,
     QuadratureConfig,
+    _bell_poly_coeffs,
+    _legendre_rule,
     closed_form_Z,
     combinatorial_Z,
     divergence_report,
@@ -86,6 +89,26 @@ def test_regularized_gauss_matches_closed_form():
     assert err < 1e-10
 
 
+def test_regularized_gauss_accuracy():
+    # 200 seeded (beta epsilon, M) from small to astronomically large
+    # cutoffs, against (1 - e^(-alpha M)) / alpha at the same float alpha
+    # in 40-digit arithmetic
+    import mpmath
+
+    rng = random.Random(2024)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for _ in range(200):
+            p = params(10 ** rng.uniform(math.log10(0.05), math.log10(5)))
+            M = 10 ** rng.uniform(0, 9)
+            value, estimate = regularized_Z(p, QuadratureConfig(cutoff=M, method="gauss"))
+            alpha = mpmath.mpf(p.alpha)
+            exact = -mpmath.expm1(-alpha * M) / alpha
+            worst = max(worst, float(abs(value - exact) / exact))
+            assert estimate <= 1e-10
+    assert worst < 4e-15
+
+
 def test_regularized_error_scale():
     # doubling M squares the e^{-alpha M} tail factor
     p = params(1.0)
@@ -145,6 +168,15 @@ def test_series_fixed_N_diverges_in_M():
     assert gaps[2] > 1e6
 
 
+def test_series_past_the_float_range():
+    # the terms (alpha M)^n M / (n+1)! overflow; the exact sum is rounded once
+    p = params(5.0)
+    assert regularized_series_Z(p, 1e6, 200) == math.inf  # top term, even n, dominates
+    assert regularized_series_Z(p, 1e6, 199) == -math.inf
+    # terms peak near 10^345 and fall again: the sum is (1 - e^(-alpha M)) / alpha
+    assert abs(regularized_series_Z(p, 800.0, 2500) - closed_form_Z(p)) < 1e-15
+
+
 def test_series_cauchy_in_N():
     # at fixed finite M the series converges (interchange is legal there)
     p = params(1.0)
@@ -156,7 +188,67 @@ def test_series_cauchy_in_N():
 
 
 # ---------------------------------------------------------------------------
+# Gauss-Legendre rule
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_legendre_rule_is_exact_to_degree_2n_minus_1(n):
+    nodes, weights = _legendre_rule(n)
+    assert len(nodes) == len(weights) == n
+    assert list(nodes) == sorted(nodes)
+    assert all(nodes[i] == -nodes[n - 1 - i] for i in range(n))
+    assert all(w > 0 for w in weights)
+    assert abs(sum(weights) - 2) < 1e-15
+    for k in range(2 * n):
+        exact = 2 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(sum(w * x**k for x, w in zip(nodes, weights)) - exact) < 1e-15, k
+
+
+# ---------------------------------------------------------------------------
 # Combinatorial route
+
+
+def _bell_poly_coeffs_fraction(x: float, N: int) -> list[Fraction]:
+    """The coefficients summed as Fractions of x's exact powers: the
+    reference for the integer sum."""
+    xf = Fraction(x)
+    rows = [_stirling_row(n) for n in range(N + 1)]
+    xpow = [Fraction(1)]
+    for _ in range(N):
+        xpow.append(xpow[-1] * xf)
+    fact = [math.factorial(n) for n in range(N + 1)]
+    gs = []
+    for k in range(N + 1):
+        g = Fraction(0)
+        for n in range(k, N + 1):
+            s = rows[n][k] if k <= n else 0
+            if s:
+                g += s * xpow[n] / fact[n]
+        gs.append(g)
+    return gs
+
+
+@pytest.mark.parametrize(
+    "x, N",
+    [(-0.7713, 200), (-1.0, 200), (-0.05, 60), (-2.5, 60), (-7.25, 80), (-1e-5, 30),
+     (-0.3, 0), (-0.3, 1), (-0.3, 7)],
+)
+def test_bell_poly_coeffs_match_fraction_sum(x, N):
+    assert _bell_poly_coeffs(x, N) == [float(g) for g in _bell_poly_coeffs_fraction(x, N)]
+
+
+@pytest.mark.parametrize("x, N", [(-0.7713, 40), (-1.0, 24), (-2.5, 30), (-0.05, 12)])
+def test_bell_poly_coeffs_egf_identity(x, N):
+    # sum_n S(n,k) x^n / n! = (e^x - 1)^k / k!: power the truncated series
+    # of e^x - 1 in exact rationals, with no Stirling number in sight
+    base = [Fraction(0)] + [Fraction(1, math.factorial(n)) for n in range(1, N + 1)]
+    power = [Fraction(1)] + [Fraction(0)] * N  # (e^x - 1)^0
+    xf = Fraction(x)
+    got = _bell_poly_coeffs(x, N)
+    for k in range(N + 1):
+        exact = sum(c * xf**n for n, c in enumerate(power)) / math.factorial(k)
+        assert got[k] == float(exact), k
+        power = [sum(power[j] * base[n - j] for j in range(n + 1)) for n in range(N + 1)]
 
 
 def test_combinatorial_order_zero_is_M():
