@@ -270,14 +270,15 @@ def coherent_expectation(form: NormalOrderedForm, z) -> Fraction | float | compl
 
 
 def word_moments(w: BosonExpression, nmax: int, z, limit: int = MOMENT_LIMIT) -> list:
-    """Moments W_n = <z| w^n |z> for n = 0..nmax; W_0 = 1."""
+    """Moments W_n = <z| w^n |z> for n = 0..nmax; W_0 = 1.
+
+    Beyond nmax <= limit, the term bound of each product of normal-ordered
+    forms bounds the work.
+    """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    if nmax > limit or nmax * w.max_word_length() > limit * 2:
-        raise ResourceLimitError(
-            f"moment order {nmax} for word length {w.max_word_length()} "
-            f"exceeds the limit {limit}"
-        )
+    if nmax > limit:
+        raise ResourceLimitError(f"moment order {nmax} exceeds the limit {limit}")
     moments: list = [Fraction(1)]
     if nmax == 0:  # w is never ordered, so its length is unchecked
         return moments

@@ -102,8 +102,7 @@ def cmd_normal_order(args) -> int:
 def cmd_dobinski(args) -> int:
     import mpmath  # only the Dobinski paths pay for it
 
-    res = combinatorics.dobinski_bell_poly(args.n, _rational(args.y), args.k_max, args.precision) \
-        if args.y != "1" else combinatorics.dobinski_bell(args.n, args.k_max, args.precision)
+    res = combinatorics.dobinski_bell_poly(args.n, _rational(args.y), args.k_max, args.precision)
     rows = [{
         "n": args.n,
         "y": args.y,

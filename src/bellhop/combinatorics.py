@@ -245,9 +245,9 @@ def diagram_census(n: int, limit: int = ENUMERATION_LIMIT) -> DiagramCensus:
     for m in range(1, n + 1):
         row: dict[Monomial, int] = {}
         for k in range(1, m + 1):
-            c = math.comb(m - 1, k - 1)
+            c, y_k = math.comb(m - 1, k - 1), Monomial((k,))
             for mono, count in Y[m - k].items():
-                key = Monomial((k,) + mono.letters)
+                key = y_k * mono
                 row[key] = row.get(key, 0) + c * count
         Y.append(row)
     return DiagramCensus(n, Y[n])

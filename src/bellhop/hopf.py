@@ -6,58 +6,50 @@ coding of set-partition diagrams by monomials.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .lincomb import LinearCombination
 
 Rational = Fraction | int
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
-    """A commutative word in the alphabet {y_1, y_2, ...}.
+class Monomial(tuple):
+    """A commutative word in the alphabet {y_1, y_2, ...}: the sorted tuple
+    of its letter indices, so hash, equality and order are the tuple's.
 
-    Letters are stored as a sorted tuple of positive indices; the empty
-    tuple is the algebra unit.  weight = sum of indices, degree = number
-    of letters.
+    The empty tuple is the algebra unit.  The constructor is the one place
+    letters are checked; a product of two monomials merges them without
+    checking again.
     """
 
-    letters: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(k < 1 for k in self.letters):
+    def __new__(cls, letters: Iterable[int] = ()) -> "Monomial":
+        letters = sorted(map(operator.index, letters))  # a float or str letter raises TypeError
+        if letters and letters[0] < 1:
             raise ValueError("letter indices must be positive")
-        object.__setattr__(self, "letters", tuple(sorted(self.letters)))
+        return tuple.__new__(cls, letters)
 
-    @property
-    def weight(self) -> int:
-        return sum(self.letters)
-
-    @property
-    def degree(self) -> int:
-        return len(self.letters)
+    letters = property(tuple)  # the plain tuple
+    weight = property(sum)  # sum of the indices
+    degree = property(len)  # number of letters
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.letters + other.letters)
+        return tuple.__new__(Monomial, sorted(self + other))
 
     def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for k in self.letters:
-            out[k] = out.get(k, 0) + 1
-        return out
+        return {k: len(list(run)) for k, run in itertools.groupby(self)}
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "1"
-        parts = []
-        for k, m in sorted(self.multiplicities().items()):
-            parts.append(f"y{k}" if m == 1 else f"y{k}^{m}")
-        return "*".join(parts)
+        parts = (f"y{k}" if m == 1 else f"y{k}^{m}" for k, m in self.multiplicities().items())
+        return "*".join(parts) or "1"
 
 
 UNIT = Monomial()
@@ -70,7 +62,7 @@ class HopfElement(LinearCombination):
     unit_key = UNIT
     separator = "*"
     key_product = staticmethod(lambda m, n: ((m * n, 1),))  # monomials merge
-    sort_key = staticmethod(lambda m: (m.weight, m.degree, m.letters))
+    sort_key = staticmethod(lambda m: (m.weight, m.degree, m))
     key_text = staticmethod(str)
 
     @classmethod
@@ -79,10 +71,12 @@ class HopfElement(LinearCombination):
 
     @classmethod
     def symbol(cls, name: str):
-        # y<k>, k >= 1
-        index = name[1:]
-        if name[0] == "y" and index.isdecimal() and int(index) >= 1:
-            return cls.generator(int(index))
+        # y<k>; a k the Monomial constructor rejects reads as an unknown symbol
+        if name[0] == "y" and name[1:].isdecimal():
+            try:
+                return cls.generator(int(name[1:]))
+            except ValueError:
+                return None
 
     @classmethod
     def generator(cls, k: int) -> "HopfElement":
@@ -103,7 +97,7 @@ class TensorElement(LinearCombination):
     unit_key = (UNIT, UNIT)
     separator = "*"
     key_product = staticmethod(lambda p, q: (((p[0] * q[0], p[1] * q[1]), 1),))  # pairs merge per side
-    sort_key = staticmethod(lambda p: (p[0].letters, p[1].letters))
+    sort_key = staticmethod(lambda p: p)  # by left, then right letters
     key_text = staticmethod(lambda p: f"{p[0]} (x) {p[1]}")
 
     @classmethod
@@ -119,18 +113,19 @@ def product(a: HopfElement, b: HopfElement) -> HopfElement:
 
 
 def _coproduct_monomial(m: Monomial) -> TensorElement:
-    # Primitive generators: Delta(y_k) = y_k (x) 1 + 1 (x) y_k, extended as
-    # an algebra homomorphism.  For y_k^mult this is a binomial expansion.
-    out = TensorElement.pure(UNIT, UNIT)
-    for k, mult in m.multiplicities().items():
-        factor = TensorElement(
-            {
-                (Monomial((k,) * j), Monomial((k,) * (mult - j))): math.comb(mult, j)
-                for j in range(mult + 1)
-            }
-        )
-        out = out * factor
-    return out
+    # Primitive generators, Delta(y_k) = y_k (x) 1 + 1 (x) y_k, extended as an
+    # algebra map: Delta(y^a) = sum_{b <= a} prod_k C(a_k, b_k) y^b (x) y^(a-b),
+    # a_k the multiplicity of y_k.  The letters come out sorted, and distinct
+    # b give distinct pairs.
+    mult = m.multiplicities()
+    ks, alpha = list(mult), list(mult.values())
+    return TensorElement._exact({
+        (
+            tuple.__new__(Monomial, [k for k, b in zip(ks, beta) for _ in range(b)]),
+            tuple.__new__(Monomial, [k for k, a, b in zip(ks, alpha, beta) for _ in range(a - b)]),
+        ): Fraction(math.prod(map(math.comb, alpha, beta)))
+        for beta in itertools.product(*(range(a + 1) for a in alpha))
+    })
 
 
 def coproduct(a: HopfElement) -> TensorElement:
@@ -188,10 +183,6 @@ class CheckReport:
 
 
 def _integer_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-
     def rec(remaining: int, largest: int):
         if remaining == 0:
             yield ()
@@ -205,11 +196,7 @@ def _integer_partitions(n: int) -> Iterator[tuple[int, ...]]:
 
 def basis_monomials(max_weight: int) -> list[Monomial]:
     """All monomials of weight <= max_weight (one per integer partition)."""
-    out = []
-    for w in range(max_weight + 1):
-        for parts in _integer_partitions(w):
-            out.append(Monomial(parts))
-    return out
+    return [Monomial(parts) for w in range(max_weight + 1) for parts in _integer_partitions(w)]
 
 
 def random_element(rng: random.Random, max_weight: int, nterms: int = 4) -> HopfElement:
@@ -220,6 +207,31 @@ def random_element(rng: random.Random, max_weight: int, nterms: int = 4) -> Hopf
         c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         terms[m] = terms.get(m, Fraction(0)) + c
     return HopfElement(terms)
+
+
+class _Pair(NamedTuple):
+    """A random pair of elements, printed as a counterexample."""
+
+    a: HopfElement
+    b: HopfElement
+
+    def __str__(self) -> str:
+        return f"A={self.a}, B={self.b}"
+
+
+def _random_pairs(max_weight: int, samples: int, seed: int) -> Iterator[_Pair]:
+    rng = random.Random(seed)
+    return (_Pair(random_element(rng, max_weight), random_element(rng, max_weight)) for _ in range(samples))
+
+
+def _first_failure(name: str, cases: Iterable[Any], holds: Callable[[Any], bool]) -> CheckReport:
+    """Check holds(case) in order; report the first case that fails, if any."""
+    checked = 0
+    for case in cases:
+        checked += 1
+        if not holds(case):
+            return CheckReport(name, False, checked, str(case))
+    return CheckReport(name, True, checked)
 
 
 def _triple_coproduct(t: TensorElement, left_first: bool) -> dict[tuple[Monomial, Monomial, Monomial], Fraction]:
@@ -233,30 +245,24 @@ def _triple_coproduct(t: TensorElement, left_first: bool) -> dict[tuple[Monomial
 
 
 def check_coassociativity(max_weight: int) -> CheckReport:
-    checked = 0
-    for m in basis_monomials(max_weight):
+    def holds(m: Monomial) -> bool:
         delta = _coproduct_monomial(m)
-        lhs = _triple_coproduct(delta, left_first=True)
-        rhs = _triple_coproduct(delta, left_first=False)
-        checked += 1
-        if lhs != rhs:
-            return CheckReport("coassociativity", False, checked, str(m))
-    return CheckReport("coassociativity", True, checked)
+        return _triple_coproduct(delta, left_first=True) == _triple_coproduct(delta, left_first=False)
+
+    return _first_failure("coassociativity", basis_monomials(max_weight), holds)
 
 
 def check_counit(max_weight: int) -> CheckReport:
-    checked = 0
-    for m in basis_monomials(max_weight):
-        delta = _coproduct_monomial(m)
-        left = HopfElement()
-        right = HopfElement()
-        for (l, r), c in delta.terms.items():
-            left = left + HopfElement.from_monomial(r, c * counit(HopfElement.from_monomial(l)))
-            right = right + HopfElement.from_monomial(l, c * counit(HopfElement.from_monomial(r)))
-        checked += 1
-        if left != HopfElement.from_monomial(m) or right != HopfElement.from_monomial(m):
-            return CheckReport("counit", False, checked, str(m))
-    return CheckReport("counit", True, checked)
+    """(epsilon (x) id)Delta = id = (id (x) epsilon)Delta, with
+    epsilon(y^b) = [b = 1]: each side keeps the terms whose other factor is 1."""
+
+    def holds(m: Monomial) -> bool:
+        delta = _coproduct_monomial(m).terms
+        left = {r: c for (l, r), c in delta.items() if l == UNIT}
+        right = {l: c for (l, r), c in delta.items() if r == UNIT}
+        return left == right == {m: 1}
+
+    return _first_failure("counit", basis_monomials(max_weight), holds)
 
 
 def check_antipode(
@@ -268,57 +274,40 @@ def check_antipode(
     antipode_fn is injectable so a deliberately corrupted antipode can be
     shown to fail.
     """
-    checked = 0
-    for m in basis_monomials(max_weight):
-        delta = _coproduct_monomial(m)
-        left = HopfElement()
-        right = HopfElement()
-        for (l, r), c in delta.terms.items():
+
+    def holds(m: Monomial) -> bool:
+        left = right = HopfElement()
+        for (l, r), c in _coproduct_monomial(m).terms.items():
             left = left + antipode_fn(HopfElement.from_monomial(l, c)) * HopfElement.from_monomial(r)
             right = right + HopfElement.from_monomial(l, c) * antipode_fn(HopfElement.from_monomial(r))
-        expected = HopfElement.unit(counit(HopfElement.from_monomial(m)))
-        checked += 1
-        if left != expected or right != expected:
-            return CheckReport("antipode", False, checked, str(m))
-    return CheckReport("antipode", True, checked)
+        return left == right == HopfElement.unit(counit(HopfElement.from_monomial(m)))
+
+    return _first_failure("antipode", basis_monomials(max_weight), holds)
 
 
 def check_bialgebra(max_weight: int, samples: int = 100, seed: int = 2024) -> CheckReport:
     """Delta(AB) = Delta(A)Delta(B) and epsilon(AB) = epsilon(A)epsilon(B)
     on random element pairs."""
-    rng = random.Random(seed)
-    checked = 0
-    for _ in range(samples):
-        a = random_element(rng, max_weight)
-        b = random_element(rng, max_weight)
-        checked += 1
-        if coproduct(a * b) != coproduct(a) * coproduct(b):
-            return CheckReport("bialgebra", False, checked, f"A={a}, B={b}")
-        if counit(a * b) != counit(a) * counit(b):
-            return CheckReport("bialgebra", False, checked, f"A={a}, B={b}")
-    return CheckReport("bialgebra", True, checked)
+
+    def holds(p: _Pair) -> bool:
+        ab = p.a * p.b
+        return coproduct(ab) == coproduct(p.a) * coproduct(p.b) and counit(ab) == counit(p.a) * counit(p.b)
+
+    return _first_failure("bialgebra", _random_pairs(max_weight, samples, seed), holds)
 
 
 def check_cocommutativity(max_weight: int) -> CheckReport:
-    checked = 0
-    for m in basis_monomials(max_weight):
+    def holds(m: Monomial) -> bool:
         delta = _coproduct_monomial(m)
-        checked += 1
-        if delta.swap() != delta:
-            return CheckReport("cocommutativity", False, checked, str(m))
-    return CheckReport("cocommutativity", True, checked)
+        return delta.swap() == delta
+
+    return _first_failure("cocommutativity", basis_monomials(max_weight), holds)
 
 
 def check_commutativity(max_weight: int, samples: int = 100, seed: int = 2025) -> CheckReport:
-    rng = random.Random(seed)
-    checked = 0
-    for _ in range(samples):
-        a = random_element(rng, max_weight)
-        b = random_element(rng, max_weight)
-        checked += 1
-        if a * b != b * a:
-            return CheckReport("commutativity", False, checked, f"A={a}, B={b}")
-    return CheckReport("commutativity", True, checked)
+    return _first_failure(
+        "commutativity", _random_pairs(max_weight, samples, seed), lambda p: p.a * p.b == p.b * p.a
+    )
 
 
 def run_all_checks(

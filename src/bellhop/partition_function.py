@@ -140,7 +140,8 @@ def regularized_Z(p: ModelParams, q: QuadratureConfig) -> tuple[float, float]:
 
     The analytic route returns (1 - e^(-alpha M)) / alpha; the quadrature
     route integrates numerically and Richardson-checks against doubled
-    panels.  Converges to closed_form_Z at rate e^(-alpha M) / alpha.
+    panels, within tolerance * max(1, |value|).  Converges to closed_form_Z
+    at rate e^(-alpha M) / alpha.
 
     Quadrature stops at M' = min(M, 60 ln 2 / alpha), where e^(-alpha M')
     < 2^-60, so the panels resolve the integrand whatever M is; the omitted
@@ -155,7 +156,7 @@ def regularized_Z(p: ModelParams, q: QuadratureConfig) -> tuple[float, float]:
     coarse = _composite_gauss(f, 0.0, top, q.panels, q.points_per_panel)
     fine = _composite_gauss(f, 0.0, top, 2 * q.panels, q.points_per_panel)
     estimate = abs(fine - coarse) + (math.exp(-alpha * top) - math.exp(-alpha * M)) / alpha
-    if estimate > q.tolerance:
+    if estimate > q.tolerance * max(1.0, abs(fine)):
         raise QuadratureError("regularized_Z quadrature", fine, estimate)
     return fine, estimate
 
@@ -186,25 +187,15 @@ def regularized_series_Z(p: ModelParams, M: float, N: int) -> float:
     integration commute; as N grows this converges to
     (1 - e^(-alpha M)) / alpha at fixed M.
 
-    The terms are summed in floats.  When they pass the float range (large
-    alpha M), the sum is taken exactly instead and rounded once, to an
-    infinity if it lies beyond the float range.
+    The terms alternate and their largest grows like e^(alpha M), so float
+    rounding of the terms would swamp the sum once alpha M passes ~35.  The
+    series is summed exactly at the float alpha and M and rounded once, to
+    an infinity if it lies beyond the float range.
     """
     if M <= 0:
         raise ValueError("M must be positive")
     if N < 0:
         raise ValueError("N must be nonnegative")
-    terms = []
-    t = float(M)  # n = 0 term
-    for n in range(N + 1):
-        terms.append(t)
-        t = t * (-p.alpha * M) / (n + 2)  # term ratio: (-alpha M) / (n+2)
-    try:
-        total = math.fsum(terms)
-    except (OverflowError, ValueError):  # a finite sum past the range, or inf - inf
-        total = math.inf
-    if math.isfinite(total):
-        return total
     if not math.isfinite(M):
         raise ValueError("the series needs a finite cutoff M")
     # M sum_n x^n / (n+1)! with x = -alpha M

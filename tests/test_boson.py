@@ -331,6 +331,18 @@ def test_word_moments_limit():
         word_moments(number_word(1), 30, 1)
 
 
+def test_word_moments_long_word():
+    # 2 x 30 letters: within the term bound, whatever the word's length
+    z = Fraction(3, 4)
+    assert word_moments(parse_expression("ad^30"), 2, z) == [1, z**30, z**60]
+
+
+def test_word_moments_term_bound():
+    # (ad a)^24 orders to top degrees (24, 24); its cube passes the term bound
+    with pytest.raises(ResourceLimitError, match="terms"):
+        word_moments(number_word(24), 3, 1)
+
+
 def word_moments_by_expansion(w: BosonExpression, nmax: int, z) -> list:
     """Reference: expand w^n into words and order each power afresh."""
     moments: list = [Fraction(1)]

@@ -404,6 +404,37 @@ def test_partition_function_gauss_large_cutoffs(cutoff, capsys):
         assert abs(value - closed[be]) < 1e-10, be
 
 
+def test_partition_function_series_is_exact(capsys):
+    # README's command: at beta eps = 2 the terms reach ~10^15 (alpha M ~ 39),
+    # so a float sum of them would lose every digit of a value near 1
+    code, out, err = run(
+        ["--format", "json", "partition-function", "--beta-eps", "0.5", "1", "2",
+         "--cutoff", "45", "--method", "gauss"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    series = [r for r in json.loads(out) if r["method"] == "regularized_series"]
+    assert [r["beta_epsilon"] for r in series] == ["0.5", "1.0", "2.0"]
+    for r in series:
+        alpha = -math.expm1(-float(r["beta_epsilon"]))
+        want = -math.expm1(-alpha * 45.0) / alpha
+        assert abs(float(r["value"]) - want) <= 1e-15 * want, r
+
+
+def test_partition_function_gauss_estimate_is_relative(capsys):
+    # Z ~ 1e6: an absolute 1e-10 would be below the rounding of the value
+    code, out, err = run(
+        ["--format", "json", "partition-function", "--beta-eps", "1e-6", "--cutoff", "1e9",
+         "--method", "gauss"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    (gauss,) = [r for r in json.loads(out) if r["method"] == "regularized_gauss"]
+    alpha = -math.expm1(-1e-6)
+    want = -math.expm1(-alpha * 1e9) / alpha
+    assert abs(float(gauss["value"]) - want) <= 1e-12 * want
+
+
 # ---------------------------------------------------------------------------
 # hopf-verify
 

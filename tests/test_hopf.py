@@ -1,6 +1,7 @@
 """BELL Hopf algebra: structure maps, machine-checked axioms, diagram
 coding, and the text/JSON forms."""
 
+import json
 import random
 from fractions import Fraction
 from functools import reduce
@@ -13,6 +14,7 @@ from bellhop.combinatorics import bell, diagram_census, enumerate_set_partitions
 from bellhop.errors import ExpressionParseError
 from bellhop.hopf import (
     UNIT,
+    _coproduct_monomial,
     CheckReport,
     HopfElement,
     Monomial,
@@ -59,6 +61,38 @@ def test_monomial_canonical_and_graded():
 def test_monomial_rejects_bad_indices():
     with pytest.raises(ValueError):
         Monomial((0,))
+
+
+@pytest.mark.parametrize("letters", [(0,), (-1,), (3, 0, 2), (1, -4)])
+def test_every_boundary_rejects_bad_indices(letters):
+    with pytest.raises(ValueError):
+        Monomial(letters)
+    with pytest.raises(ValueError):
+        element_from_json(json.dumps({"terms": [{"monomial": list(letters), "coeff": "1"}]}))
+    with pytest.raises(ValueError):
+        HopfElement.generator(min(letters))
+    with pytest.raises(ExpressionParseError):
+        parse_element("*".join(f"y{k}" for k in letters))
+
+
+@pytest.mark.parametrize("letter", [1.5, 2.0, "2"])
+def test_every_boundary_rejects_non_integer_letters(letter):
+    with pytest.raises(TypeError):
+        Monomial((1, letter))
+    with pytest.raises(TypeError):
+        element_from_json(json.dumps({"terms": [{"monomial": [1, letter], "coeff": "1"}]}))
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(min_value=1, max_value=9), max_size=6),
+    st.lists(st.integers(min_value=1, max_value=9), max_size=6),
+)
+def test_monomial_product_merges_letters(u, v):
+    m1, m2 = Monomial(u), Monomial(v)
+    merged = m1 * m2
+    assert merged == Monomial(m1.letters + m2.letters)
+    assert type(merged) is Monomial and merged.letters == tuple(sorted(u + v))
 
 
 def test_product_commutative_with_unit():
@@ -142,6 +176,18 @@ def test_coproduct_y1y2():
     assert delta == expected
 
 
+@pytest.mark.parametrize("weight", range(11))
+def test_coproduct_closed_form_is_the_product_of_primitives(weight):
+    # prod_k (y_k (x) 1 + 1 (x) y_k)^(a_k), multiplied out in BELL (x) BELL
+    for m in basis_monomials(weight):
+        if m.weight < weight:
+            continue
+        expected = TensorElement.one()
+        for k in m.letters:
+            expected = expected * (TensorElement.pure(y(k), UNIT) + TensorElement.pure(UNIT, y(k)))
+        assert _coproduct_monomial(m) == expected, str(m)
+
+
 def test_coproduct_preserves_weight():
     for m in basis_monomials(7):
         for (l, r), c in coproduct(HopfElement.from_monomial(m)).terms.items():
@@ -197,6 +243,37 @@ def test_axiom_checks_pass():
 def test_trivial_weight_zero():
     for rep in run_all_checks(0):
         assert rep.ok
+
+
+# (name, ok, checked, counterexample) of each report of run_all_checks(w),
+# recorded from the implementation that built Delta(y^a) as a product of
+# binomial factors and ran one hand-written loop per axiom
+CHECK_CASES = {0: 1, 1: 2, 2: 4, 3: 7, 4: 12, 5: 19, 6: 30, 7: 45, 8: 67}
+RECORDED_REPORTS = {
+    w: [("coassociativity", True, n, None), ("counit", True, n, None), ("antipode", True, n, None),
+        ("bialgebra", True, 100, None), ("commutativity", True, 100, None),
+        ("cocommutativity", True, n, None)]
+    for w, n in CHECK_CASES.items()
+}
+RECORDED_CORRUPTED_W4 = [
+    ("coassociativity", True, 12, None), ("counit", True, 12, None), ("antipode", False, 2, "y1"),
+    ("bialgebra", True, 100, None), ("commutativity", True, 100, None),
+    ("cocommutativity", True, 12, None),
+]
+
+
+def report_tuples(reports):
+    return [(r.name, r.ok, r.checked, r.counterexample) for r in reports]
+
+
+@pytest.mark.parametrize("weight", range(9))
+def test_reports_match_recording(weight):
+    assert report_tuples(run_all_checks(weight)) == RECORDED_REPORTS[weight]
+
+
+def test_corrupted_reports_match_recording():
+    corrupted = lambda a: HopfElement(dict(a.terms))
+    assert report_tuples(run_all_checks(4, corrupted)) == RECORDED_CORRUPTED_W4
 
 
 def test_corrupted_antipode_detected():
