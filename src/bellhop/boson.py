@@ -6,7 +6,6 @@ coherent-state expectation values.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -101,21 +100,6 @@ class NormalOrderedForm(LinearCombination):
                     f"may have {keys} terms, over the limit {limit}"
                 )
         return LinearCombination.__mul__(self, other)
-
-    def __pow__(self, n: int):
-        """Refuse a power whose coefficients would be longer than Python
-        prints an integer: the term bound does not bound a scalar power
-        such as 2^99999999."""
-        if self.terms:
-            largest = max(max(abs(c.numerator), c.denominator) for c in self.terms.values())
-            digits = n * math.log10(largest)
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-            if 0 < limit < digits:
-                raise ResourceLimitError(
-                    f"power {n} has coefficients of ~{digits:.0f} digits, over the "
-                    f"{limit} digits an integer prints with"
-                )
-        return LinearCombination.__pow__(self, n)
 
     def _top_degrees(self) -> tuple[int, int]:
         if not self.terms:

@@ -255,12 +255,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("egf", help="EGF operations with exact rational coefficients")
     p.add_argument("action", choices=["exp", "log", "bell"])
     p.add_argument("--order", type=int, default=8)
-    p.add_argument("coefficients", nargs="*", help="a_0 a_1 ... as rationals (exp/log)")
+    p.add_argument("coefficients", nargs="*",
+                   help="a_0 a_1 ... as rationals (exp/log); put -- before them if one "
+                        "is a negative fraction: egf exp -- 0 -1/2 1")
     p.set_defaults(func=cmd_egf)
 
     p = sub.add_parser("wv", help="moment <-> connected-moment transforms")
     p.add_argument("direction", choices=["w-to-v", "v-to-w"])
-    p.add_argument("values", nargs="+", help="W_0.. or V_1.. as rationals")
+    p.add_argument("values", nargs="+",
+                   help="W_0.. or V_1.. as rationals; put -- before them if one is a "
+                        "negative fraction: wv v-to-w -- 1 -3/7")
     p.set_defaults(func=cmd_wv)
 
     p = sub.add_parser("diagrams", help="set-partition census by block-size monomial")

@@ -7,10 +7,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator
 
 import math
+import threading
 
 from .errors import ResourceLimitError
 from .hopf import Monomial
@@ -26,25 +26,37 @@ ENUMERATION_LIMIT = 14
 # --------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# rows S(n, 0..n) built so far, row n at index n; the lock keeps two
+# threads from appending the same row twice, which would shift later indices
+_STIRLING_ROWS: list[tuple[int, ...]] = [(1,)]
+_STIRLING_LOCK = threading.Lock()
+
+
 def _stirling_row(n: int) -> tuple[int, ...]:
-    # row S(n, 0..n) via S(n,k) = k S(n-1,k) + S(n-1,k-1)
-    if n == 0:
-        return (1,)
-    prev = _stirling_row(n - 1)
-    row = [0] * (n + 1)
-    for k in range(1, n + 1):
-        row[k] = k * (prev[k] if k <= n - 1 else 0) + prev[k - 1]
-    return tuple(row)
+    """Row S(n, 0..n), filled in a loop from the last row built and kept."""
+    rows = _STIRLING_ROWS
+    if n >= len(rows):
+        with _STIRLING_LOCK:
+            while len(rows) <= n:
+                # S(m, k) = k S(m-1, k) + S(m-1, k-1); S(m, 0) = 0 and S(m, m) = 1
+                prev = rows[-1]
+                rows.append((0, *(k * prev[k] + prev[k - 1] for k in range(1, len(prev))), 1))
+    return rows[n]
 
 
 def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind; 0 when k > n or (k=0, n>0)."""
+    """Stirling number of the second kind; 0 when k > n or (k=0, n>0).
+
+    Read from row n when it is built; otherwise the explicit sum
+    S(n, k) = sum_j (-1)^j C(k, j) (k - j)^n / k!, which builds no rows.
+    """
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
     if k > n:
         return 0
-    return _stirling_row(n)[k]
+    if n < len(_STIRLING_ROWS):
+        return _STIRLING_ROWS[n][k]
+    return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)) // math.factorial(k)
 
 
 def bell(n: int) -> int:
@@ -55,16 +67,11 @@ def bell(n: int) -> int:
 
 
 def bell_polynomial(n: int, y) -> Fraction:
-    """Exact evaluation of sum_k S(n,k) y^k at rational y."""
+    """Exact evaluation of sum_k S(n,k) y^k at rational y = p/q, as the one
+    integer sum_k S(n,k) p^k q^(n-k) over q^n."""
     y = Fraction(y)
-    row = _stirling_row(n)
-    acc = Fraction(0)
-    power = Fraction(1)
-    for k in range(n + 1):
-        if k > 0:
-            power *= y
-        acc += row[k] * power
-    return acc
+    p, q = y.numerator, y.denominator
+    return Fraction(sum(s * p**k * q ** (n - k) for k, s in enumerate(_stirling_row(n))), q**n)
 
 
 def partition_count(n: int) -> int:

@@ -1,7 +1,10 @@
-"""Truncated exponential-generating-function arithmetic with exact rational
-coefficients, plus the moment/connected-moment (W <-> V) transforms.
+"""Truncated exponential-generating-function arithmetic, plus the
+moment/connected-moment (W <-> V) transforms.
 
-A series of order N stores a_0..a_N and represents sum a_n x^n / n!.
+A series of order N stores a_0..a_N and represents sum a_n x^n / n!.  The
+product, exp and log recurrences only add and multiply by binomials, so
+each runs in the arithmetic of its input: integer series stay integer,
+rational ones exact, and float or complex ones in floating point.
 """
 
 from __future__ import annotations
@@ -17,29 +20,29 @@ from .combinatorics import bell
 
 @dataclass(frozen=True)
 class EGFSeries:
-    coeffs: tuple[Fraction, ...]
+    """Coefficients a_0..a_N: each an int, or else made a Fraction."""
+
+    coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("a series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(
+            self, "coeffs", tuple(c if type(c) is int else Fraction(c) for c in self.coeffs)
+        )
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
     @classmethod
-    def from_sequence(cls, seq: Sequence) -> "EGFSeries":
-        return cls(tuple(seq))
-
-    @classmethod
     def identity(cls, order: int) -> "EGFSeries":
         """The series 1 (neutral for multiplication)."""
-        return cls((Fraction(1),) + (Fraction(0),) * order)
+        return cls((1,) + (0,) * order)
 
     @classmethod
     def zero(cls, order: int) -> "EGFSeries":
-        return cls((Fraction(0),) * (order + 1))
+        return cls((0,) * (order + 1))
 
     def __mul__(self, other: "EGFSeries") -> "EGFSeries":
         return egf_mul(self, other)
@@ -72,36 +75,25 @@ class EGFSeries:
 
 def egf_mul(a: EGFSeries, b: EGFSeries) -> EGFSeries:
     """Binomial convolution: c_n = sum_k C(n,k) a_k b_{n-k}."""
-    n = min(a.order, b.order)
-    coeffs = [
-        sum((math.comb(m, k) * a.coeffs[k] * b.coeffs[m - k] for k in range(m + 1)),
-            Fraction(0))
-        for m in range(n + 1)
-    ]
-    return EGFSeries(tuple(coeffs))
+    x, y, n = a.coeffs, b.coeffs, min(a.order, b.order)
+    return EGFSeries(tuple(
+        sum(math.comb(m, k) * x[k] * y[m - k] for k in range(m + 1)) for m in range(n + 1)
+    ))
 
 
-def _exp_coeffs(c: Sequence, zero, one) -> list:
+def _exp_coeffs(c: Sequence) -> list:
     # a_0 = 1;  a_n = sum_{k=1..n} C(n-1, k-1) c_k a_{n-k}
-    n = len(c) - 1
-    a = [one] + [zero] * n
-    for m in range(1, n + 1):
-        acc = zero
-        for k in range(1, m + 1):
-            acc = acc + math.comb(m - 1, k - 1) * c[k] * a[m - k]
-        a[m] = acc
+    a = [1]
+    for m in range(1, len(c)):
+        a.append(sum(math.comb(m - 1, k - 1) * c[k] * a[m - k] for k in range(1, m + 1)))
     return a
 
 
-def _log_coeffs(a: Sequence, zero) -> list:
-    # inversion of the exp recurrence; c_0 = 0
-    n = len(a) - 1
-    c = [zero] * (n + 1)
-    for m in range(1, n + 1):
-        acc = a[m]
-        for k in range(1, m):
-            acc = acc - math.comb(m - 1, k - 1) * c[k] * a[m - k]
-        c[m] = acc
+def _log_coeffs(a: Sequence) -> list:
+    # inversion of the exp recurrence: c_0 = 0, c_n = a_n - sum_{k<n} C(n-1, k-1) c_k a_{n-k}
+    c = [0]
+    for m in range(1, len(a)):
+        c.append(a[m] - sum(math.comb(m - 1, k - 1) * c[k] * a[m - k] for k in range(1, m)))
     return c
 
 
@@ -109,42 +101,36 @@ def egf_exp(c: EGFSeries) -> EGFSeries:
     """exp of a series with zero constant term, exact, same order."""
     if c.coeffs[0] != 0:
         raise ValueError("egf_exp needs a zero constant term")
-    return EGFSeries(tuple(_exp_coeffs(c.coeffs, Fraction(0), Fraction(1))))
+    return EGFSeries(tuple(_exp_coeffs(c.coeffs)))
 
 
 def egf_log(a: EGFSeries) -> EGFSeries:
     """log of a series with constant term 1; inverse of egf_exp."""
     if a.coeffs[0] != 1:
         raise ValueError("egf_log needs constant term 1")
-    return EGFSeries(tuple(_log_coeffs(a.coeffs, Fraction(0))))
+    return EGFSeries(tuple(_log_coeffs(a.coeffs)))
 
 
 def bell_egf(order: int) -> EGFSeries:
     """The series whose n-th coefficient is the n-th Bell number."""
-    return EGFSeries(tuple(Fraction(bell(n)) for n in range(order + 1)))
+    return EGFSeries(tuple(bell(n) for n in range(order + 1)))
 
 
 def w_to_v(w: Sequence) -> list:
     """Connected moments V_1..V_N from moments W_0..W_N (W_0 must be 1).
 
-    The W series is the exponential of the V series.  Exact for rational
-    input; complex/float input stays in that arithmetic.
+    The W series is the exponential of the V series.  Each V_n is in the
+    arithmetic of the W_n: exact for int or Fraction input, floating point
+    for float or complex input.
     """
     if not w or w[0] != 1:
         raise ValueError("w_to_v needs W_0 = 1")
-    exact = all(isinstance(x, (int, Fraction)) for x in w)
-    if exact:
-        seq = [Fraction(x) for x in w]
-        return _log_coeffs(seq, Fraction(0))[1:]
-    seq = [complex(x) for x in w]
-    return _log_coeffs(seq, 0j)[1:]
+    return _log_coeffs(w)[1:]
 
 
 def v_to_w(v: Sequence) -> list:
-    """Moments W_0..W_N from connected moments V_1..V_N; inverts w_to_v."""
-    exact = all(isinstance(x, (int, Fraction)) for x in v)
-    if exact:
-        seq = [Fraction(0)] + [Fraction(x) for x in v]
-        return _exp_coeffs(seq, Fraction(0), Fraction(1))
-    seq = [0j] + [complex(x) for x in v]
-    return _exp_coeffs(seq, 0j, 1 + 0j)
+    """Moments W_0..W_N from connected moments V_1..V_N; inverts w_to_v.
+
+    W_0 is the integer 1; the other W_n are in the arithmetic of the V_n.
+    """
+    return _exp_coeffs([0, *v])

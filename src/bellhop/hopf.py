@@ -200,7 +200,10 @@ def basis_monomials(max_weight: int) -> list[Monomial]:
 
 
 def random_element(rng: random.Random, max_weight: int, nterms: int = 4) -> HopfElement:
-    basis = basis_monomials(max_weight)
+    return _random_element(rng, basis_monomials(max_weight), nterms)
+
+
+def _random_element(rng: random.Random, basis: list[Monomial], nterms: int = 4) -> HopfElement:
     terms: dict[Monomial, Fraction] = {}
     for _ in range(nterms):
         m = rng.choice(basis)
@@ -220,8 +223,8 @@ class _Pair(NamedTuple):
 
 
 def _random_pairs(max_weight: int, samples: int, seed: int) -> Iterator[_Pair]:
-    rng = random.Random(seed)
-    return (_Pair(random_element(rng, max_weight), random_element(rng, max_weight)) for _ in range(samples))
+    rng, basis = random.Random(seed), basis_monomials(max_weight)
+    return (_Pair(_random_element(rng, basis), _random_element(rng, basis)) for _ in range(samples))
 
 
 def _first_failure(name: str, cases: Iterable[Any], holds: Callable[[Any], bool]) -> CheckReport:

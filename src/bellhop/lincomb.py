@@ -8,11 +8,13 @@ subclass, and ``str`` prints text it reads back.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from .errors import ExpressionParseError
+from .errors import ExpressionParseError, ResourceLimitError
 
 
 class LinearCombination:
@@ -104,9 +106,20 @@ class LinearCombination:
 
     def __pow__(self, n: int):
         # binary squaring: powers of one element commute in any associative
-        # algebra, so x^(a+b) = x^a x^b whatever the grouping
+        # algebra, so x^(a+b) = x^a x^b whatever the grouping.  A power whose
+        # coefficients pass the digits Python prints an int with (2^99999999)
+        # is refused before any squaring.
         if n < 0:
             raise ValueError("exponent must be nonnegative")
+        if self.terms:
+            largest = max(max(abs(c.numerator), c.denominator) for c in self.terms.values())
+            digits = n * math.log10(largest)
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+            if 0 < limit < digits:
+                raise ResourceLimitError(
+                    f"power {n} has coefficients of ~{digits:.0f} digits, over the "
+                    f"{limit} digits an integer prints with"
+                )
         out = self.one()
         square = self
         while n:

@@ -118,7 +118,7 @@ def _legendre_rule(points: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     for x in nodes:
         _, dp = legendre(x)
         weights.append(2 / ((1 - x * x) * dp * dp))
-    scale = 2 / sum(weights)
+    scale = 2 / math.fsum(weights)
     return tuple(nodes), tuple(w * scale for w in weights)
 
 
@@ -131,7 +131,7 @@ def _composite_gauss(f, lo: float, hi: float, panels: int, points: int) -> float
         b = hi if i == panels - 1 else lo + (i + 1) * step  # the last edge is hi exactly
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
-        total += half * sum(w * f(mid + half * t) for t, w in zip(nodes, weights))
+        total += half * math.fsum(w * f(mid + half * t) for t, w in zip(nodes, weights))
     return total
 
 

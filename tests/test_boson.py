@@ -4,6 +4,7 @@ a truncated number-basis oracle, all in exact arithmetic."""
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from functools import reduce
 
@@ -31,6 +32,7 @@ from bellhop.boson import (
 )
 from bellhop.combinatorics import bell, bell_polynomial, stirling2
 from bellhop.errors import ExpressionParseError, ResourceLimitError
+from bellhop.hopf import parse_element
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +198,17 @@ def test_product_bound(text, ok):
     else:
         with pytest.raises(ResourceLimitError):
             NormalOrderedForm.parse(text)
+
+
+@pytest.mark.parametrize("parse", [parse_expression, parse_element], ids=["word", "bell"])
+def test_scalar_power_bound_in_every_algebra(parse):
+    # the digits bound lives in LinearCombination.__pow__, so words and BELL
+    # elements refuse 2^99999999 before squaring, as normal-ordered forms do
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        parse("2^99999999")
+    assert time.perf_counter() - start < 1.0
+    assert str(parse("(1/2)^3")) == "1/8"
 
 
 # ---------------------------------------------------------------------------

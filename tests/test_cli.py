@@ -77,6 +77,14 @@ def test_stirling_single(capsys):
     assert json.loads(out)[0]["stirling2"] == 25
 
 
+def test_stirling_600_3_in_a_fresh_process():
+    # a cold S(600, 3) by the explicit sum: no recursion, no rows built
+    proc = _python("import sys; from bellhop import cli; sys.exit(cli.main(sys.argv[1:]))",
+                   "--format", "json", "stirling", "600", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)[0]["stirling2"] == (3**600 - 3 * 2**600 + 3) // 6
+
+
 # ---------------------------------------------------------------------------
 # normal ordering
 
@@ -300,6 +308,21 @@ def test_egf_exp_rejects_nonzero_constant(capsys):
     code, _, err = run(["egf", "exp", "1", "1"], capsys)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["egf", "exp", "--", "0", "-1/2", "1"], '{"order": 2, "coefficients": ["1", "-1/2", "5/4"]}\n'),
+        (["wv", "v-to-w", "--", "1", "-3/7"], "1 1 4/7\n"),
+    ],
+)
+def test_negative_fractions_after_double_dash(argv, want, capsys):
+    # argparse reads -1/2 as an unknown option; after -- it is a value
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a for a in argv if a != "--"])
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    assert run(argv, capsys)[:2] == (0, want)
 
 
 def test_wv_roundtrip(capsys):
@@ -566,7 +589,12 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def _readme_id(argv: list[str]) -> str:
+    """The command name, marked when `--` ends the options (values that start with `-`)."""
+    return argv[0] + ("-dashdash" if "--" in argv else "")
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=_readme_id)
 def test_readme_commands_run_without_numpy(argv, capsys):
     proc = _python(_NO_NUMPY, *argv)
     assert proc.returncode == 0, proc.stderr

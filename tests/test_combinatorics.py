@@ -1,13 +1,20 @@
 """Exact combinatorics: recurrences vs brute-force enumeration oracles."""
 
 import itertools
+import os
+import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellhop import combinatorics
 from bellhop.combinatorics import (
     SetPartition,
     bell,
@@ -74,6 +81,60 @@ def test_bell_reference_values():
 def test_bell_is_stirling_row_sum():
     for n in range(13):
         assert bell(n) == sum(stirling2(n, k) for k in range(n + 1))
+
+
+def test_stirling_sum_agrees_with_rows(monkeypatch):
+    monkeypatch.setattr(combinatorics, "_STIRLING_ROWS", [(1,)])
+    summed = [[stirling2(n, k) for k in range(n + 1)] for n in range(61)]
+    assert len(combinatorics._STIRLING_ROWS) == 1  # the explicit sum builds no row
+    assert summed == [list(combinatorics._stirling_row(n)) for n in range(61)]
+    assert [[stirling2(n, k) for k in range(n + 1)] for n in range(61)] == summed
+
+
+def test_stirling_rows_under_threads(monkeypatch):
+    reference = [combinatorics._stirling_row(n) for n in range(121)]
+    monkeypatch.setattr(combinatorics, "_STIRLING_ROWS", [(1,)])
+
+    def build(seed):
+        order = list(range(121))
+        random.Random(seed).shuffle(order)
+        for n in order:
+            combinatorics._stirling_row(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert combinatorics._STIRLING_ROWS == reference
+
+
+def _python(code: str) -> str:
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cold_bell_499_needs_no_recursion():
+    # a fresh interpreter: the rows 0..499 are built in a loop, not a call chain
+    got = int(_python("from bellhop import bell; print(bell(499))"))
+    row = [1]  # Bell triangle (Aitken's array): row n starts with B(n)
+    for _ in range(499):
+        new = [row[-1]]
+        for x in row:
+            new.append(new[-1] + x)
+        row = new
+    assert got == row[0]
 
 
 def test_bell_polynomial():

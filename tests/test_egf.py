@@ -190,3 +190,57 @@ def test_mixed_order_truncates_to_min():
     a = series([1, 2, 3, 4, 5])
     b = series([1, 1])
     assert egf_mul(a, b).order == 1
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic of the input: no recurrence divides
+
+
+def test_integer_series_stay_int():
+    bells = [bell(n) for n in range(12)]
+    ones = EGFSeries(tuple([0] + [1] * 11))
+    outputs = [
+        egf_mul(EGFSeries(tuple(bells)), EGFSeries(tuple(bells))).coeffs,
+        egf_exp(ones).coeffs,
+        egf_log(EGFSeries(tuple(bells))).coeffs,
+        bell_egf(11).coeffs,
+        w_to_v(bells),
+        v_to_w([1, -2, 3, 0, 5]),
+    ]
+    for out in outputs:
+        assert all(type(c) is int for c in out), out
+    assert egf_log(EGFSeries(tuple(bells))).coeffs == (0,) + (1,) * 11
+
+
+integers = st.integers(min_value=-50, max_value=50)
+
+
+@settings(max_examples=40)
+@given(st.lists(st.one_of(integers, rationals), min_size=1, max_size=9),
+       st.lists(st.one_of(integers, rationals), min_size=1, max_size=9))
+def test_input_arithmetic_matches_fraction_copies(xs, ys):
+    def fr(values):
+        return [Fraction(v) for v in values]
+
+    a, b = EGFSeries(tuple(xs)), EGFSeries(tuple(ys))
+    fa, fb = EGFSeries(tuple(fr(xs))), EGFSeries(tuple(fr(ys)))
+    assert egf_mul(a, b) == egf_mul(fa, fb)
+    c, fc = EGFSeries((0, *xs)), EGFSeries((0, *fr(xs)))
+    assert egf_exp(c) == egf_exp(fc)
+    e, fe = EGFSeries((1, *xs)), EGFSeries((1, *fr(xs)))
+    assert egf_log(e) == egf_log(fe)
+    assert w_to_v([1, *xs]) == w_to_v([1, *fr(xs)])
+    assert v_to_w(xs) == v_to_w(fr(xs))
+
+
+def test_float_moments_stay_float():
+    v = [0.5, -0.25, 1.75, 0.125, -3.0, 2.5]
+    w = v_to_w(v)
+    assert w[0] == 1 and all(type(x) is float for x in w[1:])
+    exact_w = v_to_w([Fraction(x) for x in v])  # floats are dyadic rationals
+    assert all(abs(x - y) <= 1e-12 * max(1, abs(y)) for x, y in zip(w, exact_w))
+    back = w_to_v(w)
+    assert all(type(x) is float for x in back)
+    exact_v = w_to_v([Fraction(x) for x in w])
+    assert all(abs(x - y) <= 1e-12 * max(1, abs(y)) for x, y in zip(back, exact_v))
+    assert all(abs(x - y) <= 1e-12 * max(1, abs(y)) for x, y in zip(back, v))

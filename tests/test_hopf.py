@@ -282,6 +282,15 @@ def test_corrupted_antipode_detected():
     assert rep.counterexample == "y1"
 
 
+def test_random_pairs_draw_as_random_element():
+    from bellhop.hopf import _random_pairs
+
+    for weight in (0, 1, 3, 6):
+        rng = random.Random(5)
+        want = [(random_element(rng, weight), random_element(rng, weight)) for _ in range(20)]
+        assert [tuple(p) for p in _random_pairs(weight, 20, 5)] == want
+
+
 def test_random_elements_satisfy_coassociativity():
     # linearity: spot-check coassociativity through random linear combinations
     rng = random.Random(31)

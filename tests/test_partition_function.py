@@ -357,3 +357,10 @@ def test_general_F_non_number_conserving():
     # <0|exp(x(a+ad))|0> = e^{x^2/2}
     assert abs(res.f_value - math.exp(0.3**2 / 2)) < 1e-6
     assert res.discrepancy < 1e-8
+
+
+def test_gauss_value_is_the_same_on_every_python():
+    # each panel and the weight normalisation use math.fsum, so the value does
+    # not depend on whether the builtin sum is compensated (it is from 3.12 on)
+    value, _ = regularized_Z(ModelParams(1.0, 2.0), QuadratureConfig(cutoff=45.0, method="gauss"))
+    assert value == 1.1565176427496653
