@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -65,10 +66,28 @@ def _rational(text: str) -> Fraction:
 # --------------------------------------------------------------------------
 
 
+def _refuse_unprintable(what: str, log10_lower_bounds=(), value: int = 0):
+    """Refuse a value too long for Python to print: before computing it, when
+    one of its lower bounds already has too many digits (the digit to spare
+    keeps float rounding of a logarithm from refusing a printable value), and
+    exactly once it is computed."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and (value >= 10**limit or any(b > limit + 1 for b in log10_lower_bounds)):
+        raise ResourceLimitError(f"{what} has more than {limit} digits, the integer printing limit")
+
+
+def _log10_stirling_lower(n: int, k: int) -> float:
+    # S(n, k) >= k^(n-k) for 1 <= k <= n: put 1..k in k different blocks and
+    # each other element in any of them, k^(n-k) distinct partitions
+    return (n - k) * math.log10(k) if 1 <= k <= n else 0.0
+
+
 def cmd_bell(args) -> int:
     nmax = args.nmax
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
+    # B(n) >= S(n, k) for every k
+    _refuse_unprintable(f"B({nmax})", (_log10_stirling_lower(nmax, k) for k in range(1, nmax + 1)))
     rows = []
     for n in range(nmax + 1):
         row = {"n": n, "bell": combinatorics.bell(n)}
@@ -77,14 +96,19 @@ def cmd_bell(args) -> int:
                 str(combinatorics.stirling2(n, k)) for k in range(n + 1)
             )
         rows.append(row)
+    _refuse_unprintable(f"B({nmax})", value=rows[-1]["bell"])
     cols = ["n", "bell"] + (["stirling"] if args.triangle else [])
     _emit(args, rows, cols)
     return EXIT_OK
 
 
 def cmd_stirling(args) -> int:
-    _emit(args, [{"n": args.n, "k": args.k, "stirling2": combinatorics.stirling2(args.n, args.k)}],
-          ["n", "k", "stirling2"])
+    n, k = args.n, args.k
+    what = f"S({n}, {k})"
+    _refuse_unprintable(what, [_log10_stirling_lower(n, k)])
+    value = combinatorics.stirling2(n, k)
+    _refuse_unprintable(what, value=value)
+    _emit(args, [{"n": n, "k": k, "stirling2": value}], ["n", "k", "stirling2"])
     return EXIT_OK
 
 
@@ -149,53 +173,32 @@ def cmd_diagrams(args) -> int:
 
 
 def cmd_partition_function(args) -> int:
+    def row(be, method, M, N, value, closed):
+        return {
+            "beta_epsilon": _fmt_float(be), "method": method,
+            "M": "" if M is None else _fmt_float(M), "N": "" if N is None else N,
+            "value": _fmt_float(value),
+            # equal values are exact, also when both are infinite
+            "abs_error_vs_closed_form": _fmt_float(0.0 if value == closed else abs(value - closed)),
+        }
+
     rows = []
-    if args.divergence is not None:
-        grid = [10.0, 100.0, 1000.0, 10000.0]
-        for be in args.beta_eps:
-            p = pf.ModelParams(1.0, be)
-            report = pf.divergence_report(args.divergence, p, grid)
+    for be in args.beta_eps:
+        p = pf.ModelParams(1.0, be)
+        closed = pf.closed_form_Z(p)
+        if args.divergence is not None:
+            report = pf.divergence_report(args.divergence, p, [10.0, 100.0, 1000.0, 10000.0])
             for M, v in zip(report.cutoffs, report.values):
-                rows.append({
-                    "beta_epsilon": _fmt_float(be),
-                    "method": f"termwise(n={args.divergence})",
-                    "M": _fmt_float(M),
-                    "N": args.divergence,
-                    "value": _fmt_float(v),
-                    "abs_error_vs_closed_form": _fmt_float(abs(v - pf.closed_form_Z(p))),
-                })
-    else:
-        for be in args.beta_eps:
-            p = pf.ModelParams(1.0, be)
-            closed = pf.closed_form_Z(p)
-            rows.append({
-                "beta_epsilon": _fmt_float(be), "method": "closed_form",
-                "M": "", "N": "",
-                "value": _fmt_float(closed), "abs_error_vs_closed_form": _fmt_float(0.0),
-            })
-            q = pf.QuadratureConfig(cutoff=args.cutoff, method=args.method)
-            value, _ = pf.regularized_Z(p, q)
-            rows.append({
-                "beta_epsilon": _fmt_float(be), "method": f"regularized_{args.method}",
-                "M": _fmt_float(args.cutoff), "N": "",
-                "value": _fmt_float(value),
-                "abs_error_vs_closed_form": _fmt_float(abs(value - closed)),
-            })
-            series = pf.regularized_series_Z(p, args.cutoff, args.order)
-            rows.append({
-                "beta_epsilon": _fmt_float(be), "method": "regularized_series",
-                "M": _fmt_float(args.cutoff), "N": args.order,
-                "value": _fmt_float(series),
-                "abs_error_vs_closed_form": _fmt_float(abs(series - closed)),
-            })
-            if args.combinatorial:
-                value = pf.combinatorial_Z(p, args.cutoff, args.order)
-                rows.append({
-                    "beta_epsilon": _fmt_float(be), "method": "combinatorial",
-                    "M": _fmt_float(args.cutoff), "N": args.order,
-                    "value": _fmt_float(value),
-                    "abs_error_vs_closed_form": _fmt_float(abs(value - closed)),
-                })
+                rows.append(row(be, f"termwise(n={args.divergence})", M, args.divergence, v, closed))
+            continue
+        rows.append(row(be, "closed_form", None, None, closed, closed))
+        value, _ = pf.regularized_Z(p, pf.QuadratureConfig(cutoff=args.cutoff, method=args.method))
+        rows.append(row(be, f"regularized_{args.method}", args.cutoff, None, value, closed))
+        series = pf.regularized_series_Z(p, args.cutoff, args.order)
+        rows.append(row(be, "regularized_series", args.cutoff, args.order, series, closed))
+        if args.combinatorial:
+            value = pf.combinatorial_Z(p, args.cutoff, args.order)
+            rows.append(row(be, "combinatorial", args.cutoff, args.order, value, closed))
     _emit(args, rows, ["beta_epsilon", "method", "M", "N", "value", "abs_error_vs_closed_form"])
     return EXIT_OK
 

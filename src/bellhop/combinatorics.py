@@ -18,7 +18,9 @@ from .hopf import Monomial
 if TYPE_CHECKING:
     import mpmath
 
-ENUMERATION_LIMIT = 14
+ENUMERATION_LIMIT = 14  # enumeration yields B(n) partitions: B(14) = 190,899,322
+# the census keeps p(m) monomials in row m, not B(m) partitions: p(25) = 1,958
+CENSUS_LIMIT = 25
 
 
 # --------------------------------------------------------------------------
@@ -106,6 +108,19 @@ class DobinskiResult:
     precision: int
 
 
+def _over_common_denominator(x: Fraction, N: int, shift: int) -> list[int]:
+    """Integers u_0..u_N with u_n / u_0 = x^n / (n + shift)! for shift 0 or 1.
+
+    With x = m / d, u_n = m^n d^(N-n) (N + shift)! / (n + shift)!, so sums of
+    terms x^n / (n + shift)! become integer sums with one division at the end.
+    """
+    m, d = x.as_integer_ratio()
+    u = [d**N * math.factorial(N + shift)]
+    for n in range(N):
+        u.append(u[n] * m // (d * (n + 1 + shift)))  # exact: d and n + 1 + shift divide u[n]
+    return u
+
+
 def _dobinski_tail_start(n: int, K: int, y_ceiling: int) -> int:
     # From index k0 on, successive terms k^n y^k / k! shrink by at least 1/2:
     # the ratio is (1+1/k)^n * y/(k+1) <= e^(1/2) * y/(k+1) once k >= 2n,
@@ -133,15 +148,11 @@ def dobinski_bell_poly(n: int, y, K: int, precision: int = 50) -> DobinskiResult
     y = Fraction(y)
     if y <= 0:
         raise ValueError("y must be positive")
-
-    def term(k: int) -> Fraction:
-        kn = 1 if (k == 0 and n == 0) else k**n  # 0^0 = 1 by convention
-        return Fraction(kn) * y**k / math.factorial(k)
-
-    partial = sum(term(k) for k in range(K + 1))
     k0 = _dobinski_tail_start(n, K, -(-y.numerator // y.denominator))
+    u = _over_common_denominator(y, k0, 0)  # u_k / u_0 = y^k / k!, and 0**0 == 1
+    partial = Fraction(sum(k**n * u[k] for k in range(K + 1)), u[0])
     # explicit terms up to the geometric regime, then a factor-2 cap
-    tail_frac = sum(term(k) for k in range(K + 1, k0)) + 2 * term(k0)
+    tail_frac = Fraction(sum(k**n * u[k] for k in range(K + 1, k0)) + 2 * k0**n * u[k0], u[0])
     # Padding so the prefactor multiplication's roundoff stays far below
     # the certified truncation tail, however tight that tail is.
     ratio = partial / tail_frac
@@ -240,7 +251,7 @@ def enumerate_set_partitions(n: int, limit: int = ENUMERATION_LIMIT) -> Iterator
         yield SetPartition(n, tuple(tuple(b) for b in blocks))
 
 
-def diagram_census(n: int, limit: int = ENUMERATION_LIMIT) -> DiagramCensus:
+def diagram_census(n: int, limit: int = CENSUS_LIMIT) -> DiagramCensus:
     """Tally all partitions of {1..n} by block-size multiset.
 
     The tally is the complete Bell polynomial Y_n(y_1..y_n), computed by its

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .boson import BosonExpression, CoherentParam, word_moments
-from .combinatorics import _stirling_row
+from .combinatorics import _over_common_denominator, _stirling_row
 from .egf import w_to_v
 from .errors import QuadratureError
 
@@ -192,83 +192,54 @@ def regularized_series_Z(p: ModelParams, M: float, N: int) -> float:
     series is summed exactly at the float alpha and M and rounded once, to
     an infinity if it lies beyond the float range.
     """
+    _check_series_args(M, N)
+    # M sum_n x^n / (n+1)! with x = -alpha M
+    u = _over_common_denominator(Fraction(-p.alpha) * Fraction(M), N, 1)
+    a, b = Fraction(M).as_integer_ratio()
+    return _rounded(a * sum(u), b * u[0])
+
+
+def combinatorial_Z(p: ModelParams, M: float, N: int) -> float:
+    """integral_0^M sum_{n<=N} B_n(y) x^n / n! dy, the order-N truncation of
+    the Bell-polynomial sum integrated over [0, M].
+
+    With g_k = sum_n S(n,k) x^n / n!, the truncation is sum_k g_k y^k, and
+    each power integrates in closed form: the value is
+    sum_k g_k M^(k+1) / (k+1), summed exactly at the float x and M and
+    rounded once, to an infinity if it lies beyond the float range.
+
+    Converges to closed_form_Z as M and N grow jointly (N first).  The
+    truncation is an alternating series in n whose terms grow with both
+    |x| y and N; at fixed N the usable cutoff M is limited accordingly.
+    """
+    _check_series_args(M, N)
+    # u_n / u_0 = x^n / n!, so G_k / u_0 = g_k
+    u = _over_common_denominator(Fraction(p.x), N, 0)
+    rows = [_stirling_row(n) for n in range(N + 1)]
+    G = [sum(rows[n][k] * u[n] for n in range(k, N + 1)) for k in range(N + 1)]
+    # with M = a / b, M^(k+1) / (k+1) = a^(k+1) b^(N-k) ((N+1)! / (k+1)) / (b^(N+1) (N+1)!)
+    a, b = Fraction(M).as_integer_ratio()
+    F = math.factorial(N + 1)
+    numerator = sum(g * a ** (k + 1) * b ** (N - k) * (F // (k + 1)) for k, g in enumerate(G))
+    return _rounded(numerator, u[0] * b ** (N + 1) * F)
+
+
+def _check_series_args(M: float, N: int) -> None:
     if M <= 0:
         raise ValueError("M must be positive")
     if N < 0:
         raise ValueError("N must be nonnegative")
     if not math.isfinite(M):
         raise ValueError("the series needs a finite cutoff M")
-    # M sum_n x^n / (n+1)! with x = -alpha M
-    u = _over_common_denominator(Fraction(-p.alpha) * Fraction(M), N, 1)
-    a, b = Fraction(M).as_integer_ratio()
-    numerator = a * sum(u)
+
+
+def _rounded(num: int, den: int) -> float:
+    """num / den (den > 0) to the nearest float, or an infinity of the
+    sign of num past the float range."""
     try:
-        return numerator / (b * u[0])
+        return num / den
     except OverflowError:
-        return math.inf if numerator > 0 else -math.inf
-
-
-def _over_common_denominator(x: Fraction, N: int, shift: int) -> list[int]:
-    """Integers u_0..u_N with u_n / u_0 = x^n / (n + shift)! for shift 0 or 1.
-
-    With x = m / d, u_n = m^n d^(N-n) (N + shift)! / (n + shift)!, so sums of
-    terms x^n / (n + shift)! become integer sums with one division at the end.
-    """
-    m, d = x.as_integer_ratio()
-    u = [d**N * math.factorial(N + shift)]
-    for n in range(N):
-        u.append(u[n] * m // (d * (n + 1 + shift)))  # exact: d and n + 1 + shift divide u[n]
-    return u
-
-
-def _bell_poly_coeffs(x: float, N: int) -> list[float]:
-    """g_k = sum_{n=k}^{N} S(n,k) x^n / n!, so that
-    sum_{n<=N} B_n(y) x^n/n! = sum_k g_k y^k.  Each g_k is the float
-    nearest its exact value at the binary float x.
-
-    With x = m / 2^e, every term is an integer over the common denominator
-    2^(eN) N!.  The numerators are summed in integers and divided once per
-    k, which rounds correctly.
-    """
-    u = _over_common_denominator(Fraction(x), N, 0)
-    rows = [_stirling_row(n) for n in range(N + 1)]
-    return [sum(rows[n][k] * u[n] for n in range(k, N + 1)) / u[0] for k in range(N + 1)]
-
-
-def combinatorial_Z(
-    p: ModelParams,
-    M: float,
-    N: int,
-    panels: int = 64,
-    points_per_panel: int = 16,
-    tolerance: float = 1e-8,
-) -> float:
-    """Numerically integrate the order-N truncation of the Bell-polynomial
-    sum, sum_{n<=N} B_n(y) x^n / n!, over [0, M].
-
-    Converges to closed_form_Z as M and N grow jointly (N first).  The
-    truncation is an alternating series in n whose terms grow with both
-    |x| y and N; at fixed N the usable cutoff M is limited accordingly.
-    """
-    if M <= 0:
-        raise ValueError("M must be positive")
-    if N < 0:
-        raise ValueError("N must be nonnegative")
-    gs = _bell_poly_coeffs(p.x, N)[::-1]
-
-    def f(y: float) -> float:
-        out = 0.0
-        for g in gs:  # Horner
-            out = out * y + g
-        return out
-
-    coarse = _composite_gauss(f, 0.0, M, panels, points_per_panel)
-    fine = _composite_gauss(f, 0.0, M, 2 * panels, points_per_panel)
-    estimate = abs(fine - coarse)
-    scale = max(1.0, abs(fine))
-    if estimate > tolerance * scale:
-        raise QuadratureError("combinatorial_Z quadrature", fine, estimate)
-    return fine
+        return math.inf if num > 0 else -math.inf
 
 
 @dataclass(frozen=True)

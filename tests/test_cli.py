@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from bellhop import boson, cli
 from bellhop.boson import format_normal_form, normal_order, parse_expression
-from bellhop.combinatorics import bell_polynomial, stirling2
+from bellhop.combinatorics import bell, bell_polynomial, partition_count, stirling2
 
 
 def run(argv, capsys):
@@ -83,6 +83,27 @@ def test_stirling_600_3_in_a_fresh_process():
                    "--format", "json", "stirling", "600", "3")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)[0]["stirling2"] == (3**600 - 3 * 2**600 + 3) // 6
+
+
+@pytest.mark.parametrize("argv", [["bell", "3000"], ["stirling", "100000", "200"]],
+                         ids=["bell", "stirling"])
+def test_unprintable_integers_exit_3_before_the_work(argv, capsys):
+    # a lower bound on the digits refuses them before any row is built
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n, code", [(14000, 0), (14285, 0), (14286, 3)])
+def test_stirling_near_the_printing_limit(n, code, capsys):
+    # S(n, 2) = 2^(n-1) - 1 has 4300 digits at n = 14285 and 4301 at 14286,
+    # which the bound k^(n-k) lets through: the computed value is refused
+    got, out, err = run(["--format", "json", "stirling", str(n), "2"], capsys)
+    assert got == code, err
+    if code == 0:
+        assert json.loads(out)[0]["stirling2"] == 2 ** (n - 1) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +380,14 @@ def test_diagrams_n3(capsys):
     assert code == 0
     rows = {r["monomial"]: r["multiplicity"] for r in json.loads(out)}
     assert rows == {"y3": 1, "y1*y2": 3, "y1^3": 1}
+
+
+def test_diagrams_15_runs(capsys):
+    code, out, _ = run(["--format", "json", "diagrams", "15"], capsys)
+    assert code == 0
+    rows = json.loads(out)
+    assert sum(r["multiplicity"] for r in rows) == bell(15)
+    assert len(rows) == partition_count(15)
 
 
 def test_diagrams_resource_limit(capsys):

@@ -1,11 +1,13 @@
 """Exact combinatorics: recurrences vs brute-force enumeration oracles."""
 
 import itertools
+import math
 import os
 import random
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -186,6 +188,37 @@ def test_dobinski_poly_examples():
     assert _dob_close(res, 1, slack_exp=-20)
 
 
+def _dobinski_per_term(n, y, K, precision):
+    """dobinski_bell_poly with one Fraction per term: the reference for the
+    integer sum, through the same mpmath steps."""
+    y = Fraction(y)
+
+    def term(k):
+        kn = 1 if (k == 0 and n == 0) else k**n  # 0^0 = 1 by convention
+        return Fraction(kn) * y**k / math.factorial(k)
+
+    partial = sum(term(k) for k in range(K + 1))
+    k0 = combinatorics._dobinski_tail_start(n, K, math.ceil(y))
+    tail = sum(term(k) for k in range(K + 1, k0)) + 2 * term(k0)
+    ratio = partial / tail
+    guard = 10 + len(str(1 + ratio.numerator // ratio.denominator))
+    with mpmath.workdps(precision + guard):
+        prefactor = mpmath.e ** (-mpmath.mpf(y.numerator) / y.denominator)
+        value = prefactor * partial.numerator / partial.denominator
+        bound = prefactor * tail.numerator / tail.denominator
+        return +value, +bound
+
+
+@pytest.mark.parametrize("n, y, K, precision", [
+    (0, Fraction(5, 2), 40, 30), (0, Fraction(1, 3), 1, 20), (5, 1, 60, 50),
+    (10, Fraction(2, 3), 60, 50), (60, Fraction(23, 8), 200, 80), (7, Fraction(41, 5), 3, 25),
+])
+def test_dobinski_integer_sum_matches_per_term_fractions(n, y, K, precision):
+    res = dobinski_bell_poly(n, y, K, precision)
+    value, bound = _dobinski_per_term(n, y, K, precision)
+    assert (res.value, res.tail_bound) == (value, bound)
+
+
 def test_dobinski_rejects_low_precision():
     with pytest.raises(ValueError):
         dobinski_bell(3, 30, 8)
@@ -235,7 +268,7 @@ def test_enumeration_limit():
     with pytest.raises(ResourceLimitError):
         list(enumerate_set_partitions(15))
     with pytest.raises(ResourceLimitError):
-        diagram_census(15)
+        diagram_census(26)
     with pytest.raises(ResourceLimitError):
         diagram_census(9, limit=8)
     # limit is overridable
@@ -243,8 +276,8 @@ def test_enumeration_limit():
 
 
 def test_limit_messages_name_the_work():
-    with pytest.raises(ResourceLimitError, match=r"^diagram census for n=15 exceeds the limit 14$"):
-        diagram_census(15)
+    with pytest.raises(ResourceLimitError, match=r"^diagram census for n=26 exceeds the limit 25$"):
+        diagram_census(26)
     with pytest.raises(ResourceLimitError, match=r"^set-partition enumeration for n=15 "):
         list(enumerate_set_partitions(15))
 
@@ -297,6 +330,16 @@ def _partitions_of(n, largest=None):
     for part in range(min(n, largest), 0, -1):
         for rest in _partitions_of(n - part, part):
             yield (part,) + rest
+
+
+def test_census_at_its_limit():
+    # the recurrence keeps p(n) monomials, so n = CENSUS_LIMIT stays cheap
+    n = combinatorics.CENSUS_LIMIT
+    start = time.perf_counter()
+    census = diagram_census(n)
+    assert time.perf_counter() - start < 2.0
+    assert census.total() == bell(n)
+    assert len(census.counts) == partition_count(n)
 
 
 @pytest.mark.parametrize("n", range(1, 15))

@@ -14,7 +14,6 @@ from bellhop.partition_function import (
     GeneralFResult,
     ModelParams,
     QuadratureConfig,
-    _bell_poly_coeffs,
     _legendre_rule,
     closed_form_Z,
     combinatorial_Z,
@@ -228,13 +227,22 @@ def _bell_poly_coeffs_fraction(x: float, N: int) -> list[Fraction]:
     return gs
 
 
+def _integrated(gs: list[Fraction], M: float) -> float:
+    """sum_k g_k y^k integrated over [0, M] in exact rationals, rounded once."""
+    Mf = Fraction(M)
+    return float(sum(g * Mf ** (k + 1) / (k + 1) for k, g in enumerate(gs)))
+
+
 @pytest.mark.parametrize(
     "x, N",
     [(-0.7713, 200), (-1.0, 200), (-0.05, 60), (-2.5, 60), (-7.25, 80), (-1e-5, 30),
      (-0.3, 0), (-0.3, 1), (-0.3, 7)],
 )
 def test_bell_poly_coeffs_match_fraction_sum(x, N):
-    assert _bell_poly_coeffs(x, N) == [float(g) for g in _bell_poly_coeffs_fraction(x, N)]
+    # the integer sum is the exact value, rounded once: 2.7 is not dyadic,
+    # so the cutoff's denominator is exercised too
+    M = 2.7
+    assert combinatorial_Z(ModelParams(1.0, -x), M, N) == _integrated(_bell_poly_coeffs_fraction(x, N), M)
 
 
 @pytest.mark.parametrize("x, N", [(-0.7713, 40), (-1.0, 24), (-2.5, 30), (-0.05, 12)])
@@ -244,11 +252,23 @@ def test_bell_poly_coeffs_egf_identity(x, N):
     base = [Fraction(0)] + [Fraction(1, math.factorial(n)) for n in range(1, N + 1)]
     power = [Fraction(1)] + [Fraction(0)] * N  # (e^x - 1)^0
     xf = Fraction(x)
-    got = _bell_poly_coeffs(x, N)
+    gs = []
     for k in range(N + 1):
-        exact = sum(c * xf**n for n, c in enumerate(power)) / math.factorial(k)
-        assert got[k] == float(exact), k
+        gs.append(sum(c * xf**n for n, c in enumerate(power)) / math.factorial(k))
         power = [sum(power[j] * base[n - j] for j in range(n + 1)) for n in range(N + 1)]
+    M = 2.7
+    assert combinatorial_Z(ModelParams(1.0, -x), M, N) == _integrated(gs, M)
+
+
+def test_combinatorial_needs_a_finite_cutoff():
+    with pytest.raises(ValueError, match="finite cutoff"):
+        combinatorial_Z(params(1.0), math.inf, 40)
+
+
+def test_combinatorial_past_the_float_range():
+    # the top term g_N M^(N+1) / (N+1), with g_N = x^N / N!, dominates and sets the sign
+    assert combinatorial_Z(params(1.0), 1e9, 200) == math.inf
+    assert combinatorial_Z(params(1.0), 1e9, 199) == -math.inf
 
 
 def test_combinatorial_order_zero_is_M():
