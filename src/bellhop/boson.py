@@ -20,7 +20,6 @@ from .lincomb import LinearCombination
 A = 0   # annihilation operator a
 AD = 1  # creation operator a-dagger
 
-ORDERING_LIMIT = 12
 MOMENT_LIMIT = 24
 
 Word = tuple[int, ...]
@@ -137,16 +136,17 @@ def _normal_order_word(word: Word) -> tuple[tuple[tuple[int, int], int], ...]:
     return tuple(sorted(terms.items()))
 
 
-def normal_order(expr: BosonExpression, limit: int = 2 * MOMENT_LIMIT) -> NormalOrderedForm:
+def normal_order(expr: BosonExpression) -> NormalOrderedForm:
     """Rewrite an expression under [a, ad] = 1 with all annihilators right.
 
-    Words longer than ``limit`` letters are refused: the intermediate term
-    count grows quadratically with word length.
+    Words longer than 2 MOMENT_LIMIT letters are refused: the intermediate
+    term count grows quadratically with word length.
     """
     # Integer numerators per coefficient denominator; one Fraction per
     # (denominator, key) at the end.  No common denominator: the lcm of many
     # coefficients' denominators can grow without bound.
     numerators: dict[int, dict[tuple[int, int], int]] = {}
+    limit = 2 * MOMENT_LIMIT  # read once: this loop runs per word
     for word, coeff in expr.terms.items():
         if len(word) > limit:
             raise ResourceLimitError(
@@ -179,12 +179,10 @@ def number_word(n: int = 1) -> BosonExpression:
     return BosonExpression.from_word((AD, A)) ** n
 
 
-def stirling_via_ordering(n: int, limit: int = ORDERING_LIMIT) -> tuple[int, ...]:
+def stirling_via_ordering(n: int) -> tuple[int, ...]:
     """Diagonal coefficients S(n, 1..n) read off normal_order((ad a)^n)."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n > limit:
-        raise ResourceLimitError(f"ordering for n={n} exceeds the limit {limit}")
     form = normal_order(number_word(n))
     out = []
     for k in range(1, n + 1):
@@ -253,16 +251,16 @@ def coherent_expectation(form: NormalOrderedForm, z) -> Fraction | float | compl
     return Fraction(0) if acc is None else acc
 
 
-def word_moments(w: BosonExpression, nmax: int, z, limit: int = MOMENT_LIMIT) -> list:
+def word_moments(w: BosonExpression, nmax: int, z) -> list:
     """Moments W_n = <z| w^n |z> for n = 0..nmax; W_0 = 1.
 
-    Beyond nmax <= limit, the term bound of each product of normal-ordered
-    forms bounds the work.
+    Beyond nmax <= MOMENT_LIMIT, the term bound of each product of
+    normal-ordered forms bounds the work.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    if nmax > limit:
-        raise ResourceLimitError(f"moment order {nmax} exceeds the limit {limit}")
+    if nmax > MOMENT_LIMIT:
+        raise ResourceLimitError(f"moment order {nmax} exceeds the limit {MOMENT_LIMIT}")
     moments: list = [Fraction(1)]
     if nmax == 0:  # w is never ordered, so its length is unchecked
         return moments

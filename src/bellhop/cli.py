@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import boson, combinatorics, egf, hopf, partition_function as pf
-from .errors import ExpressionParseError, QuadratureError, ResourceLimitError
+from .errors import ExpressionParseError, QuadratureError, ResourceLimitError, int_digits_limit
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -71,7 +71,7 @@ def _refuse_unprintable(what: str, log10_lower_bounds=(), value: int = 0):
     one of its lower bounds already has too many digits (the digit to spare
     keeps float rounding of a logarithm from refusing a printable value), and
     exactly once it is computed."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    limit = int_digits_limit()
     if limit and (value >= 10**limit or any(b > limit + 1 for b in log10_lower_bounds)):
         raise ResourceLimitError(f"{what} has more than {limit} digits, the integer printing limit")
 

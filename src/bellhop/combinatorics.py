@@ -141,6 +141,8 @@ def dobinski_bell_poly(n: int, y, K: int, precision: int = 50) -> DobinskiResult
     """e^{-y} sum_{k=0}^{K} (k^n / k!) y^k  with a certified tail bound."""
     import mpmath  # only the Dobinski paths pay for it
 
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if K < 1:
         raise ValueError("K must be >= 1")
     if precision < 10:
@@ -239,10 +241,10 @@ def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
             b[i] = b[i - 1]
 
 
-def enumerate_set_partitions(n: int, limit: int = ENUMERATION_LIMIT) -> Iterator[SetPartition]:
+def enumerate_set_partitions(n: int) -> Iterator[SetPartition]:
     """Every partition of {1..n} exactly once, in restricted-growth-string
     lexicographic order (blocks come out sorted by least element)."""
-    _check_limit(n, limit, "set-partition enumeration")
+    _check_limit(n, ENUMERATION_LIMIT, "set-partition enumeration")
     for rgs in restricted_growth_strings(n):
         nblocks = max(rgs) + 1
         blocks: list[list[int]] = [[] for _ in range(nblocks)]
@@ -251,13 +253,13 @@ def enumerate_set_partitions(n: int, limit: int = ENUMERATION_LIMIT) -> Iterator
         yield SetPartition(n, tuple(tuple(b) for b in blocks))
 
 
-def diagram_census(n: int, limit: int = CENSUS_LIMIT) -> DiagramCensus:
+def diagram_census(n: int) -> DiagramCensus:
     """Tally all partitions of {1..n} by block-size multiset.
 
     The tally is the complete Bell polynomial Y_n(y_1..y_n), computed by its
     recurrence without enumerating the partitions.
     """
-    _check_limit(n, limit, "diagram census")
+    _check_limit(n, CENSUS_LIMIT, "diagram census")
     # exp in BELL, i.e. the complete Bell polynomial: Y_m = sum_k C(m-1,k-1) y_k Y_{m-k}
     Y: list[dict[Monomial, int]] = [{Monomial(): 1}]
     for m in range(1, n + 1):

@@ -1,8 +1,15 @@
 """Exception types shared across the package."""
 
+import sys
+
 
 class ResourceLimitError(RuntimeError):
     """An operation was asked to exceed its configured enumeration/size limit."""
+
+
+def int_digits_limit() -> int:
+    """Digits Python prints an int with (4,300 by default); 0: no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 class ExpressionParseError(ValueError):

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from .errors import ExpressionParseError, ResourceLimitError
+from .errors import ExpressionParseError, ResourceLimitError, int_digits_limit
 
 
 class LinearCombination:
@@ -114,7 +113,7 @@ class LinearCombination:
         if self.terms:
             largest = max(max(abs(c.numerator), c.denominator) for c in self.terms.values())
             digits = n * math.log10(largest)
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+            limit = int_digits_limit()
             if 0 < limit < digits:
                 raise ResourceLimitError(
                     f"power {n} has coefficients of ~{digits:.0f} digits, over the "

@@ -19,19 +19,23 @@ from typing import Sequence
 from .boson import BosonExpression, CoherentParam, word_moments
 from .combinatorics import _over_common_denominator, _stirling_row
 from .egf import w_to_v
-from .errors import QuadratureError
+from .errors import QuadratureError, ResourceLimitError
+
+PANELS, POINTS, TOLERANCE = 64, 16, 1e-10  # regularized_Z's Gauss rule
+DIVERGENCE_LIMIT = 10_000  # the exact term's integers grow with n
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """beta (inverse temperature) and epsilon (energy scale), both > 0."""
+    """beta (inverse temperature) and epsilon (energy scale), both > 0,
+    with a finite product."""
 
     beta: float
     epsilon: float
 
     def __post_init__(self):
-        if self.beta <= 0 or self.epsilon <= 0:
-            raise ValueError("beta and epsilon must be positive")
+        if not (self.beta > 0 and self.epsilon > 0 and math.isfinite(self.x)):  # nan fails too
+            raise ValueError("beta and epsilon must be positive, with a finite product")
 
     @property
     def x(self) -> float:
@@ -46,19 +50,12 @@ class ModelParams:
 class QuadratureConfig:
     cutoff: float
     method: str = "analytic"        # "analytic" | "gauss"
-    panels: int = 64
-    points_per_panel: int = 16
-    tolerance: float = 1e-10
 
     def __post_init__(self):
         if self.cutoff <= 0:
             raise ValueError("cutoff must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
         if self.method not in ("analytic", "gauss"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.panels < 1 or self.points_per_panel < 2:
-            raise ValueError("need at least 1 panel and 2 points per panel")
 
 
 @dataclass(frozen=True)
@@ -140,7 +137,7 @@ def regularized_Z(p: ModelParams, q: QuadratureConfig) -> tuple[float, float]:
 
     The analytic route returns (1 - e^(-alpha M)) / alpha; the quadrature
     route integrates numerically and Richardson-checks against doubled
-    panels, within tolerance * max(1, |value|).  Converges to closed_form_Z
+    panels, within TOLERANCE * max(1, |value|).  Converges to closed_form_Z
     at rate e^(-alpha M) / alpha.
 
     Quadrature stops at M' = min(M, 60 ln 2 / alpha), where e^(-alpha M')
@@ -153,22 +150,26 @@ def regularized_Z(p: ModelParams, q: QuadratureConfig) -> tuple[float, float]:
         return analytic, abs(analytic) * 1e-15
     top = min(M, 60 * math.log(2) / alpha)  # past it, e^(-alpha y) < 2^-60
     f = lambda y: math.exp(-alpha * y)
-    coarse = _composite_gauss(f, 0.0, top, q.panels, q.points_per_panel)
-    fine = _composite_gauss(f, 0.0, top, 2 * q.panels, q.points_per_panel)
+    coarse = _composite_gauss(f, 0.0, top, PANELS, POINTS)
+    fine = _composite_gauss(f, 0.0, top, 2 * PANELS, POINTS)
     estimate = abs(fine - coarse) + (math.exp(-alpha * top) - math.exp(-alpha * M)) / alpha
-    if estimate > q.tolerance * max(1.0, abs(fine)):
+    if estimate > TOLERANCE * max(1.0, abs(fine)):
         raise QuadratureError("regularized_Z quadrature", fine, estimate)
     return fine, estimate
 
 
 def termwise_partial(n: int, p: ModelParams, M: float) -> float:
     """n-th term of the illegal interchange, cut off at M:
-    (-alpha)^n / n! * M^(n+1) / (n+1).  Unbounded in M for every fixed n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if M <= 0:
-        raise ValueError("M must be positive")
-    return (-p.alpha) ** n / math.factorial(n) * M ** (n + 1) / (n + 1)
+    (-alpha)^n / n! * M^(n+1) / (n+1).  Unbounded in M for every fixed n.
+
+    The term M x^n / (n+1)!, x = -alpha M, is computed exactly at the float
+    alpha and M and rounded once, to an infinity past the float range."""
+    _check_series_args(M, n)
+    if n > DIVERGENCE_LIMIT:
+        raise ResourceLimitError(f"divergence term n={n} exceeds the limit {DIVERGENCE_LIMIT}")
+    m, d = (Fraction(-p.alpha) * Fraction(M)).as_integer_ratio()
+    a, b = Fraction(M).as_integer_ratio()
+    return _rounded(a * m**n, b * d**n * math.factorial(n + 1))
 
 
 def divergence_report(n: int, p: ModelParams, cutoffs: Sequence[float]) -> DivergenceReport:

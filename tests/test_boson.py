@@ -268,8 +268,10 @@ def test_stirling_via_ordering():
 
 
 def test_stirling_via_ordering_limit():
-    with pytest.raises(ResourceLimitError):
-        stirling_via_ordering(13)
+    # the 2n-letter word (ad a)^n meets normal_order's word-length limit
+    assert stirling_via_ordering(24) == tuple(stirling2(24, k) for k in range(1, 25))
+    with pytest.raises(ResourceLimitError, match="ordering limit 48"):
+        stirling_via_ordering(25)
 
 
 def test_forgetful():

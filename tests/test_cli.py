@@ -262,22 +262,96 @@ _FUZZ_TOKENS = st.one_of(
 )
 
 
+def run_quietly(argv: list[str]) -> tuple[int, str, float]:
+    """cli.main(argv) with stdout discarded: exit code, stderr and seconds."""
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse: a usage error, or a value that looks like an option
+            code = exc.code
+    return code, err.getvalue(), time.perf_counter() - start
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_FUZZ_TOKENS, max_size=16).map("".join))
 def test_normal_order_fuzz(text):
-    out, err = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(["normal-order", text])
-        except SystemExit as exc:  # argparse: an expression that looks like an option
-            code = exc.code
-    elapsed = time.perf_counter() - start
-    assert code in (0, 2, 3), (text, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    code, err, elapsed = run_quietly(["normal-order", text])
+    assert code in (0, 2, 3), (text, err)
+    assert "Traceback" not in err
     # the slowest texts of this size the term bound admits, such as
     # '(1+a+ad+ad a)^48', take ~21 s on a 2-vCPU machine
     assert elapsed < 60, text
+
+
+# Argument tokens for the argv fuzz: malformed, or a value in a drawn range.
+# Sizes past a limit are drawn where the command has one (bell and stirling
+# past the integer printing limit, diagrams, --divergence, --max-weight);
+# elsewhere the ranges are capped so that every command stays fast.
+_MALFORMED = st.sampled_from(["", "x", "-", "--", "1.5", "1e3", "-1/2", "1/0", "nan", "0x10", " 3"])
+
+
+def _ints(lo: int, hi: int, *past_limit: int):
+    drawn = st.integers(lo, hi) if not past_limit else st.one_of(st.integers(lo, hi), st.integers(*past_limit))
+    return st.one_of(drawn.map(str), _MALFORMED)
+
+
+_RATIONALS = st.one_of(st.fractions(-20, 20, max_denominator=9).map(str), _MALFORMED)
+_FLOATS = st.one_of(
+    st.sampled_from(["0", "-1", "1e-320", "1e-6", "0.5", "2", "45", "1e6", "1e300", "inf", "nan"]),
+    st.floats(-1, 1e4).map(repr),
+    _MALFORMED,
+)
+
+
+def _options(**options) -> st.SearchStrategy[list[str]]:
+    """A subset of the given options, each with a drawn value (or none, for a flag)."""
+    def pairs(name, values):
+        flag = "--" + name.replace("_", "-")
+        return st.just([flag]) if values is None else values.map(lambda v: [flag, v])
+    return st.tuples(*(st.one_of(st.just([]), pairs(n, v)) for n, v in options.items())).map(
+        lambda groups: [token for group in groups for token in group])
+
+
+def _values(strategy, max_size: int) -> st.SearchStrategy[list[str]]:
+    # '--' first, sometimes, so that a negative fraction reads as a value
+    return st.tuples(st.sampled_from([[], ["--"]]), st.lists(strategy, max_size=max_size)).map(
+        lambda t: t[0] + t[1])
+
+
+_SUBCOMMANDS = st.one_of(
+    st.tuples(st.just(["bell"]), _ints(-3, 300, 3000, 10**12).map(lambda v: [v]),
+              _options(triangle=None)),
+    st.tuples(st.just(["stirling"]),
+              st.one_of(st.tuples(_ints(-3, 300), _ints(-3, 300)),
+                        st.tuples(st.integers(10**5, 10**12).map(str), _ints(-1, 200))).map(list)),
+    st.tuples(st.just(["normal-order"]), st.lists(_FUZZ_TOKENS, max_size=8).map(lambda ts: ["".join(ts)])),
+    st.tuples(st.just(["dobinski"]), _ints(-3, 60).map(lambda v: [v]),
+              _options(y=_RATIONALS, k_max=_ints(-2, 200), precision=_ints(-5, 100))),
+    st.tuples(st.just(["egf"]), st.sampled_from([["exp"], ["log"], ["bell"]]),
+              _options(order=_ints(-3, 40)), _values(_RATIONALS, 8)),
+    st.tuples(st.just(["wv"]), st.sampled_from([["w-to-v"], ["v-to-w"]]), _values(_RATIONALS, 8)),
+    st.tuples(st.just(["diagrams"]), _ints(-3, 25, 26, 10**12).map(lambda v: [v])),
+    st.tuples(st.just(["partition-function", "--beta-eps"]), st.lists(_FLOATS, max_size=3),
+              _options(cutoff=_FLOATS, order=_ints(-3, 120), method=st.sampled_from(["analytic", "gauss"]),
+                       combinatorial=None, divergence=_ints(-3, 200, 10_001, 10**12))),
+    st.tuples(st.just(["hopf-verify"]),
+              _options(max_weight=_ints(-3, 4, 13, 10**12), corrupt_antipode=None)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([[], ["--format", "json"], ["--format", "csv"]]),
+       _SUBCOMMANDS.map(lambda parts: [token for part in parts for token in part]))
+def test_every_subcommand_fuzz(options, argv):
+    argv = options + argv
+    code, err, elapsed = run_quietly(argv)
+    # 1 only for a failed Hopf axiom, which only the injected fault gives
+    allowed = (0, 1, 2, 3) if "--corrupt-antipode" in argv else (0, 2, 3)
+    assert code in allowed, (argv, err)
+    assert "Traceback" not in err
+    assert elapsed < 30, argv
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +372,12 @@ def test_dobinski_polynomial_argument(capsys):
     row = json.loads(out)[0]
     # B_3(y) = y + 3y^2 + y^3 at y = 1/2 is 11/8
     assert abs(float(row["value"]) - 11 / 8) < 1e-12
+
+
+def test_dobinski_negative_n_exit_2(capsys):
+    # the Dobinski sum's first term 0 ** n divides by zero for n < 0
+    code, out, err = run(["dobinski", "-1"], capsys)
+    assert (code, out, err) == (2, "", "error: n must be nonnegative\n")
 
 
 def test_dobinski_prints_enclosure_at_precision(capsys):
@@ -427,6 +507,21 @@ def test_partition_function_divergence(capsys):
     assert values[-1] > 1e10
 
 
+def test_partition_function_divergence_past_the_float_range(capsys):
+    # past the float range a term rounds to an infinity; it does not overflow
+    code, out, _ = run(["--format", "json", "partition-function", "--beta-eps", "1",
+                        "--divergence", "77"], capsys)
+    assert code == 0
+    assert [float(r["value"]) for r in json.loads(out)][-1] == pytest.approx(-4.051192121777616e181)
+    code, out, _ = run(["--format", "json", "partition-function", "--beta-eps", "1",
+                        "--divergence", "200"], capsys)
+    assert code == 0
+    assert json.loads(out)[-1]["value"] == "inf"
+    code, out, err = run(["partition-function", "--beta-eps", "1", "--divergence", "10001"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit:")
+
+
 def test_partition_function_combinatorial_small_cutoff(capsys):
     code, out, _ = run(
         ["--format", "json", "partition-function", "--beta-eps", "1.0",
@@ -540,6 +635,14 @@ def test_hopf_verify_negative_weight_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_hopf_verify_weight_limit_exit_3(capsys):
+    start = time.perf_counter()
+    code, out, err = run(["hopf-verify", "--max-weight", "13"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == "resource limit: basis of weight 13 exceeds the limit 12\n"
 
 
 # ---------------------------------------------------------------------------

@@ -269,10 +269,6 @@ def test_enumeration_limit():
         list(enumerate_set_partitions(15))
     with pytest.raises(ResourceLimitError):
         diagram_census(26)
-    with pytest.raises(ResourceLimitError):
-        diagram_census(9, limit=8)
-    # limit is overridable
-    assert diagram_census(9, limit=9).total() == bell(9)
 
 
 def test_limit_messages_name_the_work():

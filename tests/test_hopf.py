@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellhop.combinatorics import bell, diagram_census, enumerate_set_partitions, partition_count
-from bellhop.errors import ExpressionParseError
+from bellhop.errors import ExpressionParseError, ResourceLimitError
 from bellhop.hopf import (
     UNIT,
     _coproduct_monomial,
@@ -282,13 +282,21 @@ def test_corrupted_antipode_detected():
     assert rep.counterexample == "y1"
 
 
+def test_basis_weight_limit():
+    assert len(basis_monomials(12)) == 272 == sum(partition_count(w) for w in range(13))
+    with pytest.raises(ResourceLimitError, match=r"^basis of weight 13 exceeds the limit 12$"):
+        basis_monomials(13)
+    with pytest.raises(ResourceLimitError):
+        run_all_checks(13)
+
+
 def test_random_pairs_draw_as_random_element():
     from bellhop.hopf import _random_pairs
 
     for weight in (0, 1, 3, 6):
         rng = random.Random(5)
-        want = [(random_element(rng, weight), random_element(rng, weight)) for _ in range(20)]
-        assert [tuple(p) for p in _random_pairs(weight, 20, 5)] == want
+        want = [(random_element(rng, weight), random_element(rng, weight)) for _ in range(100)]
+        assert [tuple(p) for p in _random_pairs(weight, 5)] == want
 
 
 def test_random_elements_satisfy_coassociativity():

@@ -9,7 +9,8 @@ import pytest
 
 from bellhop.boson import BosonExpression, CoherentParam, number_word
 from bellhop.combinatorics import _stirling_row, bell, bell_polynomial
-from bellhop.errors import QuadratureError
+from bellhop import partition_function as pf
+from bellhop.errors import QuadratureError, ResourceLimitError
 from bellhop.partition_function import (
     GeneralFResult,
     ModelParams,
@@ -37,6 +38,10 @@ def test_model_params_validation():
         ModelParams(0.0, 1.0)
     with pytest.raises(ValueError):
         ModelParams(1.0, -2.0)
+    # the exact series routes need a finite x = -beta epsilon
+    for beta, epsilon in [(1.0, math.inf), (1.0, math.nan), (math.nan, 1.0), (1e200, 1e200)]:
+        with pytest.raises(ValueError):
+            ModelParams(beta, epsilon)
     p = params(LN2)
     assert abs(p.alpha - 0.5) < 1e-15
     assert 0 < params(0.01).alpha < 1
@@ -117,10 +122,12 @@ def test_regularized_error_scale():
     assert abs(gap2 - gap1**2 * p.alpha) < 1e-12 * gap1
 
 
-def test_regularized_quadrature_failure_is_reported():
+def test_regularized_quadrature_failure_is_reported(monkeypatch):
     p = params(1.0)
-    q = QuadratureConfig(cutoff=30.0, method="gauss", panels=1, points_per_panel=2,
-                         tolerance=1e-14)
+    q = QuadratureConfig(cutoff=30.0, method="gauss")
+    monkeypatch.setattr(pf, "PANELS", 1)
+    monkeypatch.setattr(pf, "POINTS", 2)
+    monkeypatch.setattr(pf, "TOLERANCE", 1e-14)
     with pytest.raises(QuadratureError) as exc:
         regularized_Z(p, q)
     assert exc.value.achieved > 1e-14
@@ -137,6 +144,27 @@ def test_termwise_grows_without_bound():
     for n in range(7):
         vals = [abs(termwise_partial(n, p, M)) for M in (10.0, 100.0, 1000.0)]
         assert vals[0] < vals[1] < vals[2]
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 76, 77, 200, 1000])
+def test_termwise_is_the_exact_term_rounded_once(n):
+    # (-alpha)^n / n! * M^(n+1) / (n+1) in exact rationals at the float alpha
+    # and M; the float formula overflows from n = 77 at M = 1e4
+    p = params(1.0)
+    for M in (10.0, 100.0, 1000.0, 10000.0):
+        exact = Fraction(-p.alpha) ** n / math.factorial(n) * Fraction(M) ** (n + 1) / (n + 1)
+        try:
+            want = float(exact)
+        except OverflowError:
+            want = math.inf if exact > 0 else -math.inf
+        assert termwise_partial(n, p, M) == want
+
+
+def test_termwise_limit():
+    p = params(1.0)
+    assert termwise_partial(pf.DIVERGENCE_LIMIT, p, 10000.0) == math.inf
+    with pytest.raises(ResourceLimitError, match=r"^divergence term n=10001 exceeds the limit 10000$"):
+        termwise_partial(pf.DIVERGENCE_LIMIT + 1, p, 10.0)
 
 
 def test_divergence_report():
