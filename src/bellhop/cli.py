@@ -7,14 +7,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import sys
 from fractions import Fraction
 
-from . import boson, combinatorics, egf, hopf, partition_function as pf
 from .errors import ExpressionParseError, QuadratureError, ResourceLimitError, int_digits_limit
 
 EXIT_OK = 0
@@ -31,9 +28,13 @@ def _emit(args, rows: list[dict], columns: list[str]):
     """Write rows in the selected format to --out or stdout."""
     buf = io.StringIO()
     if args.format == "json":
+        import json
+
         json.dump(rows, buf, indent=None, separators=(",", ":"))
         buf.write("\n")
     elif args.format == "csv":
+        import csv
+
         writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
@@ -83,6 +84,8 @@ def _log10_stirling_lower(n: int, k: int) -> float:
 
 
 def cmd_bell(args) -> int:
+    from . import combinatorics
+
     nmax = args.nmax
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
@@ -103,6 +106,8 @@ def cmd_bell(args) -> int:
 
 
 def cmd_stirling(args) -> int:
+    from . import combinatorics
+
     n, k = args.n, args.k
     what = f"S({n}, {k})"
     _refuse_unprintable(what, [_log10_stirling_lower(n, k)])
@@ -113,6 +118,8 @@ def cmd_stirling(args) -> int:
 
 
 def cmd_normal_order(args) -> int:
+    from . import boson
+
     # parsed straight into the normal-ordered basis: no word is built
     form = boson.NormalOrderedForm.parse(args.expression)
     if args.format == "plain":
@@ -125,6 +132,8 @@ def cmd_normal_order(args) -> int:
 
 def cmd_dobinski(args) -> int:
     import mpmath  # only the Dobinski paths pay for it
+
+    from . import combinatorics
 
     res = combinatorics.dobinski_bell_poly(args.n, _rational(args.y), args.k_max, args.precision)
     rows = [{
@@ -140,6 +149,8 @@ def cmd_dobinski(args) -> int:
 
 
 def cmd_egf(args) -> int:
+    from . import egf
+
     if args.action == "bell":
         series = egf.bell_egf(args.order)
     else:
@@ -151,6 +162,8 @@ def cmd_egf(args) -> int:
 
 
 def cmd_wv(args) -> int:
+    from . import egf
+
     values = [_rational(v) for v in args.values]
     if args.direction == "w-to-v":
         out, first = egf.w_to_v(values), 1  # V_1..V_N
@@ -165,6 +178,8 @@ def cmd_wv(args) -> int:
 
 
 def cmd_diagrams(args) -> int:
+    from . import combinatorics
+
     census = combinatorics.diagram_census(args.n)
     keyed = sorted(census.counts.items(), key=lambda kv: (kv[0].degree, kv[0].letters))
     rows = [{"monomial": str(m), "multiplicity": c} for m, c in keyed]
@@ -173,6 +188,8 @@ def cmd_diagrams(args) -> int:
 
 
 def cmd_partition_function(args) -> int:
+    from . import partition_function as pf
+
     def row(be, method, M, N, value, closed):
         return {
             "beta_epsilon": _fmt_float(be), "method": method,
@@ -204,6 +221,8 @@ def cmd_partition_function(args) -> int:
 
 
 def cmd_hopf_verify(args) -> int:
+    from . import hopf
+
     if args.max_weight < 0:
         raise ValueError("--max-weight must be nonnegative")
     antipode_fn = hopf.antipode

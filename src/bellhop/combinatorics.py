@@ -13,14 +13,18 @@ import math
 import threading
 
 from .errors import ResourceLimitError
-from .hopf import Monomial
 
 if TYPE_CHECKING:
     import mpmath
 
+    from .hopf import Monomial
+
 ENUMERATION_LIMIT = 14  # enumeration yields B(n) partitions: B(14) = 190,899,322
 # the census keeps p(m) monomials in row m, not B(m) partitions: p(25) = 1,958
 CENSUS_LIMIT = 25
+# digits of the powers in stirling2's explicit sum, about 10 ms of work:
+# S(1000, 1000) = 1 would take 3e6 digits, S(12000, 12000) 6e8
+STIRLING_SUM_LIMIT = 10**6
 
 
 # --------------------------------------------------------------------------
@@ -50,7 +54,9 @@ def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind; 0 when k > n or (k=0, n>0).
 
     Read from row n when it is built; otherwise the explicit sum
-    S(n, k) = sum_j (-1)^j C(k, j) (k - j)^n / k!, which builds no rows.
+    S(n, k) = sum_j (-1)^j C(k, j) (k - j)^n / k!, which builds no rows,
+    refused when its k + 1 powers of up to n log10(k) digits pass
+    STIRLING_SUM_LIMIT digits in all.
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
@@ -58,6 +64,12 @@ def stirling2(n: int, k: int) -> int:
         return 0
     if n < len(_STIRLING_ROWS):
         return _STIRLING_ROWS[n][k]
+    digits = (k + 1) * n * math.log10(k) if k > 1 else 0
+    if digits > STIRLING_SUM_LIMIT:
+        raise ResourceLimitError(
+            f"S({n}, {k}) by the explicit sum needs {digits:.3g} digits of powers, "
+            f"past the limit {STIRLING_SUM_LIMIT}"
+        )
     return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)) // math.factorial(k)
 
 
@@ -259,6 +271,8 @@ def diagram_census(n: int) -> DiagramCensus:
     The tally is the complete Bell polynomial Y_n(y_1..y_n), computed by its
     recurrence without enumerating the partitions.
     """
+    from .hopf import Monomial  # the census key; only the census loads hopf
+
     _check_limit(n, CENSUS_LIMIT, "diagram census")
     # exp in BELL, i.e. the complete Bell polynomial: Y_m = sum_k C(m-1,k-1) y_k Y_{m-k}
     Y: list[dict[Monomial, int]] = [{Monomial(): 1}]

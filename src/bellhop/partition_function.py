@@ -14,12 +14,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .boson import BosonExpression, CoherentParam, word_moments
 from .combinatorics import _over_common_denominator, _stirling_row
-from .egf import w_to_v
 from .errors import QuadratureError, ResourceLimitError
+
+if TYPE_CHECKING:
+    from .boson import BosonExpression, CoherentParam
 
 PANELS, POINTS, TOLERANCE = 64, 16, 1e-10  # regularized_Z's Gauss rule
 DIVERGENCE_LIMIT = 10_000  # the exact term's integers grow with n
@@ -164,21 +165,29 @@ def termwise_partial(n: int, p: ModelParams, M: float) -> float:
 
     The term M x^n / (n+1)!, x = -alpha M, is computed exactly at the float
     alpha and M and rounded once, to an infinity past the float range."""
+    return _rounded(*_termwise_exact(n, p, M))
+
+
+def _termwise_exact(n: int, p: ModelParams, M: float) -> tuple[int, int]:
+    """termwise_partial as an integer numerator over a positive denominator."""
     _check_series_args(M, n)
     if n > DIVERGENCE_LIMIT:
         raise ResourceLimitError(f"divergence term n={n} exceeds the limit {DIVERGENCE_LIMIT}")
     m, d = (Fraction(-p.alpha) * Fraction(M)).as_integer_ratio()
     a, b = Fraction(M).as_integer_ratio()
-    return _rounded(a * m**n, b * d**n * math.factorial(n + 1))
+    return a * m**n, b * d**n * math.factorial(n + 1)
 
 
 def divergence_report(n: int, p: ModelParams, cutoffs: Sequence[float]) -> DivergenceReport:
-    """termwise_partial at each cutoff, flagging strict growth in magnitude."""
+    """termwise_partial at each cutoff, flagging strict growth in magnitude.
+
+    Growth is decided on the exact terms: their floats can underflow to 0 or
+    overflow to an infinity and so tie where the terms do not."""
     cutoffs = tuple(sorted(cutoffs))
-    values = tuple(termwise_partial(n, p, M) for M in cutoffs)
-    mags = [abs(v) for v in values]
-    monotone = all(a < b for a, b in zip(mags, mags[1:]))
-    return DivergenceReport(n, p.alpha, cutoffs, values, monotone)
+    exact = [_termwise_exact(n, p, M) for M in cutoffs]
+    # |a/b| < |c/d| with b, d > 0, without dividing
+    monotone = all(abs(a) * d < abs(c) * b for (a, b), (c, d) in zip(exact, exact[1:]))
+    return DivergenceReport(n, p.alpha, cutoffs, tuple(_rounded(*t) for t in exact), monotone)
 
 
 def regularized_series_Z(p: ModelParams, M: float, N: int) -> float:
@@ -261,6 +270,9 @@ def general_F(w: BosonExpression, x: float, z, N: int) -> GeneralFResult:
     """Truncated coherent-state integrand F(x, z) = sum_{n<=N} W_n x^n / n!
     for a general word w, with W_n = <z| w^n |z>, plus the V_n obtained from
     the W_n and the exponential form exp(sum_{n<=N} V_n x^n / n!)."""
+    from .boson import word_moments  # only general_F loads boson and egf
+    from .egf import w_to_v
+
     moments = word_moments(w, N, z)
     vs = w_to_v(moments)
     f_value = sum(complex(moments[n]) * x**n / math.factorial(n) for n in range(N + 1))

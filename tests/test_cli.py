@@ -85,10 +85,13 @@ def test_stirling_600_3_in_a_fresh_process():
     assert json.loads(proc.stdout)[0]["stirling2"] == (3**600 - 3 * 2**600 + 3) // 6
 
 
-@pytest.mark.parametrize("argv", [["bell", "3000"], ["stirling", "100000", "200"]],
-                         ids=["bell", "stirling"])
+@pytest.mark.parametrize("argv", [["bell", "3000"], ["stirling", "100000", "200"],
+                                  ["stirling", "12000", "12000"]],
+                         ids=["bell", "stirling", "stirling-sum"])
 def test_unprintable_integers_exit_3_before_the_work(argv, capsys):
-    # a lower bound on the digits refuses them before any row is built
+    # a lower bound on the digits refuses them before any row is built;
+    # S(12000, 12000) = 1 prints, but its explicit sum would take 12,001
+    # powers of up to 49,000 digits (69 s on 2 vCPUs), past STIRLING_SUM_LIMIT
     start = time.perf_counter()
     code, out, err = run(argv, capsys)
     assert time.perf_counter() - start < 1.0
@@ -287,7 +290,8 @@ def test_normal_order_fuzz(text):
 
 # Argument tokens for the argv fuzz: malformed, or a value in a drawn range.
 # Sizes past a limit are drawn where the command has one (bell and stirling
-# past the integer printing limit, diagrams, --divergence, --max-weight);
+# past the integer printing limit, stirling past its explicit-sum work
+# bound, diagrams, --divergence, --max-weight);
 # elsewhere the ranges are capped so that every command stays fast.
 _MALFORMED = st.sampled_from(["", "x", "-", "--", "1.5", "1e3", "-1/2", "1/0", "nan", "0x10", " 3"])
 
@@ -324,7 +328,7 @@ _SUBCOMMANDS = st.one_of(
     st.tuples(st.just(["bell"]), _ints(-3, 300, 3000, 10**12).map(lambda v: [v]),
               _options(triangle=None)),
     st.tuples(st.just(["stirling"]),
-              st.one_of(st.tuples(_ints(-3, 300), _ints(-3, 300)),
+              st.one_of(st.tuples(_ints(-3, 300, 301, 20000), _ints(-3, 300, 301, 20000)),
                         st.tuples(st.integers(10**5, 10**12).map(str), _ints(-1, 200))).map(list)),
     st.tuples(st.just(["normal-order"]), st.lists(_FUZZ_TOKENS, max_size=8).map(lambda ts: ["".join(ts)])),
     st.tuples(st.just(["dobinski"]), _ints(-3, 60).map(lambda v: [v]),
@@ -701,6 +705,91 @@ def test_import_loads_neither_numpy_nor_mpmath():
     proc = _python("import sys, bellhop.cli; print(sorted({'numpy', 'mpmath'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# the names bellhop exported before its submodules were loaded lazily
+EXPORTS = {
+    "combinatorics": ["DiagramCensus", "SetPartition", "bell", "bell_polynomial", "diagram_census",
+                      "dobinski_bell", "dobinski_bell_poly", "enumerate_set_partitions",
+                      "partition_count", "stirling2"],
+    "boson": ["BosonExpression", "CoherentParam", "NormalOrderedForm", "coherent_expectation",
+              "forgetful_normal_order", "normal_order", "parse_expression", "stirling_via_ordering",
+              "word_moments"],
+    "egf": ["EGFSeries", "bell_egf", "egf_exp", "egf_log", "egf_mul", "v_to_w", "w_to_v"],
+    "partition_function": ["ModelParams", "QuadratureConfig", "closed_form_Z", "combinatorial_Z",
+                           "general_F", "integrand", "regularized_Z", "regularized_series_Z",
+                           "termwise_partial"],
+    "hopf": ["HopfElement", "Monomial", "TensorElement", "antipode", "code_diagram", "coproduct",
+             "counit", "parse_element", "poly_specialize", "product", "run_all_checks"],
+    "errors": ["ExpressionParseError", "QuadratureError", "ResourceLimitError"],
+}
+
+
+def test_import_loads_no_submodule():
+    proc = _python("import sys, bellhop; print(sorted(m for m in sys.modules if m.startswith('bellhop'))); "
+                   "print(bellhop.hopf.Monomial is bellhop.Monomial)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['bellhop']\nTrue\n"  # a submodule is an attribute, as before
+
+
+def test_package_exports_every_name_once_loaded():
+    import importlib
+
+    import bellhop
+
+    assert sorted(bellhop.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"bellhop.{module}")
+        assert getattr(bellhop, module) is home
+        for name in names:
+            assert getattr(bellhop, name) is getattr(home, name), name
+            assert name in dir(bellhop)
+    assert bellhop.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        bellhop.no_such_name
+    with pytest.raises(ImportError):
+        from bellhop import no_such_name  # noqa: F401
+
+
+def test_star_import_in_a_fresh_process():
+    proc = _python("ns = {}; exec('from bellhop import *', ns); "
+                   "print(sorted(n for n in ns if n != '__builtins__'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == str(sorted(n for names in EXPORTS.values() for n in names)) + "\n"
+
+
+_LOADED = """
+import sys
+from bellhop import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+loaded = {m for m in sys.modules if m.startswith("bellhop.")} - {"bellhop.cli", "bellhop.errors"}
+sys.stderr.write(" ".join(sorted(m.split(".")[1] for m in loaded)))
+sys.exit(code)
+"""
+
+
+# each subcommand and the bellhop modules it loads besides cli and errors
+_LOADS = [
+    (["bell", "5", "--triangle"], "combinatorics"),
+    (["--format", "json", "stirling", "5", "2"], "combinatorics"),
+    (["--format", "csv", "dobinski", "5"], "combinatorics"),
+    (["normal-order", "(ad a)^2"], "boson lincomb"),
+    (["--format", "json", "hopf-verify", "--max-weight", "2"], "hopf lincomb"),
+    (["partition-function", "--beta-eps", "1", "--combinatorial", "--order", "10"],
+     "combinatorics partition_function"),
+    (["egf", "bell"], "combinatorics egf"),
+    (["wv", "w-to-v", "1", "2"], "combinatorics egf"),
+    (["diagrams", "4"], "combinatorics hopf lincomb"),
+]
+
+
+@pytest.mark.parametrize("argv, modules", _LOADS,
+                         ids=[argv[2] if argv[0] == "--format" else argv[0] for argv, _ in _LOADS])
+def test_each_subcommand_loads_only_its_modules(argv, modules):
+    proc = _python(_LOADED, *argv)
+    assert proc.returncode == 0
+    assert proc.stderr == modules
 
 
 def readme_commands() -> list[list[str]]:

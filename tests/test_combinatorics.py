@@ -278,6 +278,21 @@ def test_limit_messages_name_the_work():
         list(enumerate_set_partitions(15))
 
 
+def test_stirling_sum_limit(monkeypatch):
+    # no rows built: every value comes from the explicit sum or is refused
+    monkeypatch.setattr(combinatorics, "_STIRLING_ROWS", [(1,)])
+    assert stirling2(600, 3) == (3**600 - 3 * 2**600 + 3) // 6
+    assert stirling2(14286, 2) == 2**14285 - 1
+    assert stirling2(300, 300) == 1 and stirling2(10**12, 1) == 1
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"^S\(1000, 1000\) by the explicit sum needs 3e\+06 digits"):
+        stirling2(1000, 1000)
+    with pytest.raises(ResourceLimitError, match=r"past the limit 1000000$"):
+        stirling2(12000, 12000)
+    assert time.perf_counter() - start < 1.0  # before the work: the sum for S(12000, 12000) takes 69 s
+    assert len(combinatorics._STIRLING_ROWS) == 1
+
+
 def test_enumeration_n10_count():
     assert sum(1 for _ in enumerate_set_partitions(10)) == 115975
 

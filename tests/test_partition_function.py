@@ -176,6 +176,15 @@ def test_divergence_report():
     assert all(abs(a - b) < 1e-9 * abs(b) for a, b in zip(rep.values, oracle))
 
 
+def test_divergence_report_decides_growth_on_exact_terms():
+    # the floats tie at 0.0 below the float range; the exact terms grow
+    rep = divergence_report(1000, ModelParams(1.0, 1.0), [10, 100, 1e3, 1e4])
+    assert rep.values[:2] == (0.0, 0.0) and rep.values[3] == math.inf
+    assert rep.monotone
+    assert not divergence_report(1000, ModelParams(1.0, 1.0), [10, 100, 100, 1e4]).monotone
+    assert not divergence_report(2, params(LN2), [10.0, 10.0]).monotone
+
+
 def test_series_small_alpha_M():
     p = params(LN2)
     got = regularized_series_Z(p, 20.0, 200)
