@@ -148,15 +148,24 @@ def cmd_dobinski(args) -> int:
     return EXIT_OK
 
 
+def _largest_part(values) -> int:
+    # the widest numerator or denominator: str() of an exact value prints both
+    return max((max(abs(v.numerator), v.denominator) for v in values), default=0)
+
+
 def cmd_egf(args) -> int:
     from . import egf
 
     if args.action == "bell":
+        # B(n) >= S(n, k) for every k
+        _refuse_unprintable(f"B({args.order})",
+                            (_log10_stirling_lower(args.order, k) for k in range(1, args.order + 1)))
         series = egf.bell_egf(args.order)
     else:
         coeffs = [_rational(v) for v in args.coefficients]
         series = egf.EGFSeries(tuple(coeffs))
         series = egf.egf_exp(series) if args.action == "exp" else egf.egf_log(series)
+    _refuse_unprintable("an EGF coefficient", value=_largest_part(series.coeffs))
     _write(args, series.to_json() + "\n")
     return EXIT_OK
 
@@ -169,6 +178,7 @@ def cmd_wv(args) -> int:
         out, first = egf.w_to_v(values), 1  # V_1..V_N
     else:
         out, first = egf.v_to_w(values), 0  # W_0..W_N
+    _refuse_unprintable("a moment", value=_largest_part(out))
     if args.format == "plain":
         _write(args, " ".join(str(v) for v in out) + "\n")
     else:

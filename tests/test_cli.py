@@ -86,15 +86,30 @@ def test_stirling_600_3_in_a_fresh_process():
 
 
 @pytest.mark.parametrize("argv", [["bell", "3000"], ["stirling", "100000", "200"],
-                                  ["stirling", "12000", "12000"]],
-                         ids=["bell", "stirling", "stirling-sum"])
+                                  ["stirling", "12000", "12000"], ["egf", "bell", "--order", "2100"],
+                                  ["egf", "exp", "--", "0"] + ["9/7"] * 1500],
+                         ids=["bell", "stirling", "stirling-sum", "egf-bell", "egf-work"])
 def test_unprintable_integers_exit_3_before_the_work(argv, capsys):
     # a lower bound on the digits refuses them before any row is built;
     # S(12000, 12000) = 1 prints, but its explicit sum would take 12,001
-    # powers of up to 49,000 digits (69 s on 2 vCPUs), past STIRLING_SUM_LIMIT
+    # powers of up to 49,000 digits (69 s on 2 vCPUs), past STIRLING_SUM_LIMIT;
+    # the order-1500 exp recurrence is past EGF_WORK_LIMIT
     start = time.perf_counter()
     code, out, err = run(argv, capsys)
     assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["wv", "v-to-w", "1e5000"],
+    ["wv", "w-to-v", "1", "1e-5000"],
+    ["egf", "exp", "0", "3/7", "1e-4400"],
+], ids=["wv-numerator", "wv-denominator", "egf-denominator"])
+def test_egf_and_wv_values_too_long_to_print_exit_3(argv, capsys):
+    # computed at once, then refused: a numerator or denominator has more
+    # digits than Python prints
+    code, out, err = run(argv, capsys)
     assert code == 3 and out == ""
     assert err.startswith("resource limit:") and err.count("\n") == 1
 
@@ -289,10 +304,11 @@ def test_normal_order_fuzz(text):
 
 
 # Argument tokens for the argv fuzz: malformed, or a value in a drawn range.
-# Sizes past a limit are drawn where the command has one (bell and stirling
-# past the integer printing limit, stirling past its explicit-sum work
-# bound, diagrams, --divergence, --max-weight);
-# elsewhere the ranges are capped so that every command stays fast.
+# Sizes past a limit are drawn where the command has one (bell, stirling and
+# egf bell past the integer printing limit, stirling past its explicit-sum
+# work bound, egf exp/log and wv past the EGF work limit, diagrams,
+# --divergence, --max-weight); elsewhere the ranges are capped so that every
+# command stays fast.
 _MALFORMED = st.sampled_from(["", "x", "-", "--", "1.5", "1e3", "-1/2", "1/0", "nan", "0x10", " 3"])
 
 
@@ -319,9 +335,11 @@ def _options(**options) -> st.SearchStrategy[list[str]]:
 
 
 def _values(strategy, max_size: int) -> st.SearchStrategy[list[str]]:
-    # '--' first, sometimes, so that a negative fraction reads as a value
-    return st.tuples(st.sampled_from([[], ["--"]]), st.lists(strategy, max_size=max_size)).map(
-        lambda t: t[0] + t[1])
+    # '--' first, sometimes, so that a negative fraction reads as a value;
+    # then a run of one value, within the EGF work limit or past it
+    run = st.tuples(strategy, st.one_of(st.integers(0, 200), st.integers(2000, 20000)))
+    return st.tuples(st.sampled_from([[], ["--"]]), st.lists(strategy, max_size=max_size), run).map(
+        lambda t: t[0] + t[1] + [t[2][0]] * t[2][1])
 
 
 _SUBCOMMANDS = st.one_of(
@@ -334,7 +352,7 @@ _SUBCOMMANDS = st.one_of(
     st.tuples(st.just(["dobinski"]), _ints(-3, 60).map(lambda v: [v]),
               _options(y=_RATIONALS, k_max=_ints(-2, 200), precision=_ints(-5, 100))),
     st.tuples(st.just(["egf"]), st.sampled_from([["exp"], ["log"], ["bell"]]),
-              _options(order=_ints(-3, 40)), _values(_RATIONALS, 8)),
+              _options(order=_ints(-3, 40, 3000, 10**12)), _values(_RATIONALS, 8)),
     st.tuples(st.just(["wv"]), st.sampled_from([["w-to-v"], ["v-to-w"]]), _values(_RATIONALS, 8)),
     st.tuples(st.just(["diagrams"]), _ints(-3, 25, 26, 10**12).map(lambda v: [v])),
     st.tuples(st.just(["partition-function", "--beta-eps"]), st.lists(_FLOATS, max_size=3),

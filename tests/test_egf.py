@@ -2,14 +2,17 @@
 exp/log inversion, and the moment transforms."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bellhop import egf
 from bellhop.boson import number_word, word_moments
 from bellhop.combinatorics import bell, bell_polynomial
+from bellhop.errors import ResourceLimitError
 from bellhop.egf import (
     EGFSeries,
     bell_egf,
@@ -244,3 +247,116 @@ def test_float_moments_stay_float():
     exact_v = w_to_v([Fraction(x) for x in w])
     assert all(abs(x - y) <= 1e-12 * max(1, abs(y)) for x, y in zip(back, exact_v))
     assert all(abs(x - y) <= 1e-12 * max(1, abs(y)) for x, y in zip(back, v))
+
+
+# ---------------------------------------------------------------------------
+# Rational input on scaled integers, against the plain Fraction recurrences
+
+
+def exp_oracle(c):
+    """exp through ordinary power series, dividing: with A = exp(C), A' = C'A,
+    so n alpha_n = sum_k k gamma_k alpha_{n-k}, gamma_k = c_k / k!."""
+    gamma = [Fraction(x, 1) / math.factorial(k) for k, x in enumerate(c)]
+    alpha = [Fraction(1)]
+    for n in range(1, len(c)):
+        alpha.append(Fraction(sum(k * gamma[k] * alpha[n - k] for k in range(1, n + 1))) / n)
+    return [math.factorial(n) * x for n, x in enumerate(alpha)]
+
+
+def log_oracle(a):
+    """log through the same identity solved for gamma (alpha_0 = 1)."""
+    alpha = [Fraction(x, 1) / math.factorial(k) for k, x in enumerate(a)]
+    gamma = [Fraction(0)]
+    for n in range(1, len(a)):
+        gamma.append(alpha[n] - Fraction(sum(k * gamma[k] * alpha[n - k] for k in range(1, n))) / n)
+    return [math.factorial(n) * x for n, x in enumerate(gamma)]
+
+
+def assert_typed(out, want, *inputs, skip_constant=False):
+    """Equal values; output n is a Fraction exactly when some input at an
+    index <= n is (exp and log never read the constant term)."""
+    out = list(out)
+    assert out == want
+    first = min((i for xs in inputs for i, x in enumerate(xs)
+                 if type(x) is Fraction and (i or not skip_constant)), default=len(out))
+    assert [type(x) for x in out] == [int] * min(first, len(out)) + [Fraction] * (len(out) - first)
+
+
+# ints, small and wide rationals, and Fractions with denominator 1
+mixed = st.one_of(
+    integers, rationals, st.fractions(-3, 3, max_denominator=10**6), integers.map(Fraction)
+)
+
+
+@settings(max_examples=60)
+@given(st.lists(mixed, min_size=1, max_size=12), st.lists(mixed, min_size=1, max_size=12),
+       st.sampled_from([0, Fraction(0)]), st.sampled_from([1, Fraction(1)]))
+@example([1], [Fraction(1, 2)], 0, 1)  # a constant term the scale leaves fractional
+@example([Fraction(-3, 4), 2, Fraction(5, 6)], [Fraction(2, 9), Fraction(1, 4), 7], Fraction(0), 1)
+def test_scaled_route_matches_fraction_oracle(xs, ys, zero, one):
+    n = min(len(xs), len(ys))
+    # the product keeps any constant term, a non-integer one included
+    assert_typed(egf_mul(EGFSeries(tuple(xs)), EGFSeries(tuple(ys))).coeffs,
+                 [conv_oracle(xs, ys, m) for m in range(n)], xs[:n], ys[:n])
+    c, a = [zero, *xs], [one, *xs]
+    assert_typed(egf_exp(EGFSeries(tuple(c))).coeffs, exp_oracle(c), c, skip_constant=True)
+    assert_typed(egf_log(EGFSeries(tuple(a))).coeffs, log_oracle(a), a, skip_constant=True)
+    assert_typed(w_to_v(a), log_oracle(a)[1:], xs)
+    assert_typed(v_to_w(xs), exp_oracle(c), c, skip_constant=True)
+
+
+def _kernel_inputs(monkeypatch, name):
+    # the sequences the named recurrence is handed
+    seen, kernel = [], getattr(egf, name)
+    monkeypatch.setattr(egf, name, lambda *seqs: seen.extend(seqs) or kernel(*seqs))
+    return seen
+
+
+def _primes(count):
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def test_prime_denominators_run_as_fractions(monkeypatch):
+    # 1/p_k has no common scale: D = p_1...p_40 would make D^40 thousands of
+    # digits long against the fractions' few, so the recurrence gets Fractions
+    c = (0, *(Fraction(1, p) for p in _primes(40)))
+    seen = _kernel_inputs(monkeypatch, "_exp_coeffs")
+    assert_typed(egf_exp(EGFSeries(c)).coeffs, exp_oracle(c), c, skip_constant=True)
+    assert v_to_w(list(c[1:])) == exp_oracle(c)
+    assert all(any(type(x) is Fraction for x in s) for s in seen)
+    a = (1, *c[1:])
+    seen = _kernel_inputs(monkeypatch, "_log_coeffs")
+    assert_typed(egf_log(EGFSeries(a)).coeffs, log_oracle(a), a, skip_constant=True)
+    assert any(type(x) is Fraction for x in seen[0])
+
+
+def test_common_denominators_run_as_integers(monkeypatch):
+    c = (0, *[Fraction(5, 8)] * 40)
+    seen = _kernel_inputs(monkeypatch, "_exp_coeffs")
+    assert_typed(egf_exp(EGFSeries(c)).coeffs, exp_oracle(c), c, skip_constant=True)
+    assert all(type(x) is int for x in seen[0])
+    x = (Fraction(1, 3), *[Fraction(k, 6) for k in range(1, 20)])
+    seen = _kernel_inputs(monkeypatch, "_mul_coeffs")
+    assert_typed(egf_mul(EGFSeries(x), EGFSeries(x)).coeffs,
+                 [conv_oracle(x, x, m) for m in range(20)], x)
+    assert all(type(v) is int for s in seen for v in s)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: egf_exp(EGFSeries((0,) + (Fraction(9, 7),) * 1500)),
+    lambda: egf_log(EGFSeries((1,) + (1,) * 2000)),
+    lambda: egf_mul(EGFSeries((Fraction(1, 3),) * 900), EGFSeries((2,) * 900)),
+    lambda: v_to_w([0.5] * 5000),
+    lambda: w_to_v([1] + [Fraction(1, 10**300)] * 100),
+], ids=["exp", "log", "mul", "float", "wide"])
+def test_work_limit_refuses_before_the_recurrence(call):
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        call()
+    assert time.perf_counter() - start < 1.0
