@@ -21,6 +21,7 @@ A = 0   # annihilation operator a
 AD = 1  # creation operator a-dagger
 
 MOMENT_LIMIT = 24
+WORD_PAIR_LIMIT = 2**16  # term pairs per product of expressions: (a + ad)^16 runs
 
 Word = tuple[int, ...]
 
@@ -43,11 +44,11 @@ class BosonExpression(LinearCombination):
 
     @classmethod
     def a(cls) -> "BosonExpression":
-        return cls({(A,): Fraction(1)})
+        return cls({(A,): 1})
 
     @classmethod
     def ad(cls) -> "BosonExpression":
-        return cls({(AD,): Fraction(1)})
+        return cls({(AD,): 1})
 
     @classmethod
     def symbol(cls, name: str):
@@ -56,7 +57,18 @@ class BosonExpression(LinearCombination):
 
     @classmethod
     def from_word(cls, word: Iterable[int], coeff=1) -> "BosonExpression":
-        return cls({tuple(word): Fraction(coeff)})
+        return cls({tuple(word): coeff})
+
+    def __mul__(self, other):
+        """Refuse, before building it, a product past 2 MOMENT_LIMIT letters or WORD_PAIR_LIMIT pairs."""
+        if type(other) is BosonExpression:
+            length, limit = self.max_word_length() + other.max_word_length(), 2 * MOMENT_LIMIT
+            if length > limit:
+                raise ResourceLimitError(f"word of length {length} exceeds the ordering limit {limit}")
+            pairs = len(self.terms) * len(other.terms)
+            if pairs > WORD_PAIR_LIMIT:
+                raise ResourceLimitError(f"product of {pairs} term pairs exceeds the limit {WORD_PAIR_LIMIT}")
+        return LinearCombination.__mul__(self, other)
 
     def max_word_length(self) -> int:
         return max((len(w) for w in self.terms), default=0)
@@ -106,8 +118,8 @@ class NormalOrderedForm(LinearCombination):
         # map and max: this runs before every product
         return max(self.terms)[0], max(map(itemgetter(1), self.terms))
 
-    def coefficient(self, r: int, s: int) -> Fraction:
-        return self.terms.get((r, s), Fraction(0))
+    def coefficient(self, r: int, s: int) -> int | Fraction:
+        return self.terms.get((r, s), 0)
 
     def to_expression(self) -> BosonExpression:
         return BosonExpression(
@@ -142,10 +154,10 @@ def normal_order(expr: BosonExpression) -> NormalOrderedForm:
     Words longer than 2 MOMENT_LIMIT letters are refused: the intermediate
     term count grows quadratically with word length.
     """
-    # Integer numerators per coefficient denominator; one Fraction per
-    # (denominator, key) at the end.  No common denominator: the lcm of many
-    # coefficients' denominators can grow without bound.
-    numerators: dict[int, dict[tuple[int, int], int]] = {}
+    # Integer numerators per coefficient denominator, int coefficients under
+    # None; one Fraction per (denominator, key) at the end.  No common
+    # denominator: the lcm of many denominators can grow without bound.
+    numerators: dict[int | None, dict[tuple[int, int], int]] = {}
     limit = 2 * MOMENT_LIMIT  # read once: this loop runs per word
     for word, coeff in expr.terms.items():
         if len(word) > limit:
@@ -153,7 +165,7 @@ def normal_order(expr: BosonExpression) -> NormalOrderedForm:
                 f"word of length {len(word)} exceeds the ordering limit {limit}"
             )
         num = coeff.numerator
-        acc = numerators.setdefault(coeff.denominator, {})
+        acc = numerators.setdefault(None if type(coeff) is int else coeff.denominator, {})
         for rs, c in _normal_order_word(word):
             if rs in acc:
                 acc[rs] += num * c
@@ -161,16 +173,17 @@ def normal_order(expr: BosonExpression) -> NormalOrderedForm:
                 acc[rs] = num * c
     out = NormalOrderedForm()
     for den, acc in numerators.items():
-        out += NormalOrderedForm._exact({rs: Fraction(num, den) for rs, num in acc.items() if num})
+        out += NormalOrderedForm._exact(
+            {rs: num if den is None else Fraction(num, den) for rs, num in acc.items() if num})
     return out
 
 
 def forgetful_normal_order(expr: BosonExpression) -> NormalOrderedForm:
     """Move creators left of annihilators, discarding commutator terms."""
-    out: dict[tuple[int, int], Fraction] = {}
+    out: dict[tuple[int, int], int | Fraction] = {}
     for word, coeff in expr.terms.items():
         rs = (sum(1 for x in word if x == AD), sum(1 for x in word if x == A))
-        out[rs] = out.get(rs, Fraction(0)) + coeff
+        out[rs] = out.get(rs, 0) + coeff
     return NormalOrderedForm(out)
 
 
@@ -183,14 +196,8 @@ def stirling_via_ordering(n: int) -> tuple[int, ...]:
     """Diagonal coefficients S(n, 1..n) read off normal_order((ad a)^n)."""
     if n < 1:
         raise ValueError("n must be positive")
-    form = normal_order(number_word(n))
-    out = []
-    for k in range(1, n + 1):
-        c = form.coefficient(k, k)
-        if c.denominator != 1:
-            raise AssertionError("diagonal coefficient is not an integer")
-        out.append(c.numerator)
-    return tuple(out)
+    form = normal_order(number_word(n))  # integer data: int coefficients
+    return tuple(form.coefficient(k, k) for k in range(1, n + 1))
 
 
 # --------------------------------------------------------------------------
@@ -234,8 +241,8 @@ def coherent_expectation(form: NormalOrderedForm, z) -> Fraction | float | compl
     """<z| form |z> by the eigenvalue property: (r,s) term -> conj(z)^r z^s.
 
     With |z|^2 exact, each parity of r + s is summed exactly and the odd sum
-    is multiplied by sqrt(|z|^2) once, so the value does not depend on the
-    order of the terms.
+    is multiplied by sqrt(|z|^2) once; a float or complex z sums real and
+    imaginary parts by fsum.  The value does not depend on the term order.
     """
     param = z if isinstance(z, CoherentParam) else CoherentParam(z=z)
     if param.mod_sq is not None:
@@ -244,11 +251,10 @@ def coherent_expectation(form: NormalOrderedForm, z) -> Fraction | float | compl
             sums[(r + s) % 2] = sums.get((r + s) % 2, 0) + c * param.mod_sq ** ((r + s) // 2)
         even = sums.get(0, Fraction(0))
         return even + sums[1] * math.sqrt(param.mod_sq) if 1 in sums else even
-    acc = None
-    for (r, s), c in form.terms.items():
-        contrib = c * param.powers(r, s)
-        acc = contrib if acc is None else acc + contrib
-    return Fraction(0) if acc is None else acc
+    terms = [c * param.powers(r, s) for (r, s), c in form.terms.items()]
+    if not terms or not isinstance(terms[0], complex):  # an exact z
+        return sum(terms, Fraction(0))
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
 def word_moments(w: BosonExpression, nmax: int, z) -> list:

@@ -122,6 +122,7 @@ def cmd_normal_order(args) -> int:
 
     # parsed straight into the normal-ordered basis: no word is built
     form = boson.NormalOrderedForm.parse(args.expression)
+    _refuse_unprintable("a coefficient", value=_largest_part(form.terms.values()))
     if args.format == "plain":
         _write(args, str(form) + "\n")
     else:

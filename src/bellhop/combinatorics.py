@@ -209,9 +209,6 @@ class SetPartition:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(sorted(len(b) for b in self.blocks))
-
     def __str__(self) -> str:
         return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
 

@@ -72,11 +72,6 @@ class EGFSeries:
     def __eq__(self, other) -> bool:
         return isinstance(other, EGFSeries) and self.coeffs == other.coeffs
 
-    def truncate(self, order: int) -> "EGFSeries":
-        if order >= self.order:
-            return self
-        return EGFSeries(self.coeffs[: order + 1])
-
     def to_json(self) -> str:
         return json.dumps(
             {"order": self.order, "coefficients": [str(c) for c in self.coeffs]}

@@ -17,7 +17,7 @@ from .errors import ExpressionParseError, ResourceLimitError, int_digits_limit
 
 
 class LinearCombination:
-    """sum c_k k; ``terms`` maps each key k to its nonzero Fraction c_k."""
+    """sum c_k k; ``terms`` maps each key k to its nonzero c_k: an int, else a Fraction."""
 
     __slots__ = ("terms",)
 
@@ -31,16 +31,16 @@ class LinearCombination:
     key_product: Callable[[Any, Any], Iterable[tuple[Any, int]]] | None = None
 
     def __init__(self, terms: dict | None = None):
-        self.terms: dict[Any, Fraction] = {}
+        self.terms: dict[Any, int | Fraction] = {}
         if terms:
             for k, c in terms.items():
-                c = Fraction(c)
+                c = c if type(c) is int else Fraction(c)
                 if c:
                     self.terms[k] = c
 
     @classmethod
-    def _exact(cls, terms: dict[Any, Fraction]):
-        """Wrap a dict of nonzero Fractions as it is."""
+    def _exact(cls, terms: dict[Any, int | Fraction]):
+        """Wrap a dict of nonzero ints and Fractions as it is."""
         out = cls.__new__(cls)
         out.terms = terms
         return out
@@ -59,7 +59,7 @@ class LinearCombination:
         """Read text in the grammar of ``_Parser``, e.g. '2 ad a + 1/2 a^2'."""
         return _Parser(cls, text).parse()
 
-    def sorted_terms(self) -> list[tuple[Any, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Any, int | Fraction]]:
         return sorted(self.terms.items(), key=lambda kc: self.sort_key(kc[0]))
 
     def __add__(self, other):
@@ -86,7 +86,7 @@ class LinearCombination:
         product = self.key_product
         if type(other) is not type(self) or product is None:
             return NotImplemented
-        out: dict[Any, Fraction] = {}
+        out: dict[Any, int | Fraction] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 c12 = c1 * c2
@@ -161,7 +161,7 @@ class LinearCombination:
 def _tokens(text: str) -> list[tuple[str, Any, int]]:
     """(kind, value, position) triples, closed by ('end', None, len(text))."""
     out: list[tuple[str, Any, int]] = []
-    # a number with an optional /denominator, a symbol name, or one other character
+    # an int or int/int Fraction, a symbol name, or one other character
     for m in re.finditer(r"(\d+)(?:/(\d*))?|([A-Za-z]\w*)|(\S)", text):
         num, den, name, char = m.groups()
         if num is not None:
@@ -169,7 +169,7 @@ def _tokens(text: str) -> list[tuple[str, Any, int]]:
                 raise ExpressionParseError("expected denominator", m.end())
             if den is not None and not int(den):
                 raise ExpressionParseError("zero denominator", m.start(2))
-            out.append(("num", Fraction(int(num), int(den or 1)), m.start()))
+            out.append(("num", int(num) if den is None else Fraction(int(num), int(den)), m.start()))
         elif name is not None:
             out.append(("name", name, m.start()))
         elif char in "+-*^()":

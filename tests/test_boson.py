@@ -32,7 +32,7 @@ from bellhop.boson import (
 )
 from bellhop.combinatorics import bell, bell_polynomial, stirling2
 from bellhop.errors import ExpressionParseError, ResourceLimitError
-from bellhop.hopf import parse_element
+from bellhop.hopf import HopfElement, coproduct, parse_element
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +259,25 @@ def test_number_basis_oracle_random_words():
 # Stirling extraction, forgetful ordering, expectations
 
 
+@pytest.mark.parametrize("text", ["a^10000000", "(a + ad)^18"])
+def test_word_expansion_is_refused_before_it_is_built(text):
+    # a 10^7-letter word, and 262,144 words of 18 letters (each +1 in the
+    # exponent doubles that)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        parse_expression(text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_word_limits_admit_what_normal_order_admits():
+    assert parse_expression("a^48").max_word_length() == 48 == 2 * MOMENT_LIMIT
+    with pytest.raises(ResourceLimitError, match="ordering limit 48"):
+        parse_expression("a^24 ad^25")
+    assert len(parse_expression("(a + ad)^16").terms) == 2**16  # 256 x 256 pairs
+    with pytest.raises(ResourceLimitError, match="pairs"):
+        parse_expression("(a + ad)^17")
+
+
 def test_stirling_via_ordering():
     assert stirling_via_ordering(1) == (1,)
     assert stirling_via_ordering(3) == (1, 3, 1)
@@ -326,6 +345,47 @@ def test_coherent_moments_do_not_depend_on_term_order(text):
     assert coherent_expectation(flipped, z) == got
     # |z|^2 = 9/4 is z = 3/2: the exact value
     assert math.isclose(got, coherent_expectation(form, Fraction(3, 2)), rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("z", [0.7 + 0.45j, 0.7, -1.3j])
+def test_floating_expectations_do_not_depend_on_term_order(z):
+    rng = random.Random(14)
+    for _ in range(200):
+        keys = [(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(8)]
+        form = NormalOrderedForm({k: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for k in keys})
+        flipped = NormalOrderedForm(dict(reversed(list(form.terms.items()))))
+        got = coherent_expectation(form, z)
+        assert type(got) is complex
+        assert coherent_expectation(flipped, z) == got
+
+
+def coefficient_types(element) -> set:
+    return {type(c) for c in element.terms.values()}
+
+
+@pytest.mark.parametrize("c, kind", [(3, int), (Fraction(3), Fraction), (Fraction(1, 3), Fraction)])
+def test_coefficients_are_ints_exactly_where_the_data_are(c, kind):
+    word = ((BosonExpression.ad() + BosonExpression.a()) * c) ** 4
+    by_wick = ((NormalOrderedForm.symbol("ad") + NormalOrderedForm.symbol("a")) * c) ** 4
+    bell_element = ((HopfElement.generator(1) + HopfElement.generator(2)) * c) ** 3
+    for element in (word, by_wick, normal_order(word), bell_element, coproduct(bell_element)):
+        assert coefficient_types(element) == {kind}, element
+    assert normal_order(word) == by_wick
+    # the constructor's rule, as in EGFSeries
+    assert coefficient_types(BosonExpression({(A,): 2, (AD,): Fraction(2), (A, AD): 0.5})) == {int, Fraction}
+    assert BosonExpression({(A,): 0.5}).terms == {(A,): Fraction(1, 2)}
+
+
+def test_parsed_coefficients_are_ints_exactly_where_the_text_has_ints():
+    assert coefficient_types(parse_expression("(2 ad + 3 a)^4 - 5")) == {int}
+    assert coefficient_types(NormalOrderedForm.parse("(2 ad + 3 a)^4 - 5")) == {int}
+    assert coefficient_types(parse_element("(2 y1 + 3 y2)^4 - 5")) == {int}
+    assert coefficient_types(NormalOrderedForm.parse("(4/2 ad + 3/1 a)^4")) == {Fraction}
+    mixed = NormalOrderedForm.parse("1/2 a + 2 ad")
+    assert mixed.terms == {(0, 1): Fraction(1, 2), (1, 0): 2}
+    assert type(mixed.coefficient(1, 0)) is int and type(mixed.coefficient(0, 1)) is Fraction
+    # an int-valued exponent written as a fraction still parses
+    assert parse_expression("a^4/2") == parse_expression("a^2")
 
 
 def test_word_moments_bell():

@@ -105,7 +105,8 @@ def test_unprintable_integers_exit_3_before_the_work(argv, capsys):
     ["wv", "v-to-w", "1e5000"],
     ["wv", "w-to-v", "1", "1e-5000"],
     ["egf", "exp", "0", "3/7", "1e-4400"],
-], ids=["wv-numerator", "wv-denominator", "egf-denominator"])
+    ["normal-order", "(2^4000)(2^4000)(2^4000)(2^4000)"],
+], ids=["wv-numerator", "wv-denominator", "egf-denominator", "normal-order"])
 def test_egf_and_wv_values_too_long_to_print_exit_3(argv, capsys):
     # computed at once, then refused: a numerator or denominator has more
     # digits than Python prints

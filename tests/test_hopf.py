@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellhop import hopf
 from bellhop.combinatorics import bell, diagram_census, enumerate_set_partitions, partition_count
 from bellhop.errors import ExpressionParseError, ResourceLimitError
 from bellhop.hopf import (
@@ -280,6 +281,43 @@ def test_corrupted_antipode_detected():
     rep = check_antipode(4, antipode_fn=lambda a: HopfElement(dict(a.terms)))
     assert not rep.ok
     assert rep.counterexample == "y1"
+
+
+def test_non_multiplicative_coproduct_detected(monkeypatch):
+    # fault injection: Delta(y1^2) gets 3 y1 (x) y1 in place of 2, so Delta
+    # is no longer an algebra map, and the sampled pairs must show it
+    original = _coproduct_monomial
+
+    def corrupted(m):
+        delta = original(m)
+        return TensorElement({**delta.terms, (y(1), y(1)): 3}) if m == y(1, 1) else delta
+
+    monkeypatch.setattr(hopf, "_coproduct_monomial", corrupted)
+    rep = check_bialgebra(2)
+    assert not rep.ok
+    assert rep.counterexample.startswith("A=") and ", B=" in rep.counterexample
+
+
+# random_element draws integer coefficients; these keep Fraction arithmetic
+# in the algebras under the same identities
+rational_elements = st.dictionaries(
+    st.sampled_from(basis_monomials(4)), st.fractions(max_denominator=9).filter(bool), max_size=4
+).map(HopfElement)
+
+
+@settings(max_examples=60)
+@given(rational_elements, rational_elements)
+def test_bialgebra_and_commutativity_on_rational_elements(a, b):
+    ab = a * b
+    assert coproduct(ab) == coproduct(a) * coproduct(b)
+    assert counit(ab) == counit(a) * counit(b)
+    assert ab == b * a
+
+
+def test_random_elements_draw_integer_coefficients():
+    rng = random.Random(3)
+    for _ in range(50):
+        assert all(type(c) is int for c in random_element(rng, 6).terms.values())
 
 
 def test_basis_weight_limit():
