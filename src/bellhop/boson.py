@@ -155,8 +155,10 @@ def normal_order(expr: BosonExpression) -> NormalOrderedForm:
     term count grows quadratically with word length.
     """
     # Integer numerators per coefficient denominator, int coefficients under
-    # None; one Fraction per (denominator, key) at the end.  No common
-    # denominator: the lcm of many denominators can grow without bound.
+    # None; one Fraction per (denominator, key) at the end.  One group per
+    # denominator needs no guard, where a product's common scale (an lcm)
+    # falls back to Fractions past SCALE_RATIO times the mean bits of the
+    # denominators; an expression built by products has few denominators.
     numerators: dict[int | None, dict[tuple[int, int], int]] = {}
     limit = 2 * MOMENT_LIMIT  # read once: this loop runs per word
     for word, coeff in expr.terms.items():

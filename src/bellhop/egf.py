@@ -24,13 +24,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combinatorics import bell
-from .errors import ResourceLimitError
+from .errors import SCALE_RATIO, ResourceLimitError
 
-# scaled integers only while bits(D) <= SCALE_RATIO * mean bits of the
-# denominators, past which D^n outgrows the reduced fractions: at order 90
-# the two routes break even near 18, and 1/p_k at order 40 (~37) runs 1.5x
-# slower scaled
-SCALE_RATIO = 20
 # products times the digits of their operands (see _refuse_work): 0.6-3 s
 # per 10^9 on a 2-vCPU VM, so at most ~1.5 s of recurrence is admitted
 EGF_WORK_LIMIT = 5 * 10**8

@@ -355,8 +355,19 @@ def element_to_json(a: HopfElement) -> str:
 def element_from_json(text: str) -> HopfElement:
     data = json.loads(text)
     return HopfElement(
-        {Monomial(tuple(t["monomial"])): Fraction(t["coeff"]) for t in data["terms"]}
+        {Monomial(tuple(t["monomial"])): _json_coefficient(t["coeff"]) for t in data["terms"]}
     )
+
+
+def _json_coefficient(value) -> Rational:
+    """An integer string as an int, as the parser reads "3"; any other string
+    as its Fraction; a JSON number by the constructor's rule."""
+    if not isinstance(value, str):
+        return value
+    try:
+        return int(value)
+    except ValueError:
+        return Fraction(value)
 
 
 def tensor_to_json(t: TensorElement) -> str:

@@ -4,6 +4,16 @@ pairs.  A subclass supplies only its hooks: the key product, the unit key,
 the sort key, the text of a key, the coefficient separator and the element
 a symbol name stands for in text.  One parser reads the text of every
 subclass, and ``str`` prints text it reads back.
+
+A coefficient is an int, else a Fraction, and a product keeps that rule
+exactly: int x int stays int, and when either operand's coefficients are
+all Fractions, so are the product's.  Such a product runs on integers: each
+operand is scaled once by the lcm D of its denominators, the pair loop
+multiplies integer numerators, and each result n maps back as
+Fraction(n, D1 D2), one Fraction per distinct n (powers of sums repeat
+their coefficients).  Operands with no common scale (D past SCALE_RATIO
+times the mean bits of their denominators, as for 1/p_k) and operands
+mixing ints with Fractions multiply as they are, in the same loop.
 """
 
 from __future__ import annotations
@@ -13,11 +23,15 @@ import re
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from .errors import ExpressionParseError, ResourceLimitError, int_digits_limit
+from .errors import SCALE_RATIO, ExpressionParseError, ResourceLimitError, int_digits_limit
 
 
 class LinearCombination:
-    """sum c_k k; ``terms`` maps each key k to its nonzero c_k: an int, else a Fraction."""
+    """sum c_k k; ``terms`` maps each key k to its nonzero c_k: an int, else a Fraction.
+
+    A product with an all-Fraction operand multiplies integer numerators
+    over one scale per operand (see the module docstring).
+    """
 
     __slots__ = ("terms",)
 
@@ -79,16 +93,28 @@ class LinearCombination:
         return self + other * -1
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, float)):
+            if isinstance(other, float):  # the constructor's rule: a float is its Fraction
+                if not math.isfinite(other):
+                    return NotImplemented
+                other = Fraction(other)
             if not other:
                 return type(self)()
             return self._exact({k: c * other for k, c in self.terms.items()})
         product = self.key_product
         if type(other) is not type(self) or product is None:
             return NotImplemented
+        a, b, scale = self.terms, other.terms, None
+        # an operand of Fractions alone makes every product coefficient a
+        # Fraction: run on numerators (the map stops at an operand's first int)
+        if a and b and (int not in map(type, a.values()) or int not in map(type, b.values())):
+            scaled_a, scaled_b = _over_common_scale(a), _over_common_scale(b)
+            if scaled_a and scaled_b:
+                (a, scale_a), (b, scale_b) = scaled_a, scaled_b
+                scale = scale_a * scale_b
         out: dict[Any, int | Fraction] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
                 c12 = c1 * c2
                 for k, w in product(k1, k2):
                     c = c12 if w == 1 else c12 * w
@@ -98,6 +124,9 @@ class LinearCombination:
                             del out[k]
                             continue
                     out[k] = c
+        if scale is not None:  # one Fraction per distinct numerator
+            fractions = {n: Fraction(n, scale) for n in set(out.values())}
+            out = {k: fractions[n] for k, n in out.items()}
         return self._exact(out)
 
     # only scalars reach __rmul__, so a noncommutative key product is safe
@@ -156,6 +185,19 @@ class LinearCombination:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({str(self)!r})"
+
+
+def _over_common_scale(terms: dict[Any, int | Fraction]) -> tuple[dict[Any, int], int] | None:
+    """({k: c_k D}, D) for the lcm D of the denominators of the c_k, or None
+    when D passes SCALE_RATIO times their mean bits."""
+    dens = [c.denominator for c in terms.values()]
+    max_bits = SCALE_RATIO * sum(map(int.bit_length, dens)) / len(dens)
+    scale = 1
+    for q in set(dens):
+        scale = math.lcm(scale, q)
+        if scale.bit_length() > max_bits:
+            return None
+    return {k: c.numerator * (scale // c.denominator) for k, c in terms.items()}, scale
 
 
 def _tokens(text: str) -> list[tuple[str, Any, int]]:

@@ -459,6 +459,18 @@ def test_json_roundtrip():
     assert element_from_json(element_to_json(elem)) == elem
 
 
+def test_json_roundtrip_keeps_coefficient_types():
+    for text in ("2*y1 + 3", "3/2*y1^2*y3 + y2 - 5"):
+        elem = parse_element(text)
+        back = element_from_json(element_to_json(elem))
+        assert {m: type(c) for m, c in back.terms.items()} == {m: type(c) for m, c in elem.terms.items()}
+    # a JSON number or decimal text reads as the constructor reads it
+    assert element_from_json(json.dumps({"terms": [{"monomial": [1], "coeff": 0.5}]})).terms == {
+        Monomial((1,)): Fraction(1, 2)}
+    assert element_from_json(json.dumps({"terms": [{"monomial": [1], "coeff": "0.25"}]})).terms == {
+        Monomial((1,)): Fraction(1, 4)}
+
+
 def test_tensor_json():
     t = coproduct(parse_element("y1*y2"))
     text = tensor_to_json(t)

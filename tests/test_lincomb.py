@@ -1,0 +1,124 @@
+"""LinearCombination products against a pair-by-pair oracle that multiplies
+the coefficients as they are (int by int, else Fraction by Fraction), in
+all four algebras: words, Wick products of normal forms, BELL and tensors."""
+
+import itertools
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bellhop.boson import A, AD, BosonExpression, NormalOrderedForm
+from bellhop.hopf import HopfElement, Monomial, TensorElement
+from bellhop.lincomb import _over_common_scale
+
+PRIMES = [p for p in range(2, 200) if all(p % d for d in range(2, math.isqrt(p) + 1))][:40]
+
+_MONOMIALS = [Monomial(c) for n in range(5) for c in itertools.combinations_with_replacement(range(1, 5), n)]
+# 40 keys per algebra; small operands draw from the first 8, so that products
+# collide on keys and cancel
+KEYS = {
+    BosonExpression: [w for n in range(1, 6) for w in itertools.product((A, AD), repeat=n)][:40],
+    NormalOrderedForm: sorted(itertools.product(range(7), repeat=2), key=lambda rs: (sum(rs), rs))[:40],
+    HopfElement: _MONOMIALS[:40],
+    TensorElement: list(itertools.product(_MONOMIALS[:7], repeat=2))[:40],
+}
+COEFFICIENTS = {
+    "int": st.integers(-6, 6),
+    "fraction": st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    "whole fraction": st.integers(-6, 6).map(Fraction),  # Fraction(3) stays a Fraction
+    "mixed": st.one_of(st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=12)),
+}
+
+
+def product_oracle(x, y) -> dict:
+    """x * y pair by pair on the coefficients as they are; a key whose sum
+    reaches zero goes, so a later int term starts it again as an int."""
+    out: dict = {}
+    for (k1, c1), (k2, c2) in itertools.product(x.terms.items(), y.terms.items()):
+        for k, w in x.key_product(k1, k2):
+            c = out.pop(k, 0) + c1 * c2 * w
+            if c:
+                out[k] = c
+    return out
+
+
+@st.composite
+def operands(draw, cls):
+    kind = draw(st.sampled_from([*COEFFICIENTS, "primes"]))
+    keys = KEYS[cls]
+    if kind == "primes":  # 40 distinct prime denominators: no common scale
+        nums = draw(st.lists(st.integers(1, 9), min_size=len(keys), max_size=len(keys)))
+        return cls({k: Fraction(n, p) for k, n, p in zip(keys, nums, PRIMES)})
+    chosen = draw(st.lists(st.sampled_from(keys[:8]), max_size=5))
+    return cls({k: draw(COEFFICIENTS[kind]) for k in chosen})
+
+
+def assert_same(got: dict, want: dict):
+    assert got == want
+    assert {k: type(c) for k, c in got.items()} == {k: type(c) for k, c in want.items()}
+
+
+@pytest.mark.parametrize("cls", list(KEYS), ids=lambda cls: cls.__name__)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_product_matches_the_fraction_oracle_in_value_and_type(cls, data):
+    x, y = data.draw(operands(cls)), data.draw(operands(cls))
+    assert_same((x * y).terms, product_oracle(x, y))
+
+
+CANCELLING = {
+    # two pairs reach the last key with opposite signs
+    BosonExpression: ("ad + ad a", "a ad - ad", (AD, A, AD)),
+    NormalOrderedForm: ("ad + a", "a - ad", (1, 1)),
+    HopfElement: ("y1 + y2", "y2 - y1", Monomial((1, 2))),
+}
+
+
+@pytest.mark.parametrize("cls", list(CANCELLING), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cx, cy", [(1, 1), (Fraction(1, 2), 1), (Fraction(1, 2), Fraction(5, 3)),
+                                    (Fraction(3), Fraction(2)), (1, Fraction(-4))])
+def test_cancelling_products_match_the_oracle(cls, cx, cy):
+    text_x, text_y, cancelled = CANCELLING[cls]
+    x, y = cls.parse(text_x) * cx, cls.parse(text_y) * cy
+    assert cancelled not in (x * y).terms
+    assert_same((x * y).terms, product_oracle(x, y))
+
+
+def test_tensor_products_cancel_like_the_oracle():
+    one, y1 = Monomial(), Monomial((1,))
+    x = TensorElement({(y1, one): Fraction(1, 2), (one, y1): Fraction(1, 2)})
+    y = TensorElement({(y1, one): Fraction(2, 3), (one, y1): Fraction(-2, 3)})
+    assert (y1, y1) not in (x * y).terms
+    assert_same((x * y).terms, product_oracle(x, y))
+
+
+def test_the_scale_guard_takes_prime_denominators_to_the_fraction_path():
+    primes = BosonExpression({k: Fraction(1, p) for k, p in zip(KEYS[BosonExpression], PRIMES)})
+    assert _over_common_scale(primes.terms) is None
+    sixths = BosonExpression.parse("(11/6 ad - 7/4 a)^4")
+    scaled, scale = _over_common_scale(sixths.terms)
+    assert scale == math.lcm(*(c.denominator for c in sixths.terms.values()))
+    assert all(Fraction(n, scale) == sixths.terms[k] for k, n in scaled.items())
+
+
+def test_powers_of_sums_share_their_fractions():
+    power = BosonExpression.parse("(11/6 ad - 7/4 a)^12")
+    assert len(power.terms) == 4096
+    assert len({id(c) for c in power.terms.values()}) == 13
+    assert power.terms[(AD,) * 12] == Fraction(11, 6) ** 12
+
+
+@pytest.mark.parametrize("cls", list(KEYS), ids=lambda cls: cls.__name__)
+def test_float_scalars_follow_the_constructor_rule(cls):
+    x = cls({k: c for k, c in zip(KEYS[cls], (1, Fraction(2, 3), 3))})
+    assert_same((x * 0.5).terms, (x * Fraction(1, 2)).terms)
+    assert_same((0.1 * x).terms, (x * Fraction(0.1)).terms)  # the float's binary value
+    assert (x * 0.0).terms == {}
+    for bad in (float("nan"), float("inf"), 1j, "2", None):
+        with pytest.raises(TypeError):
+            x * bad
+        with pytest.raises(TypeError):
+            bad * x
