@@ -235,6 +235,8 @@ class CoherentParam:
         z = self.z
         if isinstance(z, (int, Fraction)):
             return Fraction(z) ** (r + s)
+        if isinstance(z, float):  # real: conj(z) = z
+            return z ** (r + s)
         z = complex(z)
         return z.conjugate() ** r * z**s
 
@@ -243,8 +245,9 @@ def coherent_expectation(form: NormalOrderedForm, z) -> Fraction | float | compl
     """<z| form |z> by the eigenvalue property: (r,s) term -> conj(z)^r z^s.
 
     With |z|^2 exact, each parity of r + s is summed exactly and the odd sum
-    is multiplied by sqrt(|z|^2) once; a float or complex z sums real and
-    imaginary parts by fsum.  The value does not depend on the term order.
+    is multiplied by sqrt(|z|^2) once; a float z sums its float terms by
+    fsum, and a complex z its real and imaginary parts.  The value does not
+    depend on the term order.
     """
     param = z if isinstance(z, CoherentParam) else CoherentParam(z=z)
     if param.mod_sq is not None:
@@ -254,8 +257,10 @@ def coherent_expectation(form: NormalOrderedForm, z) -> Fraction | float | compl
         even = sums.get(0, Fraction(0))
         return even + sums[1] * math.sqrt(param.mod_sq) if 1 in sums else even
     terms = [c * param.powers(r, s) for (r, s), c in form.terms.items()]
-    if not terms or not isinstance(terms[0], complex):  # an exact z
+    if not terms or isinstance(terms[0], Fraction):  # an exact z
         return sum(terms, Fraction(0))
+    if isinstance(terms[0], float):
+        return math.fsum(terms)
     return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 

@@ -137,14 +137,19 @@ def cmd_dobinski(args) -> int:
     from . import combinatorics
 
     res = combinatorics.dobinski_bell_poly(args.n, _rational(args.y), args.k_max, args.precision)
-    rows = [{
-        "n": args.n,
-        "y": args.y,
-        "terms": res.terms_used,
+    # mpmath prints a far-from-1 mpf through an int as long as its mantissa,
+    # precision + guard digits, which a tight tail takes past the digits
+    # Python prints an int with; the digits printed do not depend on that limit
+    limit = int_digits_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
         # one digit past --precision, so rounding stays inside the certificate
-        "value": mpmath.nstr(res.value, args.precision + 1),
-        "tail_bound": mpmath.nstr(res.tail_bound, args.precision + 1),
-    }]
+        value, tail = (mpmath.nstr(x, args.precision + 1) for x in (res.value, res.tail_bound))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    rows = [{"n": args.n, "y": args.y, "terms": res.terms_used, "value": value, "tail_bound": tail}]
     _emit(args, rows, ["n", "y", "terms", "value", "tail_bound"])
     return EXIT_OK
 

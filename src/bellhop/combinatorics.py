@@ -133,6 +133,16 @@ def _over_common_denominator(x: Fraction, N: int, shift: int) -> list[int]:
     return u
 
 
+def _decimal_digits(x: int) -> int:
+    """len(str(x)) for an integer x >= 1, counted without printing x, which
+    Python refuses past 4,300 digits."""
+    # 2^(b-1) <= x < 2^b puts the count at floor(b log10 2) or one more
+    digits = int(x.bit_length() * math.log10(2))
+    while x >= 10**digits:
+        digits += 1
+    return digits
+
+
 def _dobinski_tail_start(n: int, K: int, y_ceiling: int) -> int:
     # From index k0 on, successive terms k^n y^k / k! shrink by at least 1/2:
     # the ratio is (1+1/k)^n * y/(k+1) <= e^(1/2) * y/(k+1) once k >= 2n,
@@ -170,7 +180,7 @@ def dobinski_bell_poly(n: int, y, K: int, precision: int = 50) -> DobinskiResult
     # Padding so the prefactor multiplication's roundoff stays far below
     # the certified truncation tail, however tight that tail is.
     ratio = partial / tail_frac
-    guard = 10 + len(str(1 + ratio.numerator // ratio.denominator))
+    guard = 10 + _decimal_digits(1 + ratio.numerator // ratio.denominator)
     with mpmath.workdps(precision + guard):
         prefactor = mpmath.e ** (-mpmath.mpf(y.numerator) / y.denominator)
         value = prefactor * partial.numerator / partial.denominator

@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from bellhop import boson, cli
 from bellhop.boson import format_normal_form, normal_order, parse_expression
 from bellhop.combinatorics import bell, bell_polynomial, partition_count, stirling2
+from bellhop.errors import int_digits_limit
 
 
 def run(argv, capsys):
@@ -412,6 +414,24 @@ def test_dobinski_prints_enclosure_at_precision(capsys):
     slack = exact / 10**50
     assert value <= exact + slack
     assert exact <= value + tail + slack
+
+
+@pytest.mark.parametrize("n", [10, 200])
+def test_dobinski_far_past_the_tail_start(n, capsys):
+    # at K = 2000 the ratio of partial sum to tail, and so the tail's mpf
+    # mantissa, has more digits than Python prints an int with (4,300)
+    limit = int_digits_limit()
+    code, out, err = run(["--format", "json", "dobinski", str(n), "--k-max", "2000"], capsys)
+    assert (code, err) == (0, "")
+    assert int_digits_limit() == limit  # restored
+    row = json.loads(out)[0]
+    value, tail = Fraction(row["value"]), mpmath.mpf(row["tail_bound"])
+    exact = bell(n)
+    slack = exact / 10**50
+    assert abs(value - exact) <= slack
+    with mpmath.workdps(60):  # e^-1 sum_{k > 2000} k^n / k!, whose terms shrink ~2000-fold
+        omitted = mpmath.fsum(mpmath.mpf(k) ** n / mpmath.factorial(k) for k in range(2001, 2021)) / mpmath.e
+        assert omitted <= tail <= 2 * omitted
 
 
 def test_egf_bell(capsys):
@@ -809,6 +829,15 @@ def test_each_subcommand_loads_only_its_modules(argv, modules):
     proc = _python(_LOADED, *argv)
     assert proc.returncode == 0
     assert proc.stderr == modules
+
+
+def test_hopf_verify_loads_no_dataclasses():
+    # CheckReport is a NamedTuple: dataclasses would load inspect, ast and dis
+    proc = _python("import sys; from bellhop import cli; code = cli.main(sys.argv[1:]); "
+                   "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules))); "
+                   "sys.exit(code)", "--format", "json", "hopf-verify", "--max-weight", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("]\n[]\n")
 
 
 def readme_commands() -> list[list[str]]:

@@ -219,6 +219,14 @@ def test_dobinski_integer_sum_matches_per_term_fractions(n, y, K, precision):
     assert (res.value, res.tail_bound) == (value, bound)
 
 
+def test_decimal_digits_match_str():
+    rng = random.Random(16)
+    xs = [1, 9, 10, 2**64 - 1, 2**64] + [10**k + d for k in range(1, 4300, 37) for d in (-1, 0, 1)]
+    xs += [rng.getrandbits(rng.randint(1, 14000)) | 1 for _ in range(300)]
+    for x in xs:
+        assert combinatorics._decimal_digits(x) == len(str(x)), x
+
+
 def test_dobinski_rejects_low_precision():
     with pytest.raises(ValueError):
         dobinski_bell(3, 30, 8)

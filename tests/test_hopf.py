@@ -298,6 +298,67 @@ def test_non_multiplicative_coproduct_detected(monkeypatch):
     assert rep.counterexample.startswith("A=") and ", B=" in rep.counterexample
 
 
+def _corrupt_square(m):
+    # the fault of test_non_multiplicative_coproduct_detected: 3 y1 (x) y1 in Delta(y1^2)
+    delta = _coproduct_monomial(m)
+    return TensorElement({**delta.terms, (y(1), y(1)): 3}) if m == y(1, 1) else delta
+
+
+def _corrupt_mixed(m):
+    # y1 (x) y2 dropped from Delta(y1 y2)
+    delta = _coproduct_monomial(m)
+    return TensorElement({p: c for p, c in delta.terms.items() if p != (y(1), y(2))}) if m == y(1, 2) else delta
+
+
+def reference_pair_check(name, max_weight, seed, identity):
+    """The pair checks as they were: identity evaluated on each whole sampled pair."""
+    checked = 0
+    for p in hopf._random_pairs(max_weight, seed):
+        checked += 1
+        if not identity(p.a, p.b):
+            return (name, False, checked, f"A={p.a}, B={p.b}")
+    return (name, True, checked, None)
+
+
+def _whole_multiplicative(a, b):
+    ab = a * b
+    return coproduct(ab) == coproduct(a) * coproduct(b) and counit(ab) == counit(a) * counit(b)
+
+
+@pytest.mark.parametrize("corruption", [None, _corrupt_square, _corrupt_mixed])
+@pytest.mark.parametrize("weight", range(6))
+def test_pair_checks_match_whole_pair_evaluation(weight, corruption, monkeypatch):
+    if corruption:
+        monkeypatch.setattr(hopf, "_coproduct_monomial", corruption)
+    got = report_tuples([check_bialgebra(weight), check_commutativity(weight)])
+    assert got == [
+        reference_pair_check("bialgebra", weight, 2024, _whole_multiplicative),
+        reference_pair_check("commutativity", weight, 2025, lambda a, b: a * b == b * a),
+    ]
+    if corruption is None:
+        assert got[0][1]
+    elif weight >= 2:
+        assert not got[0][1]  # the fault shows
+
+
+def test_failing_monomial_pair_falls_back_to_the_whole_pair():
+    calls = []
+
+    def no_y1y2(a, b):  # bilinear; fails on the monomial pair (y1, y2)
+        calls.append((a, b))
+        return (a * b).terms.get(y(1, 2), 0) == 0
+
+    holds = hopf._on_basis_pairs(no_y1y2)
+    y1, y2 = HopfElement.generator(1), HopfElement.generator(2)
+    # (y1 + y2)(y2 - y1) = y2^2 - y1^2: the y1 y2 terms cancel
+    assert holds(hopf._Pair(y1 + y2, y2 - y1))
+    assert calls == [(y1, y2), (y1 + y2, y2 - y1)]
+    assert not holds(hopf._Pair(y1 * 3, y2 + y1))
+    assert calls[2:] == [(y1 * 3, y2 + y1)]  # the verdict on (y1, y2) is kept
+    assert holds(hopf._Pair(y2, y2)) and holds(hopf._Pair(y2 * -4, y2))
+    assert calls[3:] == [(y2, y2)]
+
+
 # random_element draws integer coefficients; these keep Fraction arithmetic
 # in the algebras under the same identities
 rational_elements = st.dictionaries(
