@@ -32,7 +32,7 @@ _EXPORTS = {
         "HopfElement", "Monomial", "TensorElement", "antipode", "code_diagram", "coproduct",
         "counit", "parse_element", "poly_specialize", "product", "run_all_checks",
     ),
-    "errors": ("ExpressionParseError", "QuadratureError", "ResourceLimitError"),
+    "errors": ("ExpressionParseError", "ResourceLimitError"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 # reachable as attributes of the package, like the exported names

@@ -12,7 +12,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import ExpressionParseError, QuadratureError, ResourceLimitError, int_digits_limit
+from .errors import ExpressionParseError, ResourceLimitError, int_digits_limit
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -340,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return EXIT_RESOURCE
-    except (ValueError, QuadratureError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -25,6 +25,9 @@ CENSUS_LIMIT = 25
 # digits of the powers in stirling2's explicit sum, about 10 ms of work:
 # S(1000, 1000) = 1 would take 3e6 digits, S(12000, 12000) 6e8
 STIRLING_SUM_LIMIT = 10**6
+# bits of one exact series' integers: at 2^30 (128 MiB), order 4000 at beta
+# epsilon = 0.05, M = 20 takes ~1.5 s and 262 MiB (Python 3.11, 2-vCPU VM)
+SERIES_BITS_LIMIT = 2**30
 
 
 # --------------------------------------------------------------------------
@@ -127,6 +130,9 @@ def _over_common_denominator(x: Fraction, N: int, shift: int) -> list[int]:
     terms x^n / (n + shift)! become integer sums with one division at the end.
     """
     m, d = x.as_integer_ratio()
+    bits = (N + 1) * (N * max(m.bit_length(), d.bit_length()) + math.lgamma(N + shift + 1) / math.log(2))
+    if bits > SERIES_BITS_LIMIT:
+        raise ResourceLimitError(f"a series of order {N} takes {bits:.3g} bits, past {SERIES_BITS_LIMIT}")
     u = [d**N * math.factorial(N + shift)]
     for n in range(N):
         u.append(u[n] * m // (d * (n + 1 + shift)))  # exact: d and n + 1 + shift divide u[n]

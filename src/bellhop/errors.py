@@ -26,12 +26,3 @@ class ExpressionParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class QuadratureError(RuntimeError):
-    """Quadrature failed to meet the requested tolerance."""
-
-    def __init__(self, message: str, value: float, achieved: float):
-        super().__init__(f"{message}: achieved error estimate {achieved:.3e}")
-        self.value = value
-        self.achieved = achieved
