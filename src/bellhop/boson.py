@@ -6,12 +6,11 @@ coherent-state expectation values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ResourceLimitError
 from .lincomb import LinearCombination
@@ -127,25 +126,46 @@ class NormalOrderedForm(LinearCombination):
         )
 
 
+def _slot_width(n_ad: int, n_a: int) -> int:
+    """Bits per slot of the packed normal form of a word of class (n_ad, n_a).
+
+    Wick's theorem makes slot k of a word's form the number of ways to
+    contract k disjoint (a, ad) pairs, each a left of its ad.  That is at
+    most the number of k-matchings of the a's with the ad's,
+    k! C(n_a, k) C(n_ad, k), so every slot is at most the partial matchings
+    P = sum_k k! C(n_a, k) C(n_ad, k).  The class holds N = C(n_ad + n_a, n_a)
+    distinct words, so any sum of distinct words' forms has slots of at most
+    P N < 2^(bits(P) + bits(N)): such sums add without a carry between slots.
+    """
+    matchings = sum(math.perm(n_a, k) * math.comb(n_ad, k) for k in range(min(n_ad, n_a) + 1))
+    return matchings.bit_length() + math.comb(n_ad + n_a, n_a).bit_length()
+
+
 @lru_cache(maxsize=2**14)
-def _normal_order_word(word: Word) -> tuple[tuple[tuple[int, int], int], ...]:
-    # Left-to-right fold: append each letter to a normal-ordered accumulator.
-    # Appending a is a shift; appending ad uses a^s ad = ad a^s + s a^(s-1).
-    terms: dict[tuple[int, int], int] = {(0, 0): 1}
+def _normal_order_word(word: Word) -> tuple[tuple[int, int], int]:
+    """The word's class (n_ad, n_a) and its normal form packed in one int.
+
+    With w = _slot_width(n_ad, n_a), bits k w to (k + 1) w - 1 (slot k) hold
+    the coefficient of ad^(n_ad-k) a^(n_a-k), k = 0..min(n_ad, n_a).
+    """
+    # Left-to-right fold over the contraction count k.  After i letters ad
+    # and j letters a, term k is ad^(i-k) a^(j-k).  Appending a keeps every k; appending ad
+    # uses a^s ad = ad a^s + s a^(s-1), so term k - 1 feeds term k with
+    # weight s = j - k + 1.  Updating from the top reads each old k - 1.
+    coeffs, n_a = [1], 0
     for letter in word:
-        new: dict[tuple[int, int], int] = {}
-        for (r, s), c in terms.items():
-            if letter == A:
-                key = (r, s + 1)
-                new[key] = new.get(key, 0) + c
-            else:
-                key = (r + 1, s)
-                new[key] = new.get(key, 0) + c
-                if s:
-                    key = (r, s - 1)
-                    new[key] = new.get(key, 0) + c * s
-        terms = new
-    return tuple(sorted(terms.items()))
+        if letter == A:
+            n_a += 1
+            continue
+        if n_a >= len(coeffs):
+            coeffs.append(0)
+        for k in range(len(coeffs) - 1, 0, -1):
+            coeffs[k] += coeffs[k - 1] * (n_a - k + 1)
+    n_ad = len(word) - n_a
+    width, packed = _slot_width(n_ad, n_a), 0
+    for c in reversed(coeffs):
+        packed = packed << width | c
+    return (n_ad, n_a), packed
 
 
 def normal_order(expr: BosonExpression) -> NormalOrderedForm:
@@ -154,25 +174,38 @@ def normal_order(expr: BosonExpression) -> NormalOrderedForm:
     Words longer than 2 MOMENT_LIMIT letters are refused: the intermediate
     term count grows quadratically with word length.
     """
-    # Integer numerators per coefficient denominator, int coefficients under
-    # None; one Fraction per (denominator, key) at the end.  One group per
-    # denominator needs no guard, where a product's common scale (an lcm)
-    # falls back to Fractions past SCALE_RATIO times the mean bits of the
-    # denominators; an expression built by products has few denominators.
-    numerators: dict[int | None, dict[tuple[int, int], int]] = {}
+    # Words with one coefficient and one class add their packed forms: one
+    # int add per word (see _slot_width for why no slot carries).  Each sum
+    # is unpacked once and times its numerator joins the integer numerators
+    # of its denominator, int coefficients under None; one Fraction per
+    # (denominator, key) at the end.  One group per denominator needs no
+    # guard, where a product's common scale (an lcm) falls back to Fractions
+    # past SCALE_RATIO times the mean bits of the denominators; an
+    # expression built by products has few denominators.
+    sums: dict[tuple[int | None, int, tuple[int, int]], int] = {}
     limit = 2 * MOMENT_LIMIT  # read once: this loop runs per word
     for word, coeff in expr.terms.items():
         if len(word) > limit:
             raise ResourceLimitError(
                 f"word of length {len(word)} exceeds the ordering limit {limit}"
             )
-        num = coeff.numerator
-        acc = numerators.setdefault(None if type(coeff) is int else coeff.denominator, {})
-        for rs, c in _normal_order_word(word):
-            if rs in acc:
-                acc[rs] += num * c
-            else:
-                acc[rs] = num * c
+        rs, packed = _normal_order_word(word)
+        key = (None if type(coeff) is int else coeff.denominator, coeff.numerator, rs)
+        sums[key] = sums.get(key, 0) + packed
+    numerators: dict[int | None, dict[tuple[int, int], int]] = {}
+    widths: dict[tuple[int, int], int] = {}  # per class: distinct coefficients make one sum per word
+    for (den, num, rs), packed in sums.items():
+        acc = numerators.setdefault(den, {})
+        width = widths.get(rs)
+        if width is None:
+            width = widths[rs] = _slot_width(*rs)
+        mask, (r, s) = (1 << width) - 1, rs
+        while packed:  # slot k = 0, 1, ...: the coefficient of ad^r a^s
+            c = packed & mask
+            if c:
+                acc[r, s] = acc.get((r, s), 0) + num * c
+            packed >>= width
+            r, s = r - 1, s - 1
     out = NormalOrderedForm()
     for den, acc in numerators.items():
         out += NormalOrderedForm._exact(
@@ -207,8 +240,7 @@ def stirling_via_ordering(n: int) -> tuple[int, ...]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoherentParam:
+class CoherentParam(NamedTuple):
     """Coherent-state label z.
 
     mod_sq, when set, carries |z|^2 exactly for a real nonnegative z; matrix

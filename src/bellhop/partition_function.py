@@ -127,12 +127,16 @@ def regularized_Z(p: ModelParams, q: QuadratureConfig) -> tuple[float, float]:
     once over [0, M'], M' = min(M, 60 ln 2 / alpha), past which e^(-alpha y)
     < 2^-60; its estimate, a certificate if math.exp is within 1 ulp, sums
     bounds on the truncation, the rounding and the integral over [M', M].
+    An M' past the float range (M infinite, alpha below ~2.3e-307) raises
+    ValueError.
     """
     alpha, M = p.alpha, q.cutoff
     analytic = -math.expm1(-alpha * M) / alpha
     if q.method == "analytic":
         return analytic, abs(analytic) * 1e-15
     top, n = min(M, 60 * math.log(2) / alpha), POINTS
+    if not math.isfinite(top):
+        raise ValueError(f"the quadrature range 60 ln 2 / alpha overflows at alpha = {alpha!r}")
     nodes, weights = _legendre_rule(n)
     edges = [i * (top / PANELS) for i in range(PANELS)] + [top]  # neighbours share an edge
     value = moment = 0.0

@@ -178,6 +178,121 @@ def test_word_cache_is_bounded():
     assert info.currsize <= info.maxsize
 
 
+# ---------------------------------------------------------------------------
+# normal_order adds the packed forms of a class's words: against the Wick
+# route and a per-word Fraction loop, neither of which folds words
+
+
+def wick_form(word) -> NormalOrderedForm:
+    """A word's normal form by the Wick product of its letters' forms."""
+    return NormalOrderedForm.parse(BosonExpression.key_text(word) or "1")
+
+
+def per_word_reference(expr: BosonExpression) -> dict[tuple[int, int], Fraction]:
+    out: dict[tuple[int, int], Fraction] = {}
+    for word, coeff in expr.terms.items():
+        for rs, c in wick_form(word).terms.items():
+            out[rs] = out.get(rs, Fraction(0)) + Fraction(coeff) * c
+    return {rs: c for rs, c in out.items() if c}
+
+
+def unpacked(word) -> dict[tuple[int, int], int]:
+    """_normal_order_word's packed form read with the documented slot width
+    bits(P) + bits(N): P the partial matchings of the word's a's with its
+    ad's, N the number of words with its letters."""
+    (n_ad, n_a), packed = _normal_order_word(word)
+    assert (n_ad, n_a) == (word.count(AD), word.count(A))
+    matchings = sum(math.perm(n_a, k) * math.comb(n_ad, k) for k in range(min(n_ad, n_a) + 1))
+    width = matchings.bit_length() + math.comb(n_ad + n_a, n_a).bit_length()
+    slots = min(n_ad, n_a) + 1
+    assert packed >> (slots * width) == 0
+    out = {(n_ad - k, n_a - k): packed >> (k * width) & ((1 << width) - 1) for k in range(slots)}
+    return {rs: c for rs, c in out.items() if c}
+
+
+def test_packed_sum_of_a_whole_class():
+    # all C(16, 8) = 12,870 words with eight of each letter, coefficient 1:
+    # every slot holds the largest sum of distinct words its class can reach.
+    # (ad + a)^16 = sum 16!/(r! s! k! 2^k) ad^r a^s, r + s + 2k = 16, and its
+    # words with r = s are exactly this class
+    words = [tuple(AD if i in ads else A for i in range(16))
+             for ads in itertools.combinations(range(16), 8)]
+    assert len(words) == math.comb(16, 8)
+    form = normal_order(BosonExpression(dict.fromkeys(words, 1)))
+    want = {(8 - k, 8 - k): math.factorial(16) // (math.factorial(8 - k) ** 2 * math.factorial(k) * 2**k)
+            for k in range(9)}
+    assert form.terms == want
+    assert coefficient_types(form) == {int}
+    wick = NormalOrderedForm.parse("(ad + a)^16")
+    assert {rs: c for rs, c in wick.terms.items() if rs[0] == rs[1]} == want
+
+
+@pytest.mark.parametrize("text", ["a^24 ad^24", "ad^24 a^24", "(a ad)^24", "(a^3 ad^2 a ad^4 a^2)^4"])
+def test_packed_word_of_48_letters(text):
+    (word,) = parse_expression(text).terms
+    assert len(word) == 2 * MOMENT_LIMIT
+    assert unpacked(word) == wick_form(word).terms
+    assert normal_order(BosonExpression.from_word(word, Fraction(-7, 3))) == wick_form(word) * Fraction(-7, 3)
+
+
+def test_packed_layout_is_the_documented_one():
+    # every class from the empty word up to 8 + 8 letters, and random longer words
+    rng = random.Random(18)
+    words = [tuple(rng.choice((A, AD)) for _ in range(n)) for n in range(17) for _ in range(12)]
+    words += [(A,) * n_a + (AD,) * n_ad for n_a in range(9) for n_ad in range(9)]
+    words += [random_word(rng, 40) for _ in range(30)]
+    for word in words:
+        assert unpacked(word) == wick_form(word).terms, word
+
+
+def test_distinct_coefficients_match_per_word_loop():
+    # one group per word: every word its own numerator and denominator
+    rng = random.Random(1818)
+    for _ in range(20):
+        expr = BosonExpression({random_word(rng, 14): Fraction(rng.randint(-99, 99), rng.randint(1, 30))
+                                for _ in range(rng.randint(1, 60))})
+        assert normal_order(expr).terms == per_word_reference(expr)
+
+
+def random_text(rng: random.Random) -> str:
+    """A product of powers of sums plus a term, with int and Fraction coefficients."""
+
+    def term() -> str:
+        coeff = rng.choice(["3", "2", "3/1", "4/2", "1/2", "5/6", "7/4"])
+        return f"{rng.choice('+-')} {coeff} {rng.choice(['ad', 'a', 'ad a', 'a ad', 'a^2', 'ad^2 a', '1'])}"
+
+    factors = [f"({' '.join(term() for _ in range(rng.randint(1, 3)))})^{rng.randint(1, 4)}"
+               for _ in range(rng.randint(1, 2))]
+    return " ".join(factors) + " " + term()
+
+
+def test_normal_order_matches_wick_route_on_random_texts():
+    rng = random.Random(180)
+    for _ in range(100):
+        text = random_text(rng)
+        expr = parse_expression(text)
+        form, wick = normal_order(expr), NormalOrderedForm.parse(text)
+        assert {rs: (type(c), c) for rs, c in form.terms.items()} == {
+            rs: (type(c), c) for rs, c in wick.terms.items()}, text
+        assert form.terms == per_word_reference(expr), text
+
+
+def test_mixed_coefficients_keep_their_types():
+    # an int coefficient contributes ints; Fraction(3) contributes Fractions,
+    # though its denominator is 1
+    expr = BosonExpression({(AD, A): 2, (A, AD): Fraction(3), (A, A): Fraction(1, 2), (AD, AD): 5,
+                            (A, A, AD): 4, (AD, A, A): Fraction(-4, 2)})
+    form = normal_order(expr)
+    assert {rs: (type(c), c) for rs, c in form.terms.items()} == {
+        (1, 1): (Fraction, Fraction(5)),   # 2 + 3
+        (0, 0): (Fraction, Fraction(3)),
+        (0, 2): (Fraction, Fraction(1, 2)),
+        (2, 0): (int, 5),
+        (1, 2): (Fraction, Fraction(2)),   # 4 - 4/2
+        (0, 1): (int, 8),                  # a^2 ad = ad a^2 + 2 a
+    }
+
+
 @pytest.mark.parametrize(
     "text,ok",
     [

@@ -846,6 +846,19 @@ def test_hopf_verify_loads_no_dataclasses():
     assert proc.stdout.endswith("]\n[]\n")
 
 
+def test_normal_order_loads_no_dataclasses():
+    # CoherentParam is a NamedTuple: the word fold, the Wick route and the
+    # moments run without dataclasses (and its inspect, ast and dis)
+    proc = _python("import sys; from bellhop import boson, cli; "
+                   "boson.normal_order(boson.parse_expression('(ad a + a)^3')); "
+                   "boson.word_moments(boson.number_word(), 4, boson.CoherentParam.from_mod_sq(2)); "
+                   "code = cli.main(sys.argv[1:]); "
+                   "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules))); "
+                   "sys.exit(code)", "normal-order", "(ad a)^3")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ad^3 a^3 + 3 ad^2 a^2 + ad a\n[]\n"
+
+
 def readme_commands() -> list[list[str]]:
     """The argv of every `bellhop ...` line in README's command-line block."""
     text = (ROOT / "README.md").read_text()

@@ -454,3 +454,13 @@ def test_gauss_value_is_the_same_on_every_python():
     # not depend on whether the builtin sum is compensated (it is from 3.12 on)
     value, _ = regularized_Z(ModelParams(1.0, 2.0), QuadratureConfig(cutoff=45.0, method="gauss"))
     assert value == 1.1565176427496653
+
+
+def test_gauss_refuses_an_infinite_range():
+    # below beta epsilon ~2.3e-307, 60 ln 2 / alpha overflows: with an infinite
+    # cutoff the panels would span [0, inf] and the value and estimate be NaN
+    with pytest.raises(ValueError, match="overflows"):
+        regularized_Z(ModelParams(1.0, 1e-310), QuadratureConfig(math.inf, "gauss"))
+    # a finite range keeps its value and estimate, bit for bit
+    value, estimate = regularized_Z(ModelParams(1.0, 1e-6), QuadratureConfig(math.inf, "gauss"))
+    assert (value.hex(), estimate.hex()) == ("0x1.e8481000002cep+19", "0x1.0052c276351afp-25")
