@@ -146,7 +146,7 @@ def regularized_Z(p: ModelParams, q: QuadratureConfig) -> tuple[float, float]:
         moment += (alpha * (b - a)) ** (2 * n) * (b - a)
     # A&S 25.4.30: on a panel of width h the n-point rule errs by
     # h^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) f^(2n)(xi), and |f^(2n)| <= alpha^(2n)
-    truncation = moment * math.factorial(n) ** 4 / ((2 * n + 1) * math.factorial(2 * n) ** 3)
+    truncation = moment * (math.factorial(n) ** 4 / ((2 * n + 1) * math.factorial(2 * n) ** 3))
     # Rounding, relative to the value, with u = 2^-53 and math.exp within
     # 1 ulp (2u): PANELS - 1 additions of positive panel sums; 2u for exp; 3u
     # for the weight product, fsum and half-width product (widths are exact);

@@ -1,6 +1,7 @@
 """BELL Hopf algebra: structure maps, machine-checked axioms, diagram
 coding, and the text/JSON forms."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -326,7 +327,7 @@ def _whole_multiplicative(a, b):
 
 
 @pytest.mark.parametrize("corruption", [None, _corrupt_square, _corrupt_mixed])
-@pytest.mark.parametrize("weight", range(6))
+@pytest.mark.parametrize("weight", range(9))  # basis x basis up to 6, sampled pairs from 7
 def test_pair_checks_match_whole_pair_evaluation(weight, corruption, monkeypatch):
     if corruption:
         monkeypatch.setattr(hopf, "_coproduct_monomial", corruption)
@@ -341,6 +342,47 @@ def test_pair_checks_match_whole_pair_evaluation(weight, corruption, monkeypatch
         assert not got[0][1]  # the fault shows
 
 
+def _no_random_pairs(max_weight, seed):
+    raise AssertionError(f"random pairs drawn at weight {max_weight}")
+
+
+@pytest.mark.parametrize("weight", range(7))
+def test_passing_pair_checks_draw_no_random_pairs(weight, monkeypatch):
+    # basis x basis (at most 30 x 30 monomials) decides them without a sample
+    monkeypatch.setattr(hopf, "_random_pairs", _no_random_pairs)
+    assert report_tuples([check_bialgebra(weight), check_commutativity(weight)]) == [
+        ("bialgebra", True, 100, None), ("commutativity", True, 100, None)
+    ]
+
+
+@pytest.mark.parametrize("check", [check_bialgebra, check_commutativity])
+def test_pair_checks_draw_random_pairs_past_weight_6(check, monkeypatch):
+    # 45 x 45 basis pairs at weight 7 are more than 100 samples of 4 x 4
+    monkeypatch.setattr(hopf, "_random_pairs", _no_random_pairs)
+    with pytest.raises(AssertionError, match="random pairs drawn at weight 7"):
+        check(7)
+
+
+def test_basis_failure_the_samples_miss_keeps_the_sampled_report(monkeypatch):
+    # Delta(y5^2) with 3 y5 (x) y5 in place of 2 fails on the basis pair
+    # (y5, y5), its only factorisation of weight <= 6; no pair drawn with
+    # seed 2024 at weight 6 has it, so the report stays the samples' pass
+    assert all((y(5), y(5)) not in itertools.product(p.a.terms, p.b.terms)
+               for p in hopf._random_pairs(6, 2024))
+
+    def corrupted(m):
+        delta = _coproduct_monomial(m)
+        return TensorElement({**delta.terms, (y(5), y(5)): 3}) if m == y(5, 5) else delta
+
+    drawn = []
+    random_pairs = hopf._random_pairs
+    monkeypatch.setattr(hopf, "_coproduct_monomial", corrupted)
+    monkeypatch.setattr(hopf, "_random_pairs", lambda w, seed: drawn.append(w) or random_pairs(w, seed))
+    assert report_tuples([check_bialgebra(6)]) == [("bialgebra", True, 100, None)]
+    assert drawn == [6]  # the basis route saw the failure and fell back to the samples
+    assert reference_pair_check("bialgebra", 6, 2024, _whole_multiplicative) == ("bialgebra", True, 100, None)
+
+
 def test_failing_monomial_pair_falls_back_to_the_whole_pair():
     calls = []
 
@@ -348,7 +390,9 @@ def test_failing_monomial_pair_falls_back_to_the_whole_pair():
         calls.append((a, b))
         return (a * b).terms.get(y(1, 2), 0) == 0
 
-    holds = hopf._on_basis_pairs(no_y1y2)
+    holds = hopf._on_basis_pairs(
+        no_y1y2, lambda m, n: no_y1y2(HopfElement.from_monomial(m), HopfElement.from_monomial(n))
+    )
     y1, y2 = HopfElement.generator(1), HopfElement.generator(2)
     # (y1 + y2)(y2 - y1) = y2^2 - y1^2: the y1 y2 terms cancel
     assert holds(hopf._Pair(y1 + y2, y2 - y1))

@@ -464,3 +464,14 @@ def test_gauss_refuses_an_infinite_range():
     # a finite range keeps its value and estimate, bit for bit
     value, estimate = regularized_Z(ModelParams(1.0, 1e-6), QuadratureConfig(math.inf, "gauss"))
     assert (value.hex(), estimate.hex()) == ("0x1.e8481000002cep+19", "0x1.0052c276351afp-25")
+
+
+@pytest.mark.parametrize("beta_eps", [1e-260, 1e-300, 1e-306])
+def test_gauss_estimate_stays_finite_at_a_tiny_beta_eps(beta_eps):
+    # the rule's constant (n!)^4 / ((2n+1) ((2n)!)^3) must be formed before it
+    # scales the moment: below beta epsilon ~1e-269 the moment times 16!^4
+    # ~ 1.9e53 overflows, and the estimate would read inf beside a finite value
+    value, estimate = regularized_Z(ModelParams(1.0, beta_eps), QuadratureConfig(math.inf, "gauss"))
+    assert math.isfinite(estimate) and abs(value - 1 / beta_eps) <= estimate < 1e-13 * value
+    if beta_eps == 1e-300:
+        assert (value, estimate) == (9.999999999999996e299, 2.9839942183950144e286)
