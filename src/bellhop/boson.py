@@ -13,7 +13,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import ResourceLimitError
-from .lincomb import LinearCombination
+from .lincomb import LinearCombination, _scaled, _unscaled
 
 # word letters
 A = 0   # annihilation operator a
@@ -25,21 +25,21 @@ WORD_PAIR_LIMIT = 2**16  # term pairs per product of expressions: (a + ad)^16 ru
 Word = tuple[int, ...]
 
 
+def _power_text(name: str, n: int) -> str:
+    return name if n == 1 else f"{name}^{n}"
+
+
 class BosonExpression(LinearCombination):
     """Finite rational linear combination of boson words."""
 
     __slots__ = ()
     unit_key = ()
-    key_product = staticmethod(lambda u, v: ((u + v, 1),))  # words concatenate
     sort_key = staticmethod(lambda word: (len(word), word))
 
     @staticmethod
     def key_text(word: Word) -> str:
-        parts = []
-        for letter, run in groupby(word):
-            name, n = ("ad" if letter == AD else "a"), len(list(run))
-            parts.append(name if n == 1 else f"{name}^{n}")
-        return " ".join(parts)
+        return " ".join(_power_text("ad" if letter == AD else "a", len(list(run)))
+                        for letter, run in groupby(word))
 
     @classmethod
     def a(cls) -> "BosonExpression":
@@ -59,15 +59,50 @@ class BosonExpression(LinearCombination):
         return cls({tuple(word): coeff})
 
     def __mul__(self, other):
-        """Refuse, before building it, a product past 2 MOMENT_LIMIT letters or WORD_PAIR_LIMIT pairs."""
-        if type(other) is BosonExpression:
-            length, limit = self.max_word_length() + other.max_word_length(), 2 * MOMENT_LIMIT
-            if length > limit:
-                raise ResourceLimitError(f"word of length {length} exceeds the ordering limit {limit}")
-            pairs = len(self.terms) * len(other.terms)
-            if pairs > WORD_PAIR_LIMIT:
-                raise ResourceLimitError(f"product of {pairs} term pairs exceeds the limit {WORD_PAIR_LIMIT}")
-        return LinearCombination.__mul__(self, other)
+        """Refuse, before building it, a product past 2 MOMENT_LIMIT letters or
+        WORD_PAIR_LIMIT pairs; else concatenate the words of each pair.
+
+        With one word length on a side, distinct pairs concatenate to
+        distinct words (words form a free monoid) and nonzero products
+        stay nonzero, so the product is one comprehension.  On integer
+        data, ints or numerators over a common scale, it writes one shared
+        coefficient per distinct product, which normal_order groups by.
+        With mixed lengths on both sides, pairs can meet on one word and
+        cancel.
+        """
+        if type(other) is not BosonExpression:
+            return LinearCombination.__mul__(self, other)
+        lengths_a, lengths_b = set(map(len, self.terms)), set(map(len, other.terms))
+        length, limit = max(lengths_a, default=0) + max(lengths_b, default=0), 2 * MOMENT_LIMIT
+        if length > limit:
+            raise ResourceLimitError(f"word of length {length} exceeds the ordering limit {limit}")
+        pairs = len(self.terms) * len(other.terms)
+        if pairs > WORD_PAIR_LIMIT:
+            raise ResourceLimitError(f"product of {pairs} term pairs exceeds the limit {WORD_PAIR_LIMIT}")
+        a, b, scale = _scaled(self.terms, other.terms)
+        integers = scale is not None or Fraction not in {*map(type, a.values()), *map(type, b.values())}
+        if len(lengths_a) > 1 and len(lengths_b) > 1:
+            out: dict[Word, int | Fraction] = {}
+            for k1, c1 in a.items():
+                for k2, c2 in b.items():
+                    k, c = k1 + k2, c1 * c2
+                    if k in out:
+                        c += out[k]
+                        if not c:
+                            del out[k]
+                            continue
+                    out[k] = c
+            if integers:
+                shared = _unscaled(out.values(), scale)
+                out = {k: shared[n] for k, n in out.items()}
+            return self._exact(out)
+        if not integers:
+            return self._exact({k1 + k2: c1 * c2 for k1, c1 in a.items() for k2, c2 in b.items()})
+        # each distinct integer of a gets its row of b's words and coefficients
+        numerators_a, numerators_b = set(a.values()), set(b.values())
+        shared = _unscaled([n1 * n2 for n1 in numerators_a for n2 in numerators_b], scale)
+        rows = {n1: [(k2, shared[n1 * n2]) for k2, n2 in b.items()] for n1 in numerators_a}
+        return self._exact({k1 + k2: c for k1, n1 in a.items() for k2, c in rows[n1]})
 
     def max_word_length(self) -> int:
         return max((len(w) for w in self.terms), default=0)
@@ -79,7 +114,10 @@ class NormalOrderedForm(LinearCombination):
     __slots__ = ()
     unit_key = (0, 0)
     sort_key = staticmethod(lambda rs: (-rs[0], -rs[1]))  # descending (r, s)
-    key_text = staticmethod(lambda rs: BosonExpression.key_text((AD,) * rs[0] + (A,) * rs[1]))
+
+    @staticmethod
+    def key_text(rs: tuple[int, int]) -> str:
+        return " ".join([_power_text(name, n) for name, n in zip(("ad", "a"), rs) if n])
 
     @staticmethod
     @lru_cache(maxsize=2**14)
@@ -174,15 +212,19 @@ def normal_order(expr: BosonExpression) -> NormalOrderedForm:
     Words longer than 2 MOMENT_LIMIT letters are refused: the intermediate
     term count grows quadratically with word length.
     """
-    # Words with one coefficient and one class add their packed forms: one
-    # int add per word (see _slot_width for why no slot carries).  Each sum
-    # is unpacked once and times its numerator joins the integer numerators
-    # of its denominator, int coefficients under None; one Fraction per
-    # (denominator, key) at the end.  One group per denominator needs no
-    # guard, where a product's common scale (an lcm) falls back to Fractions
-    # past SCALE_RATIO times the mean bits of the denominators; an
-    # expression built by products has few denominators.
-    sums: dict[tuple[int | None, int, tuple[int, int]], int] = {}
+    # Words with one coefficient object and one class form a group, whose
+    # packed forms add in one sum() (see _slot_width for why no slot
+    # carries).  Products share their coefficient objects (a power of a sum
+    # holds n + 1 for its 2^n words), and expr holds every object while
+    # this runs, so an id names one.  Each object's numerator and
+    # denominator are read once, and groups of equal value merge.  Each
+    # merged sum is unpacked once and times its numerator joins the integer
+    # numerators of its denominator, int coefficients under None; one
+    # Fraction per (denominator, key) at the end.  One group per
+    # denominator needs no guard, where a product's common scale (an lcm)
+    # falls back to Fractions past SCALE_RATIO times the mean bits of the
+    # denominators; an expression built by products has few denominators.
+    by_object: dict[tuple[int, tuple[int, int]], list[int]] = {}
     limit = 2 * MOMENT_LIMIT  # read once: this loop runs per word
     for word, coeff in expr.terms.items():
         if len(word) > limit:
@@ -190,8 +232,18 @@ def normal_order(expr: BosonExpression) -> NormalOrderedForm:
                 f"word of length {len(word)} exceeds the ordering limit {limit}"
             )
         rs, packed = _normal_order_word(word)
-        key = (None if type(coeff) is int else coeff.denominator, coeff.numerator, rs)
-        sums[key] = sums.get(key, 0) + packed
+        key = (id(coeff), rs)
+        group = by_object.get(key)
+        if group is None:
+            by_object[key] = [packed]
+        else:
+            group.append(packed)
+    objects = {id(c): c for c in expr.terms.values()}
+    values = {i: (None if type(c) is int else c.denominator, c.numerator) for i, c in objects.items()}
+    sums: dict[tuple[int | None, int, tuple[int, int]], int] = {}
+    for (i, rs), group in by_object.items():
+        key = (*values[i], rs)
+        sums[key] = sums.get(key, 0) + sum(group)
     numerators: dict[int | None, dict[tuple[int, int], int]] = {}
     widths: dict[tuple[int, int], int] = {}  # per class: distinct coefficients make one sum per word
     for (den, num, rs), packed in sums.items():

@@ -7,13 +7,16 @@ subclass, and ``str`` prints text it reads back.
 
 A coefficient is an int, else a Fraction, and a product keeps that rule
 exactly: int x int stays int, and when either operand's coefficients are
-all Fractions, so are the product's.  Such a product runs on integers: each
-operand is scaled once by the lcm D of its denominators, the pair loop
-multiplies integer numerators, and each result n maps back as
-Fraction(n, D1 D2), one Fraction per distinct n (powers of sums repeat
-their coefficients).  Operands with no common scale (D past SCALE_RATIO
-times the mean bits of their denominators, as for 1/p_k) and operands
-mixing ints with Fractions multiply as they are, in the same loop.
+all Fractions, so are the product's.  Such a product runs on integers
+(``_scaled``): each operand is scaled once by the lcm D of its
+denominators, the pair loop multiplies integer numerators, and each
+result n maps back as Fraction(n, D1 D2), one Fraction per distinct n
+(``_unscaled``; powers of sums repeat their coefficients).  Operands with
+no common scale (D past SCALE_RATIO times the mean bits of their
+denominators, as for 1/p_k) and operands mixing ints with Fractions
+multiply as they are, in the same loop.  Words multiply by concatenation
+in ``BosonExpression.__mul__``, which shares these two steps; the loop
+here multiplies normal forms (Wick), BELL monomials and tensors.
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ class LinearCombination:
     sort_key: Callable[[Any], Any]
     key_text: Callable[[Any], str]
     separator = " "
-    # k1 * k2 as (key, integer weight) pairs: one pair (k1 k2, 1) for words
-    # and monomials, a weighted sum for the Wick product of normal forms.
-    # None: scalars only.
+    # k1 * k2 as (key, integer weight) pairs: one pair (k1 k2, 1) for
+    # monomials and tensors, a weighted sum for the Wick product of normal
+    # forms.  None: scalars only, unless the subclass multiplies its keys
+    # itself, as BosonExpression concatenates words.
     key_product: Callable[[Any, Any], Iterable[tuple[Any, int]]] | None = None
 
     def __init__(self, terms: dict | None = None):
@@ -104,14 +108,7 @@ class LinearCombination:
         product = self.key_product
         if type(other) is not type(self) or product is None:
             return NotImplemented
-        a, b, scale = self.terms, other.terms, None
-        # an operand of Fractions alone makes every product coefficient a
-        # Fraction: run on numerators (the map stops at an operand's first int)
-        if a and b and (int not in map(type, a.values()) or int not in map(type, b.values())):
-            scaled_a, scaled_b = _over_common_scale(a), _over_common_scale(b)
-            if scaled_a and scaled_b:
-                (a, scale_a), (b, scale_b) = scaled_a, scaled_b
-                scale = scale_a * scale_b
+        a, b, scale = _scaled(self.terms, other.terms)
         out: dict[Any, int | Fraction] = {}
         for k1, c1 in a.items():
             for k2, c2 in b.items():
@@ -124,8 +121,8 @@ class LinearCombination:
                             del out[k]
                             continue
                     out[k] = c
-        if scale is not None:  # one Fraction per distinct numerator
-            fractions = {n: Fraction(n, scale) for n in set(out.values())}
+        if scale is not None:
+            fractions = _unscaled(out.values(), scale)
             out = {k: fractions[n] for k, n in out.items()}
         return self._exact(out)
 
@@ -187,6 +184,28 @@ class LinearCombination:
         return f"{type(self).__name__}({str(self)!r})"
 
 
+def _scaled(a: dict[Any, int | Fraction], b: dict[Any, int | Fraction]) -> tuple[dict, dict, int | None]:
+    """(a, b, scale) for a product of the terms a and b: when one operand's
+    coefficients are all Fractions, and so every product's, and both
+    operands have a common scale, their integer numerators over scales D1
+    and D2 with scale D1 D2; else the terms as they are and None."""
+    # the map stops at an operand's first int; an empty operand has no scale
+    if a and b and (int not in map(type, a.values()) or int not in map(type, b.values())):
+        scaled_a, scaled_b = _over_common_scale(a), _over_common_scale(b)
+        if scaled_a and scaled_b:
+            (a, scale_a), (b, scale_b) = scaled_a, scaled_b
+            return a, b, scale_a * scale_b
+    return a, b, None
+
+
+def _unscaled(numerators: Iterable[int], scale: int | None) -> dict[int, int | Fraction]:
+    """{n: Fraction(n, scale)}, one Fraction per distinct numerator n; for
+    scale None, {n: n}, one int object per distinct value."""
+    if scale is None:
+        return {n: n for n in set(numerators)}
+    return {n: Fraction(n, scale) for n in set(numerators)}
+
+
 def _over_common_scale(terms: dict[Any, int | Fraction]) -> tuple[dict[Any, int], int] | None:
     """({k: c_k D}, D) for the lcm D of the denominators of the c_k, or None
     when D passes SCALE_RATIO times their mean bits."""
@@ -203,12 +222,18 @@ def _over_common_scale(terms: dict[Any, int | Fraction]) -> tuple[dict[Any, int]
 def _tokens(text: str) -> list[tuple[str, Any, int]]:
     """(kind, value, position) triples, closed by ('end', None, len(text))."""
     out: list[tuple[str, Any, int]] = []
+    limit = int_digits_limit()
     # an int or int/int Fraction, a symbol name, or one other character
     for m in re.finditer(r"(\d+)(?:/(\d*))?|([A-Za-z]\w*)|(\S)", text):
         num, den, name, char = m.groups()
         if num is not None:
             if den == "":
                 raise ExpressionParseError("expected denominator", m.end())
+            digits = max(len(num), len(den or ""))
+            if 0 < limit < digits:
+                raise ExpressionParseError(
+                    f"number of {digits} digits exceeds the {limit} digits an integer is read with",
+                    m.start())
             if den is not None and not int(den):
                 raise ExpressionParseError("zero denominator", m.start(2))
             out.append(("num", int(num) if den is None else Fraction(int(num), int(den)), m.start()))

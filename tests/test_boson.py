@@ -31,7 +31,7 @@ from bellhop.boson import (
     _normal_order_word,
 )
 from bellhop.combinatorics import bell, bell_polynomial, stirling2
-from bellhop.errors import ExpressionParseError, ResourceLimitError
+from bellhop.errors import ExpressionParseError, ResourceLimitError, int_digits_limit
 from bellhop.hopf import HopfElement, coproduct, parse_element
 
 
@@ -252,6 +252,21 @@ def test_distinct_coefficients_match_per_word_loop():
         expr = BosonExpression({random_word(rng, 14): Fraction(rng.randint(-99, 99), rng.randint(1, 30))
                                 for _ in range(rng.randint(1, 60))})
         assert normal_order(expr).terms == per_word_reference(expr)
+
+
+def test_equal_values_in_distinct_objects_merge():
+    # normal_order groups words by coefficient object; equal values held by
+    # distinct objects meet in one (denominator, numerator, class) sum
+    half, other_half = Fraction(1, 2), Fraction(1, 2)
+    expr = BosonExpression._exact({(A, AD): half, (AD, A): other_half, (A, AD, A, AD): half,
+                                   (A, A, AD): 2, (AD, A, A): Fraction(2), (A, AD, A): 2})
+    assert half is not other_half
+    form = normal_order(expr)
+    wick = reduce(NormalOrderedForm.__add__, (wick_form(w) * c for w, c in expr.terms.items()))
+    assert form.terms == per_word_reference(expr)
+    assert {rs: (type(c), c) for rs, c in form.terms.items()} == {
+        rs: (type(c), c) for rs, c in wick.terms.items()}
+    assert type(form.terms[1, 2]) is Fraction and type(form.terms[0, 1]) is int
 
 
 def random_text(rng: random.Random) -> str:
@@ -648,11 +663,31 @@ def test_parse_error_positions():
         assert exc.value.position == pos, text
 
 
+@pytest.mark.skipif(int_digits_limit() == 0, reason="this Python reads integers of any length")
+@pytest.mark.parametrize("parse, symbol", [(parse_expression, "ad"), (NormalOrderedForm.parse, "ad"),
+                                           (parse_element, "y1")], ids=["word", "form", "bell"])
+def test_number_past_the_int_digits_limit_is_a_parse_error(parse, symbol):
+    digits = "1" * (int_digits_limit() + 1)
+    cases = [(f"{digits} {symbol}", 0), (f"{symbol}^{digits}", len(symbol) + 1),
+             (f"1/{digits} {symbol}", 0), (f"{symbol} + {digits}/3", len(symbol) + 3)]
+    for text, pos in cases:
+        with pytest.raises(ExpressionParseError, match=f"{len(digits)} digits") as exc:
+            parse(text)
+        assert exc.value.position == pos
+    assert parse(f"{digits[1:]} {symbol}") == parse(symbol) * int(digits[1:])
+
+
 def test_parse_nesting_is_a_parse_error():
     parse_expression("(" * 100 + "a" + ")" * 100)
     with pytest.raises(ExpressionParseError) as exc:
         NormalOrderedForm.parse("(" * 5000 + "a" + ")" * 5000)
     assert 0 < exc.value.position < 5000
+
+
+def test_normal_form_key_text_is_the_word_text():
+    for r in range(2 * MOMENT_LIMIT + 1):
+        for s in range(2 * MOMENT_LIMIT + 1):
+            assert NormalOrderedForm.key_text((r, s)) == BosonExpression.key_text((AD,) * r + (A,) * s)
 
 
 @settings(max_examples=60)

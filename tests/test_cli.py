@@ -276,6 +276,13 @@ def test_zero_denominator_exit_2(argv, capsys):
     assert "denominator" in err
 
 
+@pytest.mark.skipif(int_digits_limit() == 0, reason="this Python reads integers of any length")
+def test_normal_order_number_past_the_int_digits_limit_exit_2(capsys):
+    code, out, err = run(["normal-order", "1" * 5000 + " ad"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: number of 5000 digits") and err.endswith("(at position 0)\n")
+
+
 def test_normal_order_deep_nesting_exit_2(capsys):
     code, _, err = run(["normal-order", "(" * 3000 + "a" + ")" * 3000], capsys)
     assert code == 2

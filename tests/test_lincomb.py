@@ -35,10 +35,12 @@ COEFFICIENTS = {
 
 def product_oracle(x, y) -> dict:
     """x * y pair by pair on the coefficients as they are; a key whose sum
-    reaches zero goes, so a later int term starts it again as an int."""
+    reaches zero goes, so a later int term starts it again as an int.
+    Words concatenate; other keys multiply by the algebra's key product."""
     out: dict = {}
     for (k1, c1), (k2, c2) in itertools.product(x.terms.items(), y.terms.items()):
-        for k, w in x.key_product(k1, k2):
+        keys = ((k1 + k2, 1),) if type(x) is BosonExpression else x.key_product(k1, k2)
+        for k, w in keys:
             c = out.pop(k, 0) + c1 * c2 * w
             if c:
                 out[k] = c
@@ -92,6 +94,52 @@ def test_tensor_products_cancel_like_the_oracle():
     x = TensorElement({(y1, one): Fraction(1, 2), (one, y1): Fraction(1, 2)})
     y = TensorElement({(y1, one): Fraction(2, 3), (one, y1): Fraction(-2, 3)})
     assert (y1, y1) not in (x * y).terms
+    assert_same((x * y).terms, product_oracle(x, y))
+
+
+# BosonExpression multiplies words by concatenation: one comprehension when
+# one side has one word length, a loop that collides and cancels when both
+# sides mix lengths.  Integer texts; the scalars give the coefficient kinds.
+WORD_PAIRS = {
+    "one length left": ("ad a - 2 a ad + 3 a^2", "1 + 5 ad - 7 ad a^2"),
+    "one length right": ("1 + 5 ad - 7 ad a^2", "ad a - 2 a ad + 3 a^2"),
+    "one length each": ("3 ad - 2 a", "5 ad + a"),
+    # the empty word and ad meet on ad, and ad a ad twice: both cancel
+    "mixed lengths": ("1 + ad + ad a", "a ad - ad + 1"),
+}
+SCALARS = [(1, 1), (Fraction(1, 2), 1), (1, Fraction(5, 3)), (Fraction(1, 2), Fraction(5, 3)),
+           (Fraction(3), Fraction(2)), (1, Fraction(-4)), (0, 1)]
+
+
+@pytest.mark.parametrize("texts", list(WORD_PAIRS.values()), ids=list(WORD_PAIRS))
+@pytest.mark.parametrize("cx, cy", SCALARS)
+def test_word_products_match_the_oracle(texts, cx, cy):
+    x, y = (BosonExpression.parse(t) for t in texts)
+    x, y = x * cx, y * cy
+    for u, v in ((x, y), (y, x), (x, BosonExpression()), (BosonExpression(), y)):
+        assert_same((u * v).terms, product_oracle(u, v))
+    if texts == WORD_PAIRS["mixed lengths"] and cx:
+        assert (AD,) not in (x * y).terms and (AD, A, AD) not in (x * y).terms
+
+
+def test_word_products_keep_whole_fractions_fractions():
+    x = BosonExpression({(AD,): Fraction(3), (A,): Fraction(2)})
+    for y in (x, x + BosonExpression.one() * 5, BosonExpression({(): Fraction(4), (A, A): 1})):
+        product = x * y
+        assert set(map(type, product.terms.values())) == {Fraction}
+        assert_same(product.terms, product_oracle(x, y))
+    assert (x * x).terms[(AD, A)] == 6
+
+
+@pytest.mark.parametrize("mixed", [(False, False), (False, True), (True, True)], ids=["one-one", "one-mixed", "mixed-mixed"])
+def test_word_products_with_prime_denominators(mixed):
+    # no common scale: the coefficients multiply as the Fractions they are
+    def operand(mixed_lengths, shift):
+        words = KEYS[BosonExpression] if mixed_lengths else list(itertools.product((A, AD), repeat=5))
+        return BosonExpression({w: Fraction(i + 1, PRIMES[i + shift]) for i, w in enumerate(words[:32])})
+
+    x, y = operand(mixed[0], 0), operand(mixed[1], 8)
+    assert _over_common_scale(x.terms) is None and _over_common_scale(y.terms) is None
     assert_same((x * y).terms, product_oracle(x, y))
 
 
