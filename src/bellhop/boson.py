@@ -22,7 +22,26 @@ AD = 1  # creation operator a-dagger
 MOMENT_LIMIT = 24
 WORD_PAIR_LIMIT = 2**16  # term pairs per product of expressions: (a + ad)^16 runs
 
-Word = tuple[int, ...]
+# A word of L letters b_1..b_L is the int 1 << L | bits, b_1 the highest
+# letter bit: its length is bit_length() - 1 and its count of ad letters
+# bit_count() - 1.  The empty word is 1.  Int order is (length, letters)
+# order, and w1 w2 is w1 << L2 | (w2 ^ 1 << L2).
+Word = int
+
+
+def word_key(letters: Iterable[int]) -> Word:
+    """The int of the word with these letters (A or AD, left to right)."""
+    key = 1
+    for letter in letters:
+        if letter not in (A, AD):
+            raise ValueError(f"a word letter is A = {A} or AD = {AD}, not {letter!r}")
+        key = key << 1 | letter
+    return key
+
+
+def word_letters(word: Word) -> tuple[int, ...]:
+    """The letters of a word's int, left to right: word_key's inverse."""
+    return tuple(map(int, bin(word)[3:]))
 
 
 def _power_text(name: str, n: int) -> str:
@@ -33,30 +52,31 @@ class BosonExpression(LinearCombination):
     """Finite rational linear combination of boson words."""
 
     __slots__ = ()
-    unit_key = ()
-    sort_key = staticmethod(lambda word: (len(word), word))
+    unit_key = 1
+    sort_key = staticmethod(lambda word: word)  # int order is (length, letters) order
 
     @staticmethod
     def key_text(word: Word) -> str:
-        return " ".join(_power_text("ad" if letter == AD else "a", len(list(run)))
-                        for letter, run in groupby(word))
+        return " ".join(_power_text("ad" if bit == "1" else "a", len(list(run)))
+                        for bit, run in groupby(bin(word)[3:]))
 
+    # one-letter words: the sentinel bit, then the letter
     @classmethod
     def a(cls) -> "BosonExpression":
-        return cls({(A,): 1})
+        return cls({0b10: 1})
 
     @classmethod
     def ad(cls) -> "BosonExpression":
-        return cls({(AD,): 1})
+        return cls({0b11: 1})
 
     @classmethod
     def symbol(cls, name: str):
         if name in ("a", "ad"):
-            return cls.from_word((AD if name == "ad" else A,))
+            return cls.ad() if name == "ad" else cls.a()
 
     @classmethod
-    def from_word(cls, word: Iterable[int], coeff=1) -> "BosonExpression":
-        return cls({tuple(word): coeff})
+    def from_word(cls, letters: Iterable[int], coeff=1) -> "BosonExpression":
+        return cls({word_key(letters): coeff})
 
     def __mul__(self, other):
         """Refuse, before building it, a product past 2 MOMENT_LIMIT letters or
@@ -72,8 +92,9 @@ class BosonExpression(LinearCombination):
         """
         if type(other) is not BosonExpression:
             return LinearCombination.__mul__(self, other)
-        lengths_a, lengths_b = set(map(len, self.terms)), set(map(len, other.terms))
-        length, limit = max(lengths_a, default=0) + max(lengths_b, default=0), 2 * MOMENT_LIMIT
+        lengths_a = {k.bit_length() for k in self.terms}
+        lengths_b = {k.bit_length() for k in other.terms}
+        length, limit = max(lengths_a, default=1) + max(lengths_b, default=1) - 2, 2 * MOMENT_LIMIT
         if length > limit:
             raise ResourceLimitError(f"word of length {length} exceeds the ordering limit {limit}")
         pairs = len(self.terms) * len(other.terms)
@@ -81,11 +102,13 @@ class BosonExpression(LinearCombination):
             raise ResourceLimitError(f"product of {pairs} term pairs exceeds the limit {WORD_PAIR_LIMIT}")
         a, b, scale = _scaled(self.terms, other.terms)
         integers = scale is not None or Fraction not in {*map(type, a.values()), *map(type, b.values())}
+        # k1 k2 is k1 << shift | tail: each word of b's length and its letter bits
+        tails = [(k2.bit_length() - 1, k2 ^ 1 << k2.bit_length() - 1, c2) for k2, c2 in b.items()]
         if len(lengths_a) > 1 and len(lengths_b) > 1:
             out: dict[Word, int | Fraction] = {}
             for k1, c1 in a.items():
-                for k2, c2 in b.items():
-                    k, c = k1 + k2, c1 * c2
+                for shift, tail, c2 in tails:
+                    k, c = k1 << shift | tail, c1 * c2
                     if k in out:
                         c += out[k]
                         if not c:
@@ -97,15 +120,17 @@ class BosonExpression(LinearCombination):
                 out = {k: shared[n] for k, n in out.items()}
             return self._exact(out)
         if not integers:
-            return self._exact({k1 + k2: c1 * c2 for k1, c1 in a.items() for k2, c2 in b.items()})
+            return self._exact({k1 << shift | tail: c1 * c2
+                                for k1, c1 in a.items() for shift, tail, c2 in tails})
         # each distinct integer of a gets its row of b's words and coefficients
         numerators_a, numerators_b = set(a.values()), set(b.values())
         shared = _unscaled([n1 * n2 for n1 in numerators_a for n2 in numerators_b], scale)
-        rows = {n1: [(k2, shared[n1 * n2]) for k2, n2 in b.items()] for n1 in numerators_a}
-        return self._exact({k1 + k2: c for k1, n1 in a.items() for k2, c in rows[n1]})
+        rows = {n1: [(shift, tail, shared[n1 * n2]) for shift, tail, n2 in tails] for n1 in numerators_a}
+        return self._exact({k1 << shift | tail: c for k1, n1 in a.items() for shift, tail, c in rows[n1]})
 
     def max_word_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
+        # int order puts a longest word last
+        return max(self.terms, default=1).bit_length() - 1
 
 
 class NormalOrderedForm(LinearCombination):
@@ -159,9 +184,8 @@ class NormalOrderedForm(LinearCombination):
         return self.terms.get((r, s), 0)
 
     def to_expression(self) -> BosonExpression:
-        return BosonExpression(
-            {(AD,) * r + (A,) * s: c for (r, s), c in self.terms.items()}
-        )
+        # ad^r a^s: the sentinel and r one bits, then s zero bits
+        return BosonExpression({((2 << r) - 1) << s: c for (r, s), c in self.terms.items()})
 
 
 def _slot_width(n_ad: int, n_a: int) -> int:
@@ -184,22 +208,28 @@ def _normal_order_word(word: Word) -> tuple[tuple[int, int], int]:
     """The word's class (n_ad, n_a) and its normal form packed in one int.
 
     With w = _slot_width(n_ad, n_a), bits k w to (k + 1) w - 1 (slot k) hold
-    the coefficient of ad^(n_ad-k) a^(n_a-k), k = 0..min(n_ad, n_a).
+    the coefficient of ad^(n_ad-k) a^(n_a-k), k = 0..min(n_ad, n_a).  A word
+    longer than 2 MOMENT_LIMIT letters is refused: the intermediate term
+    count grows quadratically with word length.  lru_cache keeps no
+    exception, so every call refuses it again.
     """
+    length, limit = word.bit_length() - 1, 2 * MOMENT_LIMIT
+    if length > limit:
+        raise ResourceLimitError(f"word of length {length} exceeds the ordering limit {limit}")
     # Left-to-right fold over the contraction count k.  After i letters ad
     # and j letters a, term k is ad^(i-k) a^(j-k).  Appending a keeps every k; appending ad
     # uses a^s ad = ad a^s + s a^(s-1), so term k - 1 feeds term k with
     # weight s = j - k + 1.  Updating from the top reads each old k - 1.
     coeffs, n_a = [1], 0
-    for letter in word:
-        if letter == A:
+    for bit in bin(word)[3:]:
+        if bit == "0":
             n_a += 1
             continue
         if n_a >= len(coeffs):
             coeffs.append(0)
         for k in range(len(coeffs) - 1, 0, -1):
             coeffs[k] += coeffs[k - 1] * (n_a - k + 1)
-    n_ad = len(word) - n_a
+    n_ad = length - n_a
     width, packed = _slot_width(n_ad, n_a), 0
     for c in reversed(coeffs):
         packed = packed << width | c
@@ -209,8 +239,7 @@ def _normal_order_word(word: Word) -> tuple[tuple[int, int], int]:
 def normal_order(expr: BosonExpression) -> NormalOrderedForm:
     """Rewrite an expression under [a, ad] = 1 with all annihilators right.
 
-    Words longer than 2 MOMENT_LIMIT letters are refused: the intermediate
-    term count grows quadratically with word length.
+    Words longer than 2 MOMENT_LIMIT letters are refused (_normal_order_word).
     """
     # Words with one coefficient object and one class form a group, whose
     # packed forms add in one sum() (see _slot_width for why no slot
@@ -225,20 +254,16 @@ def normal_order(expr: BosonExpression) -> NormalOrderedForm:
     # falls back to Fractions past SCALE_RATIO times the mean bits of the
     # denominators; an expression built by products has few denominators.
     by_object: dict[tuple[int, tuple[int, int]], list[int]] = {}
-    limit = 2 * MOMENT_LIMIT  # read once: this loop runs per word
+    objects: dict[int, int | Fraction] = {}  # id -> object, recorded as its first group opens
     for word, coeff in expr.terms.items():
-        if len(word) > limit:
-            raise ResourceLimitError(
-                f"word of length {len(word)} exceeds the ordering limit {limit}"
-            )
         rs, packed = _normal_order_word(word)
         key = (id(coeff), rs)
         group = by_object.get(key)
         if group is None:
             by_object[key] = [packed]
+            objects[key[0]] = coeff
         else:
             group.append(packed)
-    objects = {id(c): c for c in expr.terms.values()}
     values = {i: (None if type(c) is int else c.denominator, c.numerator) for i, c in objects.items()}
     sums: dict[tuple[int | None, int, tuple[int, int]], int] = {}
     for (i, rs), group in by_object.items():
@@ -269,7 +294,8 @@ def forgetful_normal_order(expr: BosonExpression) -> NormalOrderedForm:
     """Move creators left of annihilators, discarding commutator terms."""
     out: dict[tuple[int, int], int | Fraction] = {}
     for word, coeff in expr.terms.items():
-        rs = (sum(1 for x in word if x == AD), sum(1 for x in word if x == A))
+        n_ad = word.bit_count() - 1
+        rs = (n_ad, word.bit_length() - 1 - n_ad)
         out[rs] = out.get(rs, 0) + coeff
     return NormalOrderedForm(out)
 

@@ -326,22 +326,28 @@ def _pair_check(
     identity: Callable[[HopfElement, HopfElement], bool],
     verdict: Callable[[Monomial, Monomial], bool],
 ) -> CheckReport:
-    """The report on SAMPLES random pairs drawn with seed, for an identity
-    bilinear in (A, B) that verdict decides on one monomial pair.
+    """The report for an identity bilinear in (A, B) that verdict decides on
+    one monomial pair: on basis x basis while that is no larger than what
+    the samples can reach, else on SAMPLES random pairs drawn with seed.
 
-    Every sampled pair's monomial pairs lie in basis x basis.  So when the
-    identity holds on all of basis x basis, every sample passes by
-    bilinearity, and the report is known without drawing them; that is a
-    proof for all elements of weight <= max_weight.  The basis is tried
-    only while basis x basis is no larger than what the samples can reach,
-    SAMPLES times 4 x 4 monomial pairs (the 4 terms of _random_element):
-    weight <= 6.  Otherwise, or when a basis pair fails, the samples are
+    Every sampled pair's monomial pairs lie in basis x basis, SAMPLES times
+    4 x 4 of them at most (the 4 terms of _random_element).  Up to weight 6
+    basis x basis is no larger, so it is decided whole.  When the identity
+    holds on all of it, every sample passes by bilinearity, and the report
+    is the samples' pass without drawing them; that is a proof for all
+    elements of weight <= max_weight.  A basis pair that fails is itself a
+    counterexample of weight <= max_weight and is reported as one, with
+    the basis pairs checked up to it.  Above weight 6 the samples are
     drawn and decided as _on_basis_pairs does.
     """
     basis = basis_monomials(max_weight)
-    if len(basis) ** 2 <= SAMPLES * 4 * 4 and all(verdict(m, n) for m in basis for n in basis):
-        return CheckReport(name, True, SAMPLES)
-    return _first_failure(name, _random_pairs(max_weight, seed), _on_basis_pairs(identity, verdict))
+    if len(basis) ** 2 > SAMPLES * 4 * 4:
+        return _first_failure(name, _random_pairs(max_weight, seed), _on_basis_pairs(identity, verdict))
+    for checked, (m, n) in enumerate(itertools.product(basis, repeat=2), 1):
+        if not verdict(m, n):
+            pair = _Pair(HopfElement.from_monomial(m), HopfElement.from_monomial(n))
+            return CheckReport(name, False, checked, str(pair))
+    return CheckReport(name, True, SAMPLES)
 
 
 def _multiplicative(a: HopfElement, b: HopfElement) -> bool:

@@ -27,12 +27,14 @@ from bellhop.boson import (
     number_word,
     parse_expression,
     stirling_via_ordering,
+    word_key,
+    word_letters,
     word_moments,
     _normal_order_word,
 )
 from bellhop.combinatorics import bell, bell_polynomial, stirling2
 from bellhop.errors import ExpressionParseError, ResourceLimitError, int_digits_limit
-from bellhop.hopf import HopfElement, coproduct, parse_element
+from bellhop.hopf import HopfElement, Monomial, coproduct, parse_element
 
 
 # ---------------------------------------------------------------------------
@@ -40,8 +42,8 @@ from bellhop.hopf import HopfElement, coproduct, parse_element
 
 
 def random_strategy_normal_order(expr: BosonExpression, rng: random.Random) -> NormalOrderedForm:
-    """Repeatedly pick any a*ad pair and apply a ad = ad a + 1."""
-    work = dict(expr.terms)
+    """Repeatedly pick any a*ad pair and apply a ad = ad a + 1, on letter tuples."""
+    work = {word_letters(w): c for w, c in expr.terms.items()}
     done: dict[tuple[int, int], Fraction] = {}
     while work:
         word, coeff = work.popitem()
@@ -95,9 +97,9 @@ def test_confluence_random_strategies():
 def test_linearity():
     rng = random.Random(7)
     for _ in range(30):
-        a = BosonExpression({random_word(rng, 6): Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        a = BosonExpression({word_key(random_word(rng, 6)): Fraction(rng.randint(-5, 5), rng.randint(1, 5))
                              for _ in range(3)})
-        b = BosonExpression({random_word(rng, 6): Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        b = BosonExpression({word_key(random_word(rng, 6)): Fraction(rng.randint(-5, 5), rng.randint(1, 5))
                              for _ in range(3)})
         alpha, beta = Fraction(3, 2), Fraction(-2, 7)
         lhs = normal_order(a * alpha + b * beta)
@@ -115,7 +117,7 @@ def test_linearity():
 
 def random_expression(rng: random.Random) -> BosonExpression:
     return BosonExpression(
-        {random_word(rng, 6): Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(3)}
+        {word_key(random_word(rng, 6)): Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(3)}
     )
 
 
@@ -131,8 +133,12 @@ def test_combination_arithmetic():
 
 
 def test_combination_equality_is_type_strict():
-    assert BosonExpression({(1, 1): 1}) != NormalOrderedForm({(1, 1): 1})
-    assert NormalOrderedForm({(1, 1): 1}) != BosonExpression({(1, 1): 1})
+    # ad^2 as a word and as a normal form; then equal keys in two algebras
+    ad_ad = BosonExpression({word_key((AD, AD)): 1})
+    assert ad_ad == BosonExpression.ad() ** 2 and normal_order(ad_ad) == NormalOrderedForm({(2, 0): 1})
+    assert ad_ad != NormalOrderedForm({(2, 0): 1}) and NormalOrderedForm({(2, 0): 1}) != ad_ad
+    assert NormalOrderedForm({(1, 1): 1}) != HopfElement({Monomial((1, 1)): 1})
+    assert HopfElement({Monomial((1, 1)): 1}) != NormalOrderedForm({(1, 1): 1})
 
 
 @pytest.mark.parametrize("n", range(10))
@@ -140,7 +146,7 @@ def test_power_is_left_fold_product(n):
     rng = random.Random(100 + n)
     for _ in range(3):
         x = BosonExpression(
-            {random_word(rng, 3): Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(2)}
+            {word_key(random_word(rng, 3)): Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(2)}
         )
         for u in (x, normal_order(x)):
             assert u ** n == reduce(lambda acc, _: acc * u, range(n), type(u).one())
@@ -183,7 +189,7 @@ def test_word_cache_is_bounded():
 # route and a per-word Fraction loop, neither of which folds words
 
 
-def wick_form(word) -> NormalOrderedForm:
+def wick_form(word: int) -> NormalOrderedForm:
     """A word's normal form by the Wick product of its letters' forms."""
     return NormalOrderedForm.parse(BosonExpression.key_text(word) or "1")
 
@@ -196,12 +202,13 @@ def per_word_reference(expr: BosonExpression) -> dict[tuple[int, int], Fraction]
     return {rs: c for rs, c in out.items() if c}
 
 
-def unpacked(word) -> dict[tuple[int, int], int]:
+def unpacked(word: int) -> dict[tuple[int, int], int]:
     """_normal_order_word's packed form read with the documented slot width
     bits(P) + bits(N): P the partial matchings of the word's a's with its
     ad's, N the number of words with its letters."""
     (n_ad, n_a), packed = _normal_order_word(word)
-    assert (n_ad, n_a) == (word.count(AD), word.count(A))
+    letters = word_letters(word)
+    assert (n_ad, n_a) == (letters.count(AD), letters.count(A))
     matchings = sum(math.perm(n_a, k) * math.comb(n_ad, k) for k in range(min(n_ad, n_a) + 1))
     width = matchings.bit_length() + math.comb(n_ad + n_a, n_a).bit_length()
     slots = min(n_ad, n_a) + 1
@@ -218,7 +225,7 @@ def test_packed_sum_of_a_whole_class():
     words = [tuple(AD if i in ads else A for i in range(16))
              for ads in itertools.combinations(range(16), 8)]
     assert len(words) == math.comb(16, 8)
-    form = normal_order(BosonExpression(dict.fromkeys(words, 1)))
+    form = normal_order(BosonExpression(dict.fromkeys(map(word_key, words), 1)))
     want = {(8 - k, 8 - k): math.factorial(16) // (math.factorial(8 - k) ** 2 * math.factorial(k) * 2**k)
             for k in range(9)}
     assert form.terms == want
@@ -230,9 +237,10 @@ def test_packed_sum_of_a_whole_class():
 @pytest.mark.parametrize("text", ["a^24 ad^24", "ad^24 a^24", "(a ad)^24", "(a^3 ad^2 a ad^4 a^2)^4"])
 def test_packed_word_of_48_letters(text):
     (word,) = parse_expression(text).terms
-    assert len(word) == 2 * MOMENT_LIMIT
+    assert len(word_letters(word)) == 2 * MOMENT_LIMIT
     assert unpacked(word) == wick_form(word).terms
-    assert normal_order(BosonExpression.from_word(word, Fraction(-7, 3))) == wick_form(word) * Fraction(-7, 3)
+    expr = BosonExpression.from_word(word_letters(word), Fraction(-7, 3))
+    assert normal_order(expr) == wick_form(word) * Fraction(-7, 3)
 
 
 def test_packed_layout_is_the_documented_one():
@@ -242,14 +250,14 @@ def test_packed_layout_is_the_documented_one():
     words += [(A,) * n_a + (AD,) * n_ad for n_a in range(9) for n_ad in range(9)]
     words += [random_word(rng, 40) for _ in range(30)]
     for word in words:
-        assert unpacked(word) == wick_form(word).terms, word
+        assert unpacked(word_key(word)) == wick_form(word_key(word)).terms, word
 
 
 def test_distinct_coefficients_match_per_word_loop():
     # one group per word: every word its own numerator and denominator
     rng = random.Random(1818)
     for _ in range(20):
-        expr = BosonExpression({random_word(rng, 14): Fraction(rng.randint(-99, 99), rng.randint(1, 30))
+        expr = BosonExpression({word_key(random_word(rng, 14)): Fraction(rng.randint(-99, 99), rng.randint(1, 30))
                                 for _ in range(rng.randint(1, 60))})
         assert normal_order(expr).terms == per_word_reference(expr)
 
@@ -258,8 +266,9 @@ def test_equal_values_in_distinct_objects_merge():
     # normal_order groups words by coefficient object; equal values held by
     # distinct objects meet in one (denominator, numerator, class) sum
     half, other_half = Fraction(1, 2), Fraction(1, 2)
-    expr = BosonExpression._exact({(A, AD): half, (AD, A): other_half, (A, AD, A, AD): half,
-                                   (A, A, AD): 2, (AD, A, A): Fraction(2), (A, AD, A): 2})
+    expr = BosonExpression._exact({word_key(w): c for w, c in [
+        ((A, AD), half), ((AD, A), other_half), ((A, AD, A, AD), half),
+        ((A, A, AD), 2), ((AD, A, A), Fraction(2)), ((A, AD, A), 2)]})
     assert half is not other_half
     form = normal_order(expr)
     wick = reduce(NormalOrderedForm.__add__, (wick_form(w) * c for w, c in expr.terms.items()))
@@ -295,8 +304,9 @@ def test_normal_order_matches_wick_route_on_random_texts():
 def test_mixed_coefficients_keep_their_types():
     # an int coefficient contributes ints; Fraction(3) contributes Fractions,
     # though its denominator is 1
-    expr = BosonExpression({(AD, A): 2, (A, AD): Fraction(3), (A, A): Fraction(1, 2), (AD, AD): 5,
-                            (A, A, AD): 4, (AD, A, A): Fraction(-4, 2)})
+    expr = BosonExpression({word_key(w): c for w, c in [
+        ((AD, A), 2), ((A, AD), Fraction(3)), ((A, A), Fraction(1, 2)), ((AD, AD), 5),
+        ((A, A, AD), 4), ((AD, A, A), Fraction(-4, 2))]})
     form = normal_order(expr)
     assert {rs: (type(c), c) for rs, c in form.terms.items()} == {
         (1, 1): (Fraction, Fraction(5)),   # 2 + 3
@@ -408,6 +418,46 @@ def test_word_limits_admit_what_normal_order_admits():
         parse_expression("(a + ad)^17")
 
 
+def test_a_word_past_the_limit_is_refused_on_every_call():
+    # built by from_word, so no product refuses it first; lru_cache keeps no
+    # exception, so the second call refuses it again
+    expr = BosonExpression.from_word((A, AD) * 24 + (A,))
+    assert expr.max_word_length() == 2 * MOMENT_LIMIT + 1
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError, match="word of length 49 exceeds the ordering limit 48"):
+            normal_order(expr)
+    assert BosonExpression().max_word_length() == 0 == BosonExpression.one().max_word_length()
+
+
+# ---------------------------------------------------------------------------
+# The word encoding: 1 << L | letter bits, first letter highest
+
+
+LETTER_TUPLES = st.lists(st.sampled_from([A, AD]), max_size=30).map(tuple)
+
+
+@settings(max_examples=200)
+@given(LETTER_TUPLES, LETTER_TUPLES)
+def test_word_encoding(t1, t2):
+    k1, k2 = word_key(t1), word_key(t2)
+    assert word_letters(k1) == t1 and word_letters(k2) == t2
+    assert (k1 < k2) == ((len(t1), t1) < (len(t2), t2)) and (k1 == k2) == (t1 == t2)
+    assert sorted([k1, k2]) == [word_key(t) for t in sorted([t1, t2], key=lambda t: (len(t), t))]
+    length2 = len(t2)
+    assert k1 << length2 | (k2 ^ 1 << length2) == word_key(t1 + t2)
+    if len(t1) + len(t2) <= 2 * MOMENT_LIMIT:  # a longer product is refused before it is built
+        assert (BosonExpression({k1: 1}) * BosonExpression({k2: 1})).terms == {word_key(t1 + t2): 1}
+
+
+def test_word_encoding_edges():
+    assert word_key(()) == 1 == BosonExpression.unit_key and word_letters(1) == ()
+    assert BosonExpression.a().terms == {word_key((A,)): 1} and BosonExpression.ad().terms == {word_key((AD,)): 1}
+    assert BosonExpression.key_text(word_key((AD, AD, A, AD))) == "ad^2 a ad"
+    for bad in ((2,), (A, -1), ("a",)):
+        with pytest.raises(ValueError):
+            word_key(bad)
+
+
 def test_stirling_via_ordering():
     assert stirling_via_ordering(1) == (1,)
     assert stirling_via_ordering(3) == (1, 3, 1)
@@ -502,8 +552,9 @@ def test_coefficients_are_ints_exactly_where_the_data_are(c, kind):
         assert coefficient_types(element) == {kind}, element
     assert normal_order(word) == by_wick
     # the constructor's rule, as in EGFSeries
-    assert coefficient_types(BosonExpression({(A,): 2, (AD,): Fraction(2), (A, AD): 0.5})) == {int, Fraction}
-    assert BosonExpression({(A,): 0.5}).terms == {(A,): Fraction(1, 2)}
+    keys = [word_key(w) for w in ((A,), (AD,), (A, AD))]
+    assert coefficient_types(BosonExpression(dict(zip(keys, (2, Fraction(2), 0.5))))) == {int, Fraction}
+    assert BosonExpression({keys[0]: 0.5}).terms == {keys[0]: Fraction(1, 2)}
 
 
 def test_parsed_coefficients_are_ints_exactly_where_the_text_has_ints():
@@ -649,7 +700,7 @@ def test_parse_errors_carry_position():
 def test_parse_print_roundtrip(raw):
     terms = {}
     for word, coeff in raw:
-        key = tuple(word)
+        key = word_key(word)
         terms[key] = terms.get(key, Fraction(0)) + coeff
     expr = BosonExpression(terms)
     assert parse_expression(format_expression(expr)) == expr
@@ -687,7 +738,7 @@ def test_parse_nesting_is_a_parse_error():
 def test_normal_form_key_text_is_the_word_text():
     for r in range(2 * MOMENT_LIMIT + 1):
         for s in range(2 * MOMENT_LIMIT + 1):
-            assert NormalOrderedForm.key_text((r, s)) == BosonExpression.key_text((AD,) * r + (A,) * s)
+            assert NormalOrderedForm.key_text((r, s)) == BosonExpression.key_text(word_key((AD,) * r + (A,) * s))
 
 
 @settings(max_examples=60)

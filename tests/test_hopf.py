@@ -321,6 +321,19 @@ def reference_pair_check(name, max_weight, seed, identity):
     return (name, True, checked, None)
 
 
+def reference_basis_check(name, max_weight, seed, identity):
+    """Up to weight 6: identity evaluated on each whole pair of basis
+    monomials, in order; the first that fails is the report, else the
+    samples' pass.  Above it, reference_pair_check."""
+    if max_weight > 6:
+        return reference_pair_check(name, max_weight, seed, identity)
+    for checked, (m, n) in enumerate(itertools.product(basis_monomials(max_weight), repeat=2), 1):
+        a, b = HopfElement.from_monomial(m), HopfElement.from_monomial(n)
+        if not identity(a, b):
+            return (name, False, checked, f"A={a}, B={b}")
+    return reference_pair_check(name, max_weight, seed, identity)
+
+
 def _whole_multiplicative(a, b):
     ab = a * b
     return coproduct(ab) == coproduct(a) * coproduct(b) and counit(ab) == counit(a) * counit(b)
@@ -333,13 +346,16 @@ def test_pair_checks_match_whole_pair_evaluation(weight, corruption, monkeypatch
         monkeypatch.setattr(hopf, "_coproduct_monomial", corruption)
     got = report_tuples([check_bialgebra(weight), check_commutativity(weight)])
     assert got == [
-        reference_pair_check("bialgebra", weight, 2024, _whole_multiplicative),
-        reference_pair_check("commutativity", weight, 2025, lambda a, b: a * b == b * a),
+        reference_basis_check("bialgebra", weight, 2024, _whole_multiplicative),
+        reference_basis_check("commutativity", weight, 2025, lambda a, b: a * b == b * a),
     ]
     if corruption is None:
         assert got[0][1]
+        assert got[0] == reference_pair_check("bialgebra", weight, 2024, _whole_multiplicative)
     elif weight >= 2:
         assert not got[0][1]  # the fault shows
+        if weight <= 6:  # as the basis pair that breaks the corrupted coproduct
+            assert got[0][3] == ("A=y1, B=y1" if corruption is _corrupt_square else "A=y1, B=y2")
 
 
 def _no_random_pairs(max_weight, seed):
@@ -363,10 +379,11 @@ def test_pair_checks_draw_random_pairs_past_weight_6(check, monkeypatch):
         check(7)
 
 
-def test_basis_failure_the_samples_miss_keeps_the_sampled_report(monkeypatch):
+def test_basis_failure_the_samples_miss_is_reported(monkeypatch):
     # Delta(y5^2) with 3 y5 (x) y5 in place of 2 fails on the basis pair
-    # (y5, y5), its only factorisation of weight <= 6; no pair drawn with
-    # seed 2024 at weight 6 has it, so the report stays the samples' pass
+    # (y5, y5), its only factorisation of weight <= 6.  No pair drawn with
+    # seed 2024 at weight 6 has it, so the samples alone would pass; the
+    # basis route reports the pair, and draws no sample
     assert all((y(5), y(5)) not in itertools.product(p.a.terms, p.b.terms)
                for p in hopf._random_pairs(6, 2024))
 
@@ -374,13 +391,14 @@ def test_basis_failure_the_samples_miss_keeps_the_sampled_report(monkeypatch):
         delta = _coproduct_monomial(m)
         return TensorElement({**delta.terms, (y(5), y(5)): 3}) if m == y(5, 5) else delta
 
-    drawn = []
-    random_pairs = hopf._random_pairs
     monkeypatch.setattr(hopf, "_coproduct_monomial", corrupted)
-    monkeypatch.setattr(hopf, "_random_pairs", lambda w, seed: drawn.append(w) or random_pairs(w, seed))
-    assert report_tuples([check_bialgebra(6)]) == [("bialgebra", True, 100, None)]
-    assert drawn == [6]  # the basis route saw the failure and fell back to the samples
     assert reference_pair_check("bialgebra", 6, 2024, _whole_multiplicative) == ("bialgebra", True, 100, None)
+    monkeypatch.setattr(hopf, "_random_pairs", _no_random_pairs)
+    basis = basis_monomials(6)
+    checked = basis.index(y(5)) * len(basis) + basis.index(y(5)) + 1  # basis pairs up to (y5, y5)
+    report = check_bialgebra(6)
+    assert report_tuples([report]) == [("bialgebra", False, checked, "A=y5, B=y5")]
+    assert str(report) == f"bialgebra: FAIL ({checked} cases) counterexample: A=y5, B=y5"
 
 
 def test_failing_monomial_pair_falls_back_to_the_whole_pair():
