@@ -55,6 +55,13 @@ class BosonExpression(LinearCombination):
     unit_key = 1
     sort_key = staticmethod(lambda word: word)  # int order is (length, letters) order
 
+    def __init__(self, terms: dict | None = None):
+        # products and normal_order build through _exact and skip this check
+        for k in terms or ():
+            if type(k) is not int or k < 1:
+                raise TypeError(f"a boson word key is the int of word_key, not {k!r}")
+        super().__init__(terms)
+
     @staticmethod
     def key_text(word: Word) -> str:
         return " ".join(_power_text("ad" if bit == "1" else "a", len(list(run)))

@@ -458,6 +458,16 @@ def test_word_encoding_edges():
             word_key(bad)
 
 
+@pytest.mark.parametrize("key", [(0, 1), (), 0, -3, True, 2.0, "1"])
+def test_a_key_that_is_not_a_word_int_is_refused(key):
+    # an old letter-tuple key, or any key but a word's int, fails when the
+    # expression is built, not in a later product, normal_order or str
+    with pytest.raises(TypeError, match="int of word_key"):
+        BosonExpression({key: 1})
+    with pytest.raises(TypeError):
+        BosonExpression({word_key((AD, A)): 1, key: 2})
+
+
 def test_stirling_via_ordering():
     assert stirling_via_ordering(1) == (1,)
     assert stirling_via_ordering(3) == (1, 3, 1)

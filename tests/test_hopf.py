@@ -286,7 +286,7 @@ def test_corrupted_antipode_detected():
 
 def test_non_multiplicative_coproduct_detected(monkeypatch):
     # fault injection: Delta(y1^2) gets 3 y1 (x) y1 in place of 2, so Delta
-    # is no longer an algebra map, and the sampled pairs must show it
+    # is no longer an algebra map, and the basis pairs must show it
     original = _coproduct_monomial
 
     def corrupted(m):
@@ -311,27 +311,37 @@ def _corrupt_mixed(m):
     return TensorElement({p: c for p, c in delta.terms.items() if p != (y(1), y(2))}) if m == y(1, 2) else delta
 
 
-def reference_pair_check(name, max_weight, seed, identity):
-    """The pair checks as they were: identity evaluated on each whole sampled pair."""
-    checked = 0
-    for p in hopf._random_pairs(max_weight, seed):
-        checked += 1
-        if not identity(p.a, p.b):
-            return (name, False, checked, f"A={p.a}, B={p.b}")
-    return (name, True, checked, None)
+_CANCELLING = TensorElement({(y(1), y(1)): 1, (y(1, 1), UNIT): -1})
 
 
-def reference_basis_check(name, max_weight, seed, identity):
-    """Up to weight 6: identity evaluated on each whole pair of basis
-    monomials, in order; the first that fails is the report, else the
-    samples' pass.  Above it, reference_pair_check."""
-    if max_weight > 6:
-        return reference_pair_check(name, max_weight, seed, identity)
+def _corrupt_cancelling(m):
+    # Delta(y2) gains y1 (x) y1 - y1^2 (x) 1, and Delta(y1 y2) is Delta(y1)
+    # times that, where two y1^2 (x) y1 terms cancel: the pair (y1, y2)
+    # holds; (y2, y2) is the first that fails, and from weight 3 on (y1, y1 y2)
+    if m == y(2):
+        return _coproduct_monomial(m) + _CANCELLING
+    if m == y(1, 2):
+        return _coproduct_monomial(y(1)) * (_coproduct_monomial(y(2)) + _CANCELLING)
+    return _coproduct_monomial(m)
+
+
+# the first failing basis pair at weight 2, and above it
+FIRST_FAILURES = {
+    _corrupt_square: ("A=y1, B=y1", "A=y1, B=y1"),
+    _corrupt_mixed: ("A=y1, B=y2", "A=y1, B=y2"),
+    _corrupt_cancelling: ("A=y2, B=y2", "A=y1, B=y1*y2"),
+}
+
+
+def reference_basis_check(name, max_weight, identity):
+    """identity evaluated on each whole ordered pair of basis monomials, as
+    HopfElements and TensorElements; the first that fails is the report,
+    else a pass of 100 cases."""
     for checked, (m, n) in enumerate(itertools.product(basis_monomials(max_weight), repeat=2), 1):
         a, b = HopfElement.from_monomial(m), HopfElement.from_monomial(n)
         if not identity(a, b):
             return (name, False, checked, f"A={a}, B={b}")
-    return reference_pair_check(name, max_weight, seed, identity)
+    return (name, True, 100, None)
 
 
 def _whole_multiplicative(a, b):
@@ -339,86 +349,42 @@ def _whole_multiplicative(a, b):
     return coproduct(ab) == coproduct(a) * coproduct(b) and counit(ab) == counit(a) * counit(b)
 
 
-@pytest.mark.parametrize("corruption", [None, _corrupt_square, _corrupt_mixed])
-@pytest.mark.parametrize("weight", range(9))  # basis x basis up to 6, sampled pairs from 7
+@pytest.mark.parametrize("corruption", [None, _corrupt_square, _corrupt_mixed, _corrupt_cancelling])
+@pytest.mark.parametrize("weight", range(9))
 def test_pair_checks_match_whole_pair_evaluation(weight, corruption, monkeypatch):
     if corruption:
         monkeypatch.setattr(hopf, "_coproduct_monomial", corruption)
     got = report_tuples([check_bialgebra(weight), check_commutativity(weight)])
     assert got == [
-        reference_basis_check("bialgebra", weight, 2024, _whole_multiplicative),
-        reference_basis_check("commutativity", weight, 2025, lambda a, b: a * b == b * a),
+        reference_basis_check("bialgebra", weight, _whole_multiplicative),
+        reference_basis_check("commutativity", weight, lambda a, b: a * b == b * a),
     ]
+    assert got[1][1]
     if corruption is None:
         assert got[0][1]
-        assert got[0] == reference_pair_check("bialgebra", weight, 2024, _whole_multiplicative)
-    elif weight >= 2:
-        assert not got[0][1]  # the fault shows
-        if weight <= 6:  # as the basis pair that breaks the corrupted coproduct
-            assert got[0][3] == ("A=y1, B=y1" if corruption is _corrupt_square else "A=y1, B=y2")
+    elif weight >= 2:  # the fault shows, as the basis pair that breaks the corrupted coproduct
+        assert not got[0][1]
+        assert got[0][3] == FIRST_FAILURES[corruption][weight > 2]
 
 
-def _no_random_pairs(max_weight, seed):
-    raise AssertionError(f"random pairs drawn at weight {max_weight}")
-
-
-@pytest.mark.parametrize("weight", range(7))
-def test_passing_pair_checks_draw_no_random_pairs(weight, monkeypatch):
-    # basis x basis (at most 30 x 30 monomials) decides them without a sample
-    monkeypatch.setattr(hopf, "_random_pairs", _no_random_pairs)
-    assert report_tuples([check_bialgebra(weight), check_commutativity(weight)]) == [
-        ("bialgebra", True, 100, None), ("commutativity", True, 100, None)
-    ]
-
-
-@pytest.mark.parametrize("check", [check_bialgebra, check_commutativity])
-def test_pair_checks_draw_random_pairs_past_weight_6(check, monkeypatch):
-    # 45 x 45 basis pairs at weight 7 are more than 100 samples of 4 x 4
-    monkeypatch.setattr(hopf, "_random_pairs", _no_random_pairs)
-    with pytest.raises(AssertionError, match="random pairs drawn at weight 7"):
-        check(7)
-
-
-def test_basis_failure_the_samples_miss_is_reported(monkeypatch):
-    # Delta(y5^2) with 3 y5 (x) y5 in place of 2 fails on the basis pair
-    # (y5, y5), its only factorisation of weight <= 6.  No pair drawn with
-    # seed 2024 at weight 6 has it, so the samples alone would pass; the
-    # basis route reports the pair, and draws no sample
-    assert all((y(5), y(5)) not in itertools.product(p.a.terms, p.b.terms)
-               for p in hopf._random_pairs(6, 2024))
-
+@pytest.mark.parametrize("weight, k", [(6, 5), (7, 6), (7, 7)])
+def test_basis_failure_the_samples_miss_is_reported(weight, k, monkeypatch):
+    # Delta(yk^2) with 3 yk (x) yk in place of 2 fails only on the basis
+    # pair (yk, yk), its only factorisation of weight <= weight, so 100
+    # random pairs can miss it: those drawn with a fixed seed pass at (6, 5)
+    # and (7, 6), and at (7, 7) name a sum of four terms
     def corrupted(m):
         delta = _coproduct_monomial(m)
-        return TensorElement({**delta.terms, (y(5), y(5)): 3}) if m == y(5, 5) else delta
+        return TensorElement({**delta.terms, (y(k), y(k)): 3}) if m == y(k, k) else delta
 
     monkeypatch.setattr(hopf, "_coproduct_monomial", corrupted)
-    assert reference_pair_check("bialgebra", 6, 2024, _whole_multiplicative) == ("bialgebra", True, 100, None)
-    monkeypatch.setattr(hopf, "_random_pairs", _no_random_pairs)
-    basis = basis_monomials(6)
-    checked = basis.index(y(5)) * len(basis) + basis.index(y(5)) + 1  # basis pairs up to (y5, y5)
-    report = check_bialgebra(6)
-    assert report_tuples([report]) == [("bialgebra", False, checked, "A=y5, B=y5")]
-    assert str(report) == f"bialgebra: FAIL ({checked} cases) counterexample: A=y5, B=y5"
-
-
-def test_failing_monomial_pair_falls_back_to_the_whole_pair():
-    calls = []
-
-    def no_y1y2(a, b):  # bilinear; fails on the monomial pair (y1, y2)
-        calls.append((a, b))
-        return (a * b).terms.get(y(1, 2), 0) == 0
-
-    holds = hopf._on_basis_pairs(
-        no_y1y2, lambda m, n: no_y1y2(HopfElement.from_monomial(m), HopfElement.from_monomial(n))
-    )
-    y1, y2 = HopfElement.generator(1), HopfElement.generator(2)
-    # (y1 + y2)(y2 - y1) = y2^2 - y1^2: the y1 y2 terms cancel
-    assert holds(hopf._Pair(y1 + y2, y2 - y1))
-    assert calls == [(y1, y2), (y1 + y2, y2 - y1)]
-    assert not holds(hopf._Pair(y1 * 3, y2 + y1))
-    assert calls[2:] == [(y1 * 3, y2 + y1)]  # the verdict on (y1, y2) is kept
-    assert holds(hopf._Pair(y2, y2)) and holds(hopf._Pair(y2 * -4, y2))
-    assert calls[3:] == [(y2, y2)]
+    basis = basis_monomials(weight)
+    checked = basis.index(y(k)) * len(basis) + basis.index(y(k)) + 1  # basis pairs up to (yk, yk)
+    report = check_bialgebra(weight)
+    assert report_tuples([report]) == [("bialgebra", False, checked, f"A=y{k}, B=y{k}")]
+    assert str(report) == f"bialgebra: FAIL ({checked} cases) counterexample: A=y{k}, B=y{k}"
+    if (weight, k) == (7, 6):
+        assert checked == 875 == 19 * 45 + 19 + 1
 
 
 # random_element draws integer coefficients; these keep Fraction arithmetic
@@ -449,15 +415,6 @@ def test_basis_weight_limit():
         basis_monomials(13)
     with pytest.raises(ResourceLimitError):
         run_all_checks(13)
-
-
-def test_random_pairs_draw_as_random_element():
-    from bellhop.hopf import _random_pairs
-
-    for weight in (0, 1, 3, 6):
-        rng = random.Random(5)
-        want = [(random_element(rng, weight), random_element(rng, weight)) for _ in range(100)]
-        assert [tuple(p) for p in _random_pairs(weight, 5)] == want
 
 
 def test_random_elements_satisfy_coassociativity():
