@@ -89,13 +89,14 @@ class BosonExpression(LinearCombination):
         """Refuse, before building it, a product past 2 MOMENT_LIMIT letters or
         WORD_PAIR_LIMIT pairs; else concatenate the words of each pair.
 
-        With one word length on a side, distinct pairs concatenate to
-        distinct words (words form a free monoid) and nonzero products
-        stay nonzero, so the product is one comprehension.  On integer
-        data, ints or numerators over a common scale, it writes one shared
-        coefficient per distinct product, which normal_order groups by.
-        With mixed lengths on both sides, pairs can meet on one word and
-        cancel.
+        Either path writes one coefficient object per distinct value, and
+        normal_order groups words by object.  With one word length on a
+        side, distinct pairs concatenate to distinct words (words form a
+        free monoid) and nonzero products stay nonzero, so on integer data,
+        ints or numerators over a common scale, the product is one
+        comprehension.  Mixed lengths on both sides, where pairs can meet
+        on one word and cancel, and other data (both operands mixing ints
+        with Fractions, or no common scale) take the loop.
         """
         if type(other) is not BosonExpression:
             return LinearCombination.__mul__(self, other)
@@ -111,7 +112,7 @@ class BosonExpression(LinearCombination):
         integers = scale is not None or Fraction not in {*map(type, a.values()), *map(type, b.values())}
         # k1 k2 is k1 << shift | tail: each word of b's length and its letter bits
         tails = [(k2.bit_length() - 1, k2 ^ 1 << k2.bit_length() - 1, c2) for k2, c2 in b.items()]
-        if len(lengths_a) > 1 and len(lengths_b) > 1:
+        if not integers or len(lengths_a) > 1 and len(lengths_b) > 1:
             out: dict[Word, int | Fraction] = {}
             for k1, c1 in a.items():
                 for shift, tail, c2 in tails:
@@ -125,10 +126,11 @@ class BosonExpression(LinearCombination):
             if integers:
                 shared = _unscaled(out.values(), scale)
                 out = {k: shared[n] for k, n in out.items()}
+            else:  # one object per value too, an int apart from an equal Fraction
+                shared = {}
+                out = {k: shared.setdefault(c if type(c) is int else (c.numerator, c.denominator), c)
+                       for k, c in out.items()}
             return self._exact(out)
-        if not integers:
-            return self._exact({k1 << shift | tail: c1 * c2
-                                for k1, c1 in a.items() for shift, tail, c2 in tails})
         # each distinct integer of a gets its row of b's words and coefficients
         numerators_a, numerators_b = set(a.values()), set(b.values())
         shared = _unscaled([n1 * n2 for n1 in numerators_a for n2 in numerators_b], scale)
@@ -252,38 +254,30 @@ def normal_order(expr: BosonExpression) -> NormalOrderedForm:
     # packed forms add in one sum() (see _slot_width for why no slot
     # carries).  Products share their coefficient objects (a power of a sum
     # holds n + 1 for its 2^n words), and expr holds every object while
-    # this runs, so an id names one.  Each object's numerator and
-    # denominator are read once, and groups of equal value merge.  Each
-    # merged sum is unpacked once and times its numerator joins the integer
-    # numerators of its denominator, int coefficients under None; one
-    # Fraction per (denominator, key) at the end.  One group per
-    # denominator needs no guard, where a product's common scale (an lcm)
-    # falls back to Fractions past SCALE_RATIO times the mean bits of the
-    # denominators; an expression built by products has few denominators.
-    by_object: dict[tuple[int, tuple[int, int]], list[int]] = {}
-    objects: dict[int, int | Fraction] = {}  # id -> object, recorded as its first group opens
+    # this runs, so an id names one.  Each group's sum is unpacked once and
+    # times its numerator joins the integer numerators of its denominator,
+    # int coefficients under None, so equal values held by distinct objects
+    # meet there; one Fraction per (denominator, key) at the end.  One group
+    # per denominator needs no guard, where a product's common scale (an
+    # lcm) falls back to Fractions past SCALE_RATIO times the mean bits of
+    # the denominators; an expression built by products has few denominators.
+    groups: dict[tuple[int, tuple[int, int]], tuple[int | Fraction, list[int]]] = {}
     for word, coeff in expr.terms.items():
         rs, packed = _normal_order_word(word)
         key = (id(coeff), rs)
-        group = by_object.get(key)
+        group = groups.get(key)
         if group is None:
-            by_object[key] = [packed]
-            objects[key[0]] = coeff
+            groups[key] = (coeff, [packed])
         else:
-            group.append(packed)
-    values = {i: (None if type(c) is int else c.denominator, c.numerator) for i, c in objects.items()}
-    sums: dict[tuple[int | None, int, tuple[int, int]], int] = {}
-    for (i, rs), group in by_object.items():
-        key = (*values[i], rs)
-        sums[key] = sums.get(key, 0) + sum(group)
+            group[1].append(packed)
     numerators: dict[int | None, dict[tuple[int, int], int]] = {}
-    widths: dict[tuple[int, int], int] = {}  # per class: distinct coefficients make one sum per word
-    for (den, num, rs), packed in sums.items():
-        acc = numerators.setdefault(den, {})
+    widths: dict[tuple[int, int], int] = {}  # per class: distinct coefficients make one group per word
+    for (_, rs), (coeff, group) in groups.items():
+        acc = numerators.setdefault(None if type(coeff) is int else coeff.denominator, {})
         width = widths.get(rs)
         if width is None:
             width = widths[rs] = _slot_width(*rs)
-        mask, (r, s) = (1 << width) - 1, rs
+        num, packed, mask, (r, s) = coeff.numerator, sum(group), (1 << width) - 1, rs
         while packed:  # slot k = 0, 1, ...: the coefficient of ad^r a^s
             c = packed & mask
             if c:
@@ -373,10 +367,11 @@ def coherent_expectation(form: NormalOrderedForm, z) -> Fraction | float | compl
             sums[(r + s) % 2] = sums.get((r + s) % 2, 0) + c * param.mod_sq ** ((r + s) // 2)
         even = sums.get(0, Fraction(0))
         return even + sums[1] * math.sqrt(param.mod_sq) if 1 in sums else even
+    # the arithmetic is z's, as in powers, also for a form with no terms
     terms = [c * param.powers(r, s) for (r, s), c in form.terms.items()]
-    if not terms or isinstance(terms[0], Fraction):  # an exact z
+    if isinstance(param.z, (int, Fraction)):  # an exact z
         return sum(terms, Fraction(0))
-    if isinstance(terms[0], float):
+    if isinstance(param.z, float):
         return math.fsum(terms)
     return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 

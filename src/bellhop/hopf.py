@@ -10,7 +10,6 @@ import itertools
 import json
 import math
 import operator
-import random
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
@@ -204,17 +203,6 @@ def basis_monomials(max_weight: int) -> list[Monomial]:
     if max_weight > WEIGHT_LIMIT:
         raise ResourceLimitError(f"basis of weight {max_weight} exceeds the limit {WEIGHT_LIMIT}")
     return [Monomial(parts) for w in range(max_weight + 1) for parts in _integer_partitions(w)]
-
-
-def random_element(rng: random.Random, max_weight: int, nterms: int = 4) -> HopfElement:
-    """nterms draws of a basis monomial of weight <= max_weight, each with an
-    int coefficient in -9..9 (a rational counterexample to a bilinear
-    identity scales to an integer one)."""
-    basis, terms = basis_monomials(max_weight), {}
-    for _ in range(nterms):
-        m = rng.choice(basis)
-        terms[m] = terms.get(m, 0) + rng.randint(-9, 9)
-    return HopfElement(terms)
 
 
 def _first_failure(name: str, cases: Iterable[Any], holds: Callable[[Any], bool]) -> CheckReport:

@@ -263,8 +263,9 @@ def test_distinct_coefficients_match_per_word_loop():
 
 
 def test_equal_values_in_distinct_objects_merge():
-    # normal_order groups words by coefficient object; equal values held by
-    # distinct objects meet in one (denominator, numerator, class) sum
+    # normal_order groups words once, by coefficient object and class; equal
+    # values held by distinct objects meet in the integer numerators of
+    # their denominator, so the terms and their types are the Wick route's
     half, other_half = Fraction(1, 2), Fraction(1, 2)
     expr = BosonExpression._exact({word_key(w): c for w, c in [
         ((A, AD), half), ((AD, A), other_half), ((A, AD, A, AD), half),
@@ -299,6 +300,12 @@ def test_normal_order_matches_wick_route_on_random_texts():
         assert {rs: (type(c), c) for rs, c in form.terms.items()} == {
             rs: (type(c), c) for rs, c in wick.terms.items()}, text
         assert form.terms == per_word_reference(expr), text
+        # every Fraction a fresh object: no group holds more than one word's coefficient
+        unshared = BosonExpression._exact({k: c if type(c) is int else Fraction(c.numerator, c.denominator)
+                                           for k, c in expr.terms.items()})
+        assert all(unshared.terms[k] is not c for k, c in expr.terms.items() if type(c) is Fraction)
+        assert {rs: (type(c), c) for rs, c in normal_order(unshared).terms.items()} == {
+            rs: (type(c), c) for rs, c in form.terms.items()}, text
 
 
 def test_mixed_coefficients_keep_their_types():
@@ -316,6 +323,23 @@ def test_mixed_coefficients_keep_their_types():
         (1, 2): (Fraction, Fraction(2)),   # 4 - 4/2
         (0, 1): (int, 8),                  # a^2 ad = ad a^2 + 2 a
     }
+
+
+def test_mixed_products_share_one_object_per_value():
+    # operands that both mix ints with Fractions take the product loop, which
+    # writes one coefficient object per value, an int apart from an equal Fraction
+    x, y = parse_expression("2 ad + 3/1 a"), parse_expression("3 ad + 2/1 a")
+    assert {k: (type(c), c) for k, c in (x * y).terms.items()} == {
+        word_key((AD, AD)): (int, 6), word_key((AD, A)): (Fraction, Fraction(4)),
+        word_key((A, AD)): (Fraction, Fraction(9)), word_key((A, A)): (Fraction, Fraction(6))}
+    power = x**6
+    objects: dict = {}
+    for c in power.terms.values():
+        objects.setdefault((type(c), c), set()).add(id(c))
+    assert len(power.terms) == 64 and len(objects) == 7
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert type(power.terms[word_key((AD,) * 6)]) is int
+    assert normal_order(power) == NormalOrderedForm.parse("(2 ad + 3/1 a)^6")
 
 
 @pytest.mark.parametrize(
@@ -547,6 +571,10 @@ def test_floating_expectations_do_not_depend_on_term_order(z):
         got = coherent_expectation(form, z)
         assert type(got) is type(z)  # a real float z stays real
         assert coherent_expectation(flipped, z) == got
+    # the empty form has no term to take the arithmetic from: it is z's zero
+    empty = coherent_expectation(NormalOrderedForm(), z)
+    assert type(empty) is type(z) and empty == 0
+    assert type(coherent_expectation(NormalOrderedForm(), Fraction(z.real))) is Fraction
 
 
 def coefficient_types(element) -> set:

@@ -38,7 +38,6 @@ from bellhop.hopf import (
     parse_element,
     poly_specialize,
     product,
-    random_element,
     run_all_checks,
     tensor_to_json,
 )
@@ -46,6 +45,17 @@ from bellhop.hopf import (
 
 def y(k, *more):
     return Monomial((k,) + more)
+
+
+def random_element(rng: random.Random, max_weight: int, nterms: int = 4) -> HopfElement:
+    """nterms draws of a basis monomial of weight <= max_weight, each with an
+    int coefficient in -9..9 (a rational counterexample to a bilinear
+    identity scales to an integer one)."""
+    basis, terms = basis_monomials(max_weight), {}
+    for _ in range(nterms):
+        m = rng.choice(basis)
+        terms[m] = terms.get(m, 0) + rng.randint(-9, 9)
+    return HopfElement(terms)
 
 
 # ---------------------------------------------------------------------------
