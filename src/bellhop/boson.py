@@ -95,8 +95,8 @@ class BosonExpression(LinearCombination):
         free monoid) and nonzero products stay nonzero, so on integer data,
         ints or numerators over a common scale, the product is one
         comprehension.  Mixed lengths on both sides, where pairs can meet
-        on one word and cancel, and other data (both operands mixing ints
-        with Fractions, or no common scale) take the loop.
+        on one word and cancel, and operands that both mix ints with
+        Fractions take the loop.
         """
         if type(other) is not BosonExpression:
             return LinearCombination.__mul__(self, other)
@@ -257,10 +257,7 @@ def normal_order(expr: BosonExpression) -> NormalOrderedForm:
     # this runs, so an id names one.  Each group's sum is unpacked once and
     # times its numerator joins the integer numerators of its denominator,
     # int coefficients under None, so equal values held by distinct objects
-    # meet there; one Fraction per (denominator, key) at the end.  One group
-    # per denominator needs no guard, where a product's common scale (an
-    # lcm) falls back to Fractions past SCALE_RATIO times the mean bits of
-    # the denominators; an expression built by products has few denominators.
+    # meet there; one Fraction per (denominator, key) at the end.
     groups: dict[tuple[int, tuple[int, int]], tuple[int | Fraction, list[int]]] = {}
     for word, coeff in expr.terms.items():
         rs, packed = _normal_order_word(word)

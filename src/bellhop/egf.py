@@ -24,7 +24,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combinatorics import bell
-from .errors import SCALE_RATIO, ResourceLimitError
+from .errors import ResourceLimitError
+
+# Rational input runs on integers over one scale D only while bits(D) <=
+# SCALE_RATIO * mean bits of the denominators; past that, as for 1/p_k with
+# p_k the k-th prime, D^n outgrows the reduced fractions and the Fraction
+# path runs.  The two routes break even near 18 at order 90, and 1/p_k at
+# order 40 (~37) runs 1.5x slower scaled.
+SCALE_RATIO = 20
 
 # products times the digits of their operands (see _refuse_work): 0.6-3 s
 # per 10^9 on a 2-vCPU VM, so at most ~1.5 s of recurrence is admitted

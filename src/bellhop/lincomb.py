@@ -11,12 +11,11 @@ all Fractions, so are the product's.  Such a product runs on integers
 (``_scaled``): each operand is scaled once by the lcm D of its
 denominators, the pair loop multiplies integer numerators, and each
 result n maps back as Fraction(n, D1 D2), one Fraction per distinct n
-(``_unscaled``; powers of sums repeat their coefficients).  Operands with
-no common scale (D past SCALE_RATIO times the mean bits of their
-denominators, as for 1/p_k) and operands mixing ints with Fractions
-multiply as they are, in the same loop.  Words multiply by concatenation
-in ``BosonExpression.__mul__``, which shares these two steps; the loop
-here multiplies normal forms (Wick), BELL monomials and tensors.
+(``_unscaled``; powers of sums repeat their coefficients).  Operands that
+both mix ints with Fractions multiply as they are, in the same loop.
+Words multiply by concatenation in ``BosonExpression.__mul__``, which
+shares these two steps; the loop here multiplies normal forms (Wick),
+BELL monomials and tensors.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import re
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from .errors import SCALE_RATIO, ExpressionParseError, ResourceLimitError, int_digits_limit
+from .errors import ExpressionParseError, ResourceLimitError, int_digits_limit
 
 
 class LinearCombination:
@@ -104,7 +103,11 @@ class LinearCombination:
                 other = Fraction(other)
             if not other:
                 return type(self)()
-            return self._exact({k: c * other for k, c in self.terms.items()})
+            # one product per coefficient object: terms that share an object
+            # (a power of a sum shares n + 1 among 2^n words) share its product
+            products = {id(c): c for c in self.terms.values()}
+            products = {i: c * other for i, c in products.items()}
+            return self._exact({k: products[id(c)] for k, c in self.terms.items()})
         product = self.key_product
         if type(other) is not type(self) or product is None:
             return NotImplemented
@@ -145,15 +148,18 @@ class LinearCombination:
                     f"power {n} has coefficients of ~{digits:.0f} digits, over the "
                     f"{limit} digits an integer prints with"
                 )
-        out = self.one()
-        square = self
-        while n:
+        if not n:
+            return self.one()
+        out, square = None, self
+        while True:
             if n & 1:
-                out = out * square
+                # square is the higher power: a product builds its rows over
+                # the right operand, so the smaller one goes there
+                out = square if out is None else square * out
             n >>= 1
-            if n:
-                square = square * square
-        return out
+            if not n:
+                return out
+            square = square * square
 
     def __eq__(self, other) -> bool:
         # type-strict: equal keys of two algebras, e.g. the word (1, 1) and
@@ -185,16 +191,14 @@ class LinearCombination:
 
 
 def _scaled(a: dict[Any, int | Fraction], b: dict[Any, int | Fraction]) -> tuple[dict, dict, int | None]:
-    """(a, b, scale) for a product of the terms a and b: when one operand's
-    coefficients are all Fractions, and so every product's, and both
-    operands have a common scale, their integer numerators over scales D1
-    and D2 with scale D1 D2; else the terms as they are and None."""
-    # the map stops at an operand's first int; an empty operand has no scale
-    if a and b and (int not in map(type, a.values()) or int not in map(type, b.values())):
-        scaled_a, scaled_b = _over_common_scale(a), _over_common_scale(b)
-        if scaled_a and scaled_b:
-            (a, scale_a), (b, scale_b) = scaled_a, scaled_b
-            return a, b, scale_a * scale_b
+    """(a, b, scale) for a product of the terms a and b: when one operand
+    holds no int, so that every product is a Fraction, their integer
+    numerators over scales D1 and D2 with scale D1 D2; when both hold an
+    int, the terms as they are and None."""
+    # the map stops at an operand's first int
+    if int not in map(type, a.values()) or int not in map(type, b.values()):
+        (a, scale_a), (b, scale_b) = _over_common_scale(a), _over_common_scale(b)
+        return a, b, scale_a * scale_b
     return a, b, None
 
 
@@ -206,16 +210,9 @@ def _unscaled(numerators: Iterable[int], scale: int | None) -> dict[int, int | F
     return {n: Fraction(n, scale) for n in set(numerators)}
 
 
-def _over_common_scale(terms: dict[Any, int | Fraction]) -> tuple[dict[Any, int], int] | None:
-    """({k: c_k D}, D) for the lcm D of the denominators of the c_k, or None
-    when D passes SCALE_RATIO times their mean bits."""
-    dens = [c.denominator for c in terms.values()]
-    max_bits = SCALE_RATIO * sum(map(int.bit_length, dens)) / len(dens)
-    scale = 1
-    for q in set(dens):
-        scale = math.lcm(scale, q)
-        if scale.bit_length() > max_bits:
-            return None
+def _over_common_scale(terms: dict[Any, int | Fraction]) -> tuple[dict[Any, int], int]:
+    """({k: c_k D}, D) for the lcm D of the denominators of the c_k."""
+    scale = math.lcm(*{c.denominator for c in terms.values()})
     return {k: c.numerator * (scale // c.denominator) for k, c in terms.items()}, scale
 
 

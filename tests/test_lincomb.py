@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellhop.boson import A, AD, BosonExpression, NormalOrderedForm, word_key, word_letters
+import bellhop.lincomb
+from bellhop.boson import A, AD, BosonExpression, NormalOrderedForm, normal_order, parse_expression, word_key, word_letters
 from bellhop.hopf import HopfElement, Monomial, TensorElement
 from bellhop.lincomb import _over_common_scale
 
@@ -55,7 +56,7 @@ def product_oracle(x, y) -> dict:
 def operands(draw, cls):
     kind = draw(st.sampled_from([*COEFFICIENTS, "primes"]))
     keys = KEYS[cls]
-    if kind == "primes":  # 40 distinct prime denominators: no common scale
+    if kind == "primes":  # 40 distinct prime denominators: a scale of ~250 bits
         nums = draw(st.lists(st.integers(1, 9), min_size=len(keys), max_size=len(keys)))
         return cls({k: Fraction(n, p) for k, n, p in zip(keys, nums, PRIMES)})
     chosen = draw(st.lists(st.sampled_from(keys[:8]), max_size=5))
@@ -135,25 +136,73 @@ def test_word_products_keep_whole_fractions_fractions():
     assert (x * x).terms[word_key((AD, A))] == 6
 
 
+def lcm_of_denominators(x) -> int:
+    return math.lcm(*(c.denominator for c in x.terms.values()))
+
+
 @pytest.mark.parametrize("mixed", [(False, False), (False, True), (True, True)], ids=["one-one", "one-mixed", "mixed-mixed"])
 def test_word_products_with_prime_denominators(mixed):
-    # no common scale: the coefficients multiply as the Fractions they are
+    # 32 distinct primes per operand: each scale is their product
     def operand(mixed_lengths, shift):
         words = KEYS[BosonExpression] if mixed_lengths else list(map(word_key, itertools.product((A, AD), repeat=5)))
         return BosonExpression({w: Fraction(i + 1, PRIMES[i + shift]) for i, w in enumerate(words[:32])})
 
     x, y = operand(mixed[0], 0), operand(mixed[1], 8)
-    assert _over_common_scale(x.terms) is None and _over_common_scale(y.terms) is None
+    assert _over_common_scale(x.terms)[1] == lcm_of_denominators(x)
+    assert _over_common_scale(y.terms)[1] == lcm_of_denominators(y)
     assert_same((x * y).terms, product_oracle(x, y))
 
 
-def test_the_scale_guard_takes_prime_denominators_to_the_fraction_path():
+def test_the_common_scale_is_the_lcm_of_the_denominators():
     primes = BosonExpression({k: Fraction(1, p) for k, p in zip(KEYS[BosonExpression], PRIMES)})
-    assert _over_common_scale(primes.terms) is None
-    sixths = BosonExpression.parse("(11/6 ad - 7/4 a)^4")
-    scaled, scale = _over_common_scale(sixths.terms)
-    assert scale == math.lcm(*(c.denominator for c in sixths.terms.values()))
-    assert all(Fraction(n, scale) == sixths.terms[k] for k, n in scaled.items())
+    for x in (primes, BosonExpression.parse("(11/6 ad - 7/4 a)^4")):
+        scaled, scale = _over_common_scale(x.terms)
+        assert scale == lcm_of_denominators(x)
+        assert all(type(n) is int and Fraction(n, scale) == x.terms[k] for k, n in scaled.items())
+
+
+def test_wick_products_with_prime_denominators_run_on_integers(monkeypatch):
+    scales = []
+    original = bellhop.lincomb._unscaled
+
+    def unscaled(numerators, scale):
+        scales.append(scale)
+        return original(numerators, scale)
+
+    monkeypatch.setattr(bellhop.lincomb, "_unscaled", unscaled)
+    x = NormalOrderedForm({k: Fraction(i + 1, p) for i, (k, p) in enumerate(zip(KEYS[NormalOrderedForm], PRIMES))})
+    y = NormalOrderedForm({k: Fraction(1, p) for k, p in zip(KEYS[NormalOrderedForm][:8], PRIMES[::-1])})
+    assert_same((x * y).terms, product_oracle(x, y))
+    assert scales == [lcm_of_denominators(x) * lcm_of_denominators(y)]
+
+
+def test_negating_a_power_keeps_its_shared_coefficients():
+    text = "(1/2 ad + 1/3 a)^12"
+    power, negated = parse_expression(text), parse_expression(f"-{text}")
+    assert len({id(c) for c in negated.terms.values()}) == 13
+    assert negated == power * -1
+    form, wick = normal_order(negated), NormalOrderedForm.parse(f"-{text}")
+    assert_same(form.terms, wick.terms)
+
+
+@pytest.mark.parametrize("cls", list(KEYS), ids=lambda cls: cls.__name__)
+def test_a_power_starts_from_its_first_factor(cls, monkeypatch):
+    # x^8 is three squarings; a product with the unit would make a fourth
+    x = cls({k: c for k, c in zip(KEYS[cls], (1, Fraction(-2, 3)))})
+    powers = [cls.one(), x]
+    for _ in range(7):
+        powers.append(powers[-1] * x)
+    calls = []
+    mul = cls.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    assert x ** 8 == powers[8] and len(calls) == 3
+    assert x ** 1 is x and x ** 0 == powers[0] and len(calls) == 3
+    assert all(x ** n == powers[n] for n in range(8))
 
 
 def test_powers_of_sums_share_their_fractions():
