@@ -5,9 +5,8 @@ enumeration, and the block-size census as the complete Bell polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import math
 import threading
@@ -113,14 +112,34 @@ def partition_count(n: int) -> int:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DobinskiResult:
-    """Truncated Dobinski value with a certified bound on the omitted tail."""
+_DOBINSKI_LOCK = threading.Lock()
 
-    value: mpmath.mpf
-    tail_bound: mpmath.mpf
-    terms_used: int
-    precision: int
+
+def __getattr__(name: str):
+    # DobinskiResult is a frozen dataclass, defined on first use: dataclasses
+    # loads inspect, ast and dis (~10 ms), which only the Dobinski path, the
+    # one that loads mpmath too, pays for
+    if name == "DobinskiResult":
+        return _dobinski_result()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _dobinski_result() -> type:
+    with _DOBINSKI_LOCK:  # one class, also when two threads ask first
+        if "DobinskiResult" not in globals():
+            from dataclasses import dataclass
+
+            class DobinskiResult:
+                """Truncated Dobinski value with a certified bound on the omitted tail."""
+
+                value: mpmath.mpf
+                tail_bound: mpmath.mpf
+                terms_used: int
+                precision: int
+
+            DobinskiResult.__qualname__ = "DobinskiResult"  # its repr and pickle name
+            globals()["DobinskiResult"] = dataclass(frozen=True)(DobinskiResult)
+    return globals()["DobinskiResult"]
 
 
 def _over_common_denominator(x: Fraction, N: int, shift: int) -> list[int]:
@@ -193,7 +212,7 @@ def dobinski_bell_poly(n: int, y, K: int, precision: int = 50) -> DobinskiResult
         tail = prefactor * tail_frac.numerator / tail_frac.denominator
         out_value = +value
         out_tail = +tail
-    return DobinskiResult(out_value, out_tail, K + 1, precision)
+    return _dobinski_result()(out_value, out_tail, K + 1, precision)
 
 
 # --------------------------------------------------------------------------
@@ -201,25 +220,27 @@ def dobinski_bell_poly(n: int, y, K: int, precision: int = 50) -> DobinskiResult
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class SetPartition(NamedTuple("SetPartition", [("n", int), ("blocks", tuple)])):
     """A partition of {1..n}; blocks are canonically sorted by least element."""
 
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n: int, blocks: tuple[tuple[int, ...], ...]):
         seen: set[int] = set()
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise ValueError("empty block")
             if seen.intersection(block):
                 raise ValueError("blocks are not disjoint")
             seen.update(block)
-        if seen != set(range(1, self.n + 1)):
-            raise ValueError(f"blocks do not cover 1..{self.n}")
-        canonical = tuple(sorted((tuple(sorted(b)) for b in self.blocks), key=lambda b: b[0]))
-        object.__setattr__(self, "blocks", canonical)
+        if seen != set(range(1, n + 1)):
+            raise ValueError(f"blocks do not cover 1..{n}")
+        canonical = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
+        return super().__new__(cls, n, canonical)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: it checks too
+        return cls(*iterable)
 
     @property
     def num_blocks(self) -> int:
@@ -229,8 +250,7 @@ class SetPartition:
         return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
 
 
-@dataclass(frozen=True)
-class DiagramCensus:
+class DiagramCensus(NamedTuple):
     """Partitions of {1..n} grouped by block-size multiset, keyed by the
     monomial coding a size-k block as the letter y_k."""
 

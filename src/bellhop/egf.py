@@ -17,14 +17,11 @@ refused before the recurrence starts.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .combinatorics import bell
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, _json_coefficient
 
 # Rational input runs on integers over one scale D only while bits(D) <=
 # SCALE_RATIO * mean bits of the denominators; past that, as for 1/p_k with
@@ -38,18 +35,30 @@ SCALE_RATIO = 20
 EGF_WORK_LIMIT = 5 * 10**8
 
 
-@dataclass(frozen=True)
 class EGFSeries:
-    """Coefficients a_0..a_N: each an int, or else made a Fraction."""
+    """Coefficients a_0..a_N: each an int, or else made a Fraction.
 
+    Immutable, and not a tuple: a series has no length, iteration or
+    tuple + and *; its + and * are the series sum and product.
+    """
+
+    __slots__ = ("coeffs",)
     coeffs: tuple[int | Fraction, ...]
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: Sequence):
+        coeffs = tuple(c if type(c) is int else Fraction(c) for c in coeffs)
+        if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
-        object.__setattr__(
-            self, "coeffs", tuple(c if type(c) is int else Fraction(c) for c in self.coeffs)
-        )
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an EGFSeries")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an EGFSeries")
+
+    def __reduce__(self):  # copy and pickle through the constructor, not setattr
+        return EGFSeries, (self.coeffs,)
 
     @property
     def order(self) -> int:
@@ -74,15 +83,25 @@ class EGFSeries:
     def __eq__(self, other) -> bool:
         return isinstance(other, EGFSeries) and self.coeffs == other.coeffs
 
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"EGFSeries(coeffs={self.coeffs!r})"
+
     def to_json(self) -> str:
+        import json  # only JSON output pays for it
+
         return json.dumps(
             {"order": self.order, "coefficients": [str(c) for c in self.coeffs]}
         )
 
     @classmethod
     def from_json(cls, text: str) -> "EGFSeries":
+        import json
+
         data = json.loads(text)
-        coeffs = tuple(Fraction(c) for c in data["coefficients"])
+        coeffs = tuple(_json_coefficient(c) for c in data["coefficients"])
         if len(coeffs) != data["order"] + 1:
             raise ValueError("coefficient count does not match order")
         return cls(coeffs)
@@ -211,6 +230,8 @@ def egf_log(a: EGFSeries) -> EGFSeries:
 
 def bell_egf(order: int) -> EGFSeries:
     """The series whose n-th coefficient is the n-th Bell number."""
+    from .combinatorics import bell  # only bell_egf loads combinatorics
+
     return EGFSeries(tuple(bell(n) for n in range(order + 1)))
 
 

@@ -1,6 +1,8 @@
-"""Exception types and limits shared across the package."""
+"""Exception types, limits and the JSON coefficient rule shared across the
+package."""
 
 import sys
+from fractions import Fraction
 
 
 class ResourceLimitError(RuntimeError):
@@ -18,3 +20,15 @@ class ExpressionParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+def _json_coefficient(value) -> int | Fraction:
+    """An integer string as an int, as the parsers read "3" and the JSON
+    forms print an int; any other string as its Fraction; a JSON number by
+    the constructor's rule."""
+    if not isinstance(value, str):
+        return value
+    try:
+        return int(value)
+    except ValueError:
+        return Fraction(value)

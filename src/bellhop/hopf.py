@@ -7,13 +7,12 @@ coding of set-partition diagrams by monomials.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, _json_coefficient
 from .lincomb import LinearCombination
 
 Rational = Fraction | int
@@ -374,30 +373,25 @@ def parse_element(text: str) -> HopfElement:
 
 
 def element_to_json(a: HopfElement) -> str:
+    import json  # only the JSON forms pay for it
+
     return json.dumps(
         {"terms": [{"monomial": list(m.letters), "coeff": str(c)} for m, c in a.sorted_terms()]}
     )
 
 
 def element_from_json(text: str) -> HopfElement:
+    import json
+
     data = json.loads(text)
     return HopfElement(
         {Monomial(tuple(t["monomial"])): _json_coefficient(t["coeff"]) for t in data["terms"]}
     )
 
 
-def _json_coefficient(value) -> Rational:
-    """An integer string as an int, as the parser reads "3"; any other string
-    as its Fraction; a JSON number by the constructor's rule."""
-    if not isinstance(value, str):
-        return value
-    try:
-        return int(value)
-    except ValueError:
-        return Fraction(value)
-
-
 def tensor_to_json(t: TensorElement) -> str:
+    import json
+
     return json.dumps(
         {
             "terms": [

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .combinatorics import _over_common_denominator, _stirling_row
 from .errors import ResourceLimitError
@@ -26,17 +25,20 @@ PANELS, POINTS = 128, 16  # regularized_Z's Gauss rule: alpha h < 0.33 on every 
 DIVERGENCE_LIMIT = 10_000  # the exact term's integers grow with n
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(NamedTuple("ModelParams", [("beta", float), ("epsilon", float)])):
     """beta (inverse temperature) and epsilon (energy scale), both > 0,
     with a finite product."""
 
-    beta: float
-    epsilon: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.beta > 0 and self.epsilon > 0 and math.isfinite(self.x)):  # nan fails too
+    def __new__(cls, beta: float, epsilon: float):
+        if not (beta > 0 and epsilon > 0 and math.isfinite(-beta * epsilon)):  # nan fails too
             raise ValueError("beta and epsilon must be positive, with a finite product")
+        return super().__new__(cls, beta, epsilon)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: it checks too
+        return cls(*iterable)
 
     @property
     def x(self) -> float:
@@ -47,20 +49,22 @@ class ModelParams:
         return -math.expm1(self.x)  # 1 - e^x, in (0, 1)
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    cutoff: float
-    method: str = "analytic"        # "analytic" | "gauss"
+class QuadratureConfig(NamedTuple("QuadratureConfig", [("cutoff", float), ("method", str)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.cutoff > 0:  # nan fails too
+    def __new__(cls, cutoff: float, method: str = "analytic"):  # "analytic" | "gauss"
+        if not cutoff > 0:  # nan fails too
             raise ValueError("cutoff must be positive")
-        if self.method not in ("analytic", "gauss"):
-            raise ValueError(f"unknown method {self.method!r}")
+        if method not in ("analytic", "gauss"):
+            raise ValueError(f"unknown method {method!r}")
+        return super().__new__(cls, cutoff, method)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: it checks too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
+class DivergenceReport(NamedTuple):
     """Growth of one term of the illegal interchange as the cutoff rises."""
 
     n: int
@@ -259,8 +263,7 @@ def _egf_at(coeffs: Sequence, x: float) -> complex | float:
     return _rounded(sum(c.numerator * (D // c.denominator) * v for c, v in zip(coeffs, u)), D * u[0])
 
 
-@dataclass(frozen=True)
-class GeneralFResult:
+class GeneralFResult(NamedTuple):
     """Moments, connected moments, and the truncated integrand F(x, z)."""
 
     w_moments: tuple

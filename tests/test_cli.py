@@ -831,26 +831,19 @@ _LOADS = [
     (["partition-function", "--beta-eps", "1", "--combinatorial", "--order", "10"],
      "combinatorics partition_function"),
     (["egf", "bell"], "combinatorics egf"),
-    (["wv", "w-to-v", "1", "2"], "combinatorics egf"),
+    (["wv", "w-to-v", "1", "2"], "egf"),
     (["diagrams", "4"], "combinatorics hopf lincomb"),
 ]
 
 
-@pytest.mark.parametrize("argv, modules", _LOADS,
-                         ids=[argv[2] if argv[0] == "--format" else argv[0] for argv, _ in _LOADS])
+_LOAD_IDS = [argv[2] if argv[0] == "--format" else argv[0] for argv, _ in _LOADS]
+
+
+@pytest.mark.parametrize("argv, modules", _LOADS, ids=_LOAD_IDS)
 def test_each_subcommand_loads_only_its_modules(argv, modules):
     proc = _python(_LOADED, *argv)
     assert proc.returncode == 0
     assert proc.stderr == modules
-
-
-def test_hopf_verify_loads_no_dataclasses():
-    # CheckReport is a NamedTuple: dataclasses would load inspect, ast and dis
-    proc = _python("import sys; from bellhop import cli; code = cli.main(sys.argv[1:]); "
-                   "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules))); "
-                   "sys.exit(code)", "--format", "json", "hopf-verify", "--max-weight", "2")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.endswith("]\n[]\n")
 
 
 def test_normal_order_loads_no_dataclasses():
@@ -864,6 +857,43 @@ def test_normal_order_loads_no_dataclasses():
                    "sys.exit(code)", "normal-order", "(ad a)^3")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ad^3 a^3 + 3 ad^2 a^2 + ad a\n[]\n"
+
+
+_STDLIB_LOADED = """
+import sys
+from bellhop import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+sys.stderr.write(" ".join(sorted({"dataclasses", "inspect", "ast", "dis", "json"} & set(sys.modules))))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _LOADS], ids=_LOAD_IDS)
+def test_only_dobinski_loads_dataclasses_and_json_only_for_json(argv):
+    # dataclasses loads inspect, ast and dis; only DobinskiResult is a
+    # dataclass, and JSON is imported where JSON is written
+    proc = _python(_STDLIB_LOADED, *argv)
+    assert proc.returncode == 0, proc.stderr
+    command = argv[2] if argv[0] == "--format" else argv[0]
+    loaded = set(proc.stderr.split())
+    if command != "dobinski":
+        assert not loaded & {"dataclasses", "inspect", "ast", "dis"}
+    assert ("json" in loaded) == (argv[:2] == ["--format", "json"] or command == "egf")
+
+
+def test_dobinski_result_is_a_dataclass_before_and_after_first_use():
+    # the class is imported before any Dobinski call defines it
+    proc = _python(
+        "import dataclasses, pickle; "
+        "from bellhop.combinatorics import DobinskiResult, dobinski_bell; "
+        "res = dobinski_bell(5, 30); "
+        "print(type(res) is DobinskiResult, repr(res).startswith('DobinskiResult(value=')); "
+        "print(dataclasses.replace(res, terms_used=7).terms_used, res.terms_used, "
+        "pickle.loads(pickle.dumps(res)) == res); "
+        "res.terms_used = 0")
+    assert proc.stdout == "True True\n7 31 True\n"
+    assert "FrozenInstanceError" in proc.stderr
 
 
 def readme_commands() -> list[list[str]]:

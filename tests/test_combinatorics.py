@@ -406,6 +406,20 @@ def test_setpartition_canonical_form():
     assert p.blocks == ((1, 3), (2, 4))
 
 
+def test_setpartition_checks_in_every_constructor():
+    # a NamedTuple checking and sorting in __new__; _replace goes through it
+    p = SetPartition(n=3, blocks=((3,), (2, 1)))
+    assert p == SetPartition(3, ((1, 2), (3,))) and hash(p) == hash(SetPartition(3, ((1, 2), (3,))))
+    assert (str(p), p.num_blocks) == ("{1,2}{3}", 2)
+    assert p._replace(blocks=((3, 1), (2,))).blocks == ((1, 3), (2,))
+    with pytest.raises(ValueError, match="do not cover"):
+        p._replace(n=4)
+    with pytest.raises(ValueError, match="not disjoint"):
+        SetPartition(n=2, blocks=((1, 2), (2,)))
+    with pytest.raises(AttributeError):
+        p.n = 4
+
+
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40))
 def test_stirling_recurrence_property(n, k):
     if n >= 1 and k >= 1:

@@ -184,6 +184,38 @@ def test_json_roundtrip():
     assert EGFSeries.from_json(text) == a
 
 
+def test_json_round_trip_keeps_coefficient_types():
+    # an int is read back as an int, as the parsers read "3", and a Fraction
+    # as a Fraction
+    for coeffs in [(1, 2, 5), (1, Fraction(-3, 7), 0, Fraction(22, 3)), (Fraction(1, 2), -4)]:
+        back = EGFSeries.from_json(EGFSeries(coeffs).to_json()).coeffs
+        assert back == coeffs
+        assert [type(c) for c in back] == [type(c) for c in coeffs]
+
+
+def test_series_is_an_immutable_value_and_not_a_tuple():
+    import copy
+    import pickle
+
+    a = EGFSeries((1, Fraction(1, 2), 3))
+    assert a == EGFSeries([1, Fraction(1, 2), 3]) and hash(a) == hash(EGFSeries((1, Fraction(1, 2), 3)))
+    assert a != (1, Fraction(1, 2), 3) and a != EGFSeries((1, 2, 3))
+    assert repr(a) == "EGFSeries(coeffs=(1, Fraction(1, 2), 3))"
+    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    with pytest.raises(AttributeError):
+        a.coeffs = (1,)
+    with pytest.raises(AttributeError):
+        del a.coeffs
+    with pytest.raises(AttributeError):
+        a.order_hint = 2  # __slots__: no other attribute either
+    with pytest.raises(TypeError):
+        len(a)
+    with pytest.raises(ValueError, match="constant coefficient"):
+        EGFSeries(())
+    with pytest.raises(ValueError, match="constant coefficient"):
+        EGFSeries(c for c in ())  # an iterable is read once
+
+
 def test_json_order_mismatch_rejected():
     with pytest.raises(ValueError):
         EGFSeries.from_json('{"order": 3, "coefficients": ["1", "2"]}')

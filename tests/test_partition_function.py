@@ -50,6 +50,32 @@ def test_model_params_validation():
             QuadratureConfig(cutoff)
 
 
+def test_records_check_their_fields_in_every_constructor():
+    # NamedTuples: keyword construction, the default method, and the checks
+    # in __new__, which _replace goes through too
+    q = QuadratureConfig(cutoff=2.5)
+    assert (q.cutoff, q.method) == (2.5, "analytic")
+    assert QuadratureConfig(cutoff=1.0, method="gauss") == (1.0, "gauss")
+    with pytest.raises(ValueError, match="unknown method 'simpson'"):
+        QuadratureConfig(1.0, method="simpson")
+    with pytest.raises(ValueError, match="unknown method"):
+        q._replace(method="simpson")
+    with pytest.raises(ValueError, match="cutoff must be positive"):
+        q._replace(cutoff=-1.0)
+    p = ModelParams(beta=2.0, epsilon=0.5)
+    assert (p.beta, p.epsilon, p.x) == (2.0, 0.5, -1.0)
+    assert p._replace(epsilon=0.25).x == -0.5
+    with pytest.raises(ValueError, match="finite product"):
+        ModelParams(beta=-1.0, epsilon=1.0)
+    with pytest.raises(ValueError, match="finite product"):
+        p._replace(beta=math.inf)
+    with pytest.raises(AttributeError):
+        p.beta = 3.0
+    report = divergence_report(1, p, [10.0, 1.0])
+    assert report.cutoffs == (1.0, 10.0) and report.monotone and report.n == 1
+    assert hash(p) == hash(ModelParams(2.0, 0.5)) and hash(q) == hash(QuadratureConfig(2.5))
+
+
 def test_closed_form():
     assert abs(closed_form_Z(params(LN2)) - 2.0) < 1e-14
     assert abs(closed_form_Z(params(1.0)) - 1 / (1 - math.exp(-1))) < 1e-14
