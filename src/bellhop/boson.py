@@ -13,7 +13,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import ResourceLimitError
-from .lincomb import LinearCombination, _scaled, _unscaled
+from .lincomb import LinearCombination, _over_common_scale, _scaled, _unscaled
 
 # word letters
 A = 0   # annihilation operator a
@@ -349,33 +349,51 @@ class CoherentParam(NamedTuple):
         return z.conjugate() ** r * z**s
 
 
+def _polynomial_at(numerators: Iterable[tuple[int, int]], scale: int, y: Fraction) -> Fraction:
+    """sum N y^d / scale over the (d, N) pairs, at y = p/q: the one integer
+    sum_d N_d p^d q^(top-d) by Horner, over scale q^top."""
+    by_degree: dict[int, int] = {}
+    for d, n in numerators:
+        by_degree[d] = by_degree.get(d, 0) + n
+    p, q, top = y.numerator, y.denominator, max(by_degree, default=0)
+    total, q_power = 0, 1
+    for d in range(top, -1, -1):
+        total = total * p + by_degree.get(d, 0) * q_power
+        q_power *= q
+    return Fraction(total, scale * q**top)
+
+
 def coherent_expectation(form: NormalOrderedForm, z) -> Fraction | float | complex:
     """<z| form |z> by the eigenvalue property: (r,s) term -> conj(z)^r z^s.
 
-    With |z|^2 exact, each parity of r + s is summed exactly and the odd sum
-    is multiplied by sqrt(|z|^2) once; a float z sums its float terms by
-    fsum, and a complex z its real and imaginary parts.  The value does not
-    depend on the term order.
+    An exact z and an exact |z|^2 are summed as one integer polynomial over
+    a common denominator: the coefficients over the lcm of their
+    denominators, in z for an exact z, or in |z|^2 for each parity of
+    r + s.  The odd parity's sum is multiplied by sqrt(|z|^2) once, and
+    makes the value a float whenever some key has odd r + s.  A float z
+    sums its float terms by fsum, and a complex z its real and imaginary
+    parts.  The value does not depend on the term order.
     """
     param = z if isinstance(z, CoherentParam) else CoherentParam(z=z)
     if param.mod_sq is not None:
-        sums: dict[int, Fraction] = {}
-        for (r, s), c in form.terms.items():
-            sums[(r + s) % 2] = sums.get((r + s) % 2, 0) + c * param.mod_sq ** ((r + s) // 2)
-        even = sums.get(0, Fraction(0))
-        return even + sums[1] * math.sqrt(param.mod_sq) if 1 in sums else even
-    # the arithmetic is z's, as in powers, also for a form with no terms
+        terms, scale = _over_common_scale(form.terms)
+        y = Fraction(param.mod_sq)
+        even = _polynomial_at((((r + s) // 2, n) for (r, s), n in terms.items() if not (r + s) % 2), scale, y)
+        odd = [((r + s) // 2, n) for (r, s), n in terms.items() if (r + s) % 2]
+        return even + _polynomial_at(odd, scale, y) * math.sqrt(param.mod_sq) if odd else even
+    if isinstance(param.z, (int, Fraction)):  # an exact z, also for a form with no terms
+        terms, scale = _over_common_scale(form.terms)
+        return _polynomial_at(((r + s, n) for (r, s), n in terms.items()), scale, Fraction(param.z))
     terms = [c * param.powers(r, s) for (r, s), c in form.terms.items()]
-    if isinstance(param.z, (int, Fraction)):  # an exact z
-        return sum(terms, Fraction(0))
     if isinstance(param.z, float):
         return math.fsum(terms)
     return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
-def word_moments(w: BosonExpression, nmax: int, z) -> list:
+def word_moments(w: BosonExpression | NormalOrderedForm, nmax: int, z) -> list:
     """Moments W_n = <z| w^n |z> for n = 0..nmax; W_0 = 1.
 
+    An expression w is normal-ordered once; a form is the step as it is.
     Beyond nmax <= MOMENT_LIMIT, the term bound of each product of
     normal-ordered forms bounds the work.
     """
@@ -386,11 +404,12 @@ def word_moments(w: BosonExpression, nmax: int, z) -> list:
     moments: list = [Fraction(1)]
     if nmax == 0:  # w is never ordered, so its length is unchecked
         return moments
-    step = normal_order(w)
+    step = w if type(w) is NormalOrderedForm else normal_order(w)
+    param = z if isinstance(z, CoherentParam) else CoherentParam(z=z)
     power = NormalOrderedForm.one()
     for _ in range(nmax):
         power = power * step
-        moments.append(coherent_expectation(power, z))
+        moments.append(coherent_expectation(power, param))
     return moments
 
 

@@ -163,11 +163,15 @@ def cmd_egf(args) -> int:
     from . import egf
 
     if args.action == "bell":
+        if args.coefficients:
+            raise ValueError("egf bell takes --order, not coefficients")
+        order = 8 if args.order is None else args.order
         # B(n) >= S(n, k) for every k
-        _refuse_unprintable(f"B({args.order})",
-                            (_log10_stirling_lower(args.order, k) for k in range(1, args.order + 1)))
-        series = egf.bell_egf(args.order)
+        _refuse_unprintable(f"B({order})", (_log10_stirling_lower(order, k) for k in range(1, order + 1)))
+        series = egf.bell_egf(order)
     else:
+        if args.order is not None:
+            raise ValueError(f"egf {args.action} takes coefficients, not --order: the order is their count less one")
         coeffs = [_rational(v) for v in args.coefficients]
         series = egf.EGFSeries(tuple(coeffs))
         series = egf.egf_exp(series) if args.action == "exp" else egf.egf_log(series)
@@ -292,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("egf", help="EGF operations with exact rational coefficients")
     p.add_argument("action", choices=["exp", "log", "bell"])
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--order", type=int, help="order of the Bell series (bell only, default 8)")
     p.add_argument("coefficients", nargs="*",
                    help="a_0 a_1 ... as rationals (exp/log); put -- before them if one "
                         "is a negative fraction: egf exp -- 0 -1/2 1")

@@ -19,7 +19,7 @@ from .combinatorics import _over_common_denominator, _stirling_row
 from .errors import ResourceLimitError
 
 if TYPE_CHECKING:
-    from .boson import BosonExpression, CoherentParam
+    from .boson import BosonExpression, CoherentParam, NormalOrderedForm
 
 PANELS, POINTS = 128, 16  # regularized_Z's Gauss rule: alpha h < 0.33 on every panel
 DIVERGENCE_LIMIT = 10_000  # the exact term's integers grow with n
@@ -276,10 +276,12 @@ class GeneralFResult(NamedTuple):
         return abs(complex(self.f_value) - complex(self.exp_form_value))
 
 
-def general_F(w: BosonExpression, x: float, z, N: int) -> GeneralFResult:
+def general_F(w: BosonExpression | NormalOrderedForm, x: float, z, N: int) -> GeneralFResult:
     """Truncated coherent-state integrand F(x, z) = sum_{n<=N} W_n x^n / n!
     for a general word w, with W_n = <z| w^n |z>, plus the V_n obtained from
-    the W_n and the exponential form exp(sum_{n<=N} V_n x^n / n!)."""
+    the W_n and the exponential form exp(sum_{n<=N} V_n x^n / n!).
+
+    w is an expression or a normal-ordered form, as in word_moments."""
     from .boson import word_moments  # only general_F loads boson and egf
     from .egf import w_to_v
 

@@ -577,6 +577,61 @@ def test_floating_expectations_do_not_depend_on_term_order(z):
     assert type(coherent_expectation(NormalOrderedForm(), Fraction(z.real))) is Fraction
 
 
+def expectation_by_terms(form: NormalOrderedForm, z):
+    """Reference for exact z and exact |z|^2: one Fraction per term, c z^(r+s)
+    for a real z; with |z|^2 exact, each parity of r + s summed apart and
+    the odd sum times sqrt(|z|^2)."""
+    if isinstance(z, CoherentParam):
+        sums = {}
+        for (r, s), c in form.terms.items():
+            sums[(r + s) % 2] = sums.get((r + s) % 2, 0) + c * z.mod_sq ** ((r + s) // 2)
+        even = sums.get(0, Fraction(0))
+        return even + sums[1] * math.sqrt(z.mod_sq) if 1 in sums else even
+    return sum((c * Fraction(z) ** (r + s) for (r, s), c in form.terms.items()), Fraction(0))
+
+
+def random_form(rng: random.Random, coefficients: str, even_only: bool = False) -> NormalOrderedForm:
+    terms = {}
+    for _ in range(rng.randint(1, 12)):
+        r, s = rng.randint(0, 9), rng.randint(0, 9)
+        if even_only and (r + s) % 2:
+            s += 1
+        kind = coefficients if coefficients != "mixed" else rng.choice(("int", "fraction"))
+        num = rng.randint(-10**6, 10**6)
+        terms[r, s] = num if kind == "int" else Fraction(num, rng.randint(1, 10**4))
+    return NormalOrderedForm(terms)
+
+
+EXACT_POINTS = [0, -3, Fraction(-5, 3), Fraction(7, 4), CoherentParam.from_mod_sq(Fraction(9, 4)),
+                CoherentParam.from_mod_sq(Fraction(2, 7)), CoherentParam.from_mod_sq(3),
+                CoherentParam.from_mod_sq(0)]
+
+
+@pytest.mark.parametrize("z", EXACT_POINTS, ids=str)
+def test_exact_expectations_match_the_per_term_sum_in_value_and_type(z):
+    rng = random.Random(26)
+    forms = [NormalOrderedForm(), NormalOrderedForm({(0, 0): Fraction(-3, 8)}), NormalOrderedForm.one()]
+    forms += [random_form(rng, kind, even_only) for kind in ("int", "fraction", "mixed")
+              for even_only in (False, True) for _ in range(40)]
+    # an odd sum that cancels to 0 still makes the value a float at |z|^2
+    forms.append(NormalOrderedForm({(1, 0): 1, (0, 1): -1, (1, 1): Fraction(1, 3)}))
+    for form in forms:
+        got, want = coherent_expectation(form, z), expectation_by_terms(form, z)
+        assert type(got) is type(want) and got == want, (str(form), z)
+    if isinstance(z, CoherentParam):
+        assert type(coherent_expectation(forms[-1], z)) is float
+
+
+def test_an_odd_sum_past_the_float_range_overflows_as_the_per_term_sum_does():
+    form = NormalOrderedForm({(1, 0): 10**400, (1, 1): 1})
+    z = CoherentParam.from_mod_sq(Fraction(1, 3))
+    for route in (coherent_expectation, expectation_by_terms):
+        with pytest.raises(OverflowError):
+            route(form, z)
+    # the exact routes carry such a value
+    assert coherent_expectation(form, Fraction(1, 3)) == expectation_by_terms(form, Fraction(1, 3))
+
+
 def coefficient_types(element) -> set:
     return {type(c) for c in element.terms.values()}
 

@@ -461,6 +461,24 @@ def test_egf_exp_of_x(capsys):
     assert data["coefficients"] == ["1", "1", "1", "1"]
 
 
+def test_egf_bell_order_defaults_to_8(capsys):
+    code, out, _ = run(["egf", "bell"], capsys)
+    assert code == 0
+    assert json.loads(out)["order"] == 8
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["egf", "exp", "0", "1", "--order", "6"], "--order"),
+    (["egf", "log", "1", "1", "--order", "3"], "--order"),
+    (["egf", "bell", "1", "2", "3", "--order", "3"], "coefficients"),
+    (["egf", "bell", "1"], "coefficients"),
+])
+def test_egf_refuses_input_it_would_drop(argv, what, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and what in err and err.count("\n") == 1
+
+
 def test_egf_exp_rejects_nonzero_constant(capsys):
     code, _, err = run(["egf", "exp", "1", "1"], capsys)
     assert code == 2

@@ -29,6 +29,8 @@ from bellhop.combinatorics import (
     restricted_growth_strings,
     stirling2,
 )
+from bellhop.boson import CoherentParam, coherent_expectation, normal_order, number_word, stirling_via_ordering
+from bellhop.egf import EGFSeries, egf_exp, v_to_w
 from bellhop.errors import ResourceLimitError
 from bellhop.hopf import Monomial
 
@@ -434,3 +436,24 @@ def test_stirling_recurrence_property(n, k):
 def test_dobinski_poly_property(n, y):
     res = dobinski_bell_poly(n, y, 2 * n + 30, 30)
     assert _dob_close(res, bell_polynomial(n, y), slack_exp=-15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.fractions(min_value=Fraction(1, 50), max_value=Fraction(6), max_denominator=50),
+)
+def test_every_route_to_the_bell_polynomial_agrees(n, y):
+    """The six exact routes to B_n(y), and Dobinski's enclosure of it."""
+    want = bell_polynomial(n, y)
+    census = diagram_census(n).counts
+    routes = {
+        "egf_exp": egf_exp(EGFSeries((0,) + (y,) * n)).coeffs[n],
+        "v_to_w": v_to_w([y] * n)[n],
+        "coherent": coherent_expectation(normal_order(number_word(n)), CoherentParam.from_mod_sq(y)),
+        "census": sum(count * y ** mono.degree for mono, count in census.items()),
+        "ordering": sum(s * y**k for k, s in enumerate(stirling_via_ordering(n), 1)),
+    }
+    for route, got in routes.items():
+        assert got == want and type(got) in (int, Fraction), route
+    assert _dob_close(dobinski_bell_poly(n, y, 2 * n + 30, 30), want, slack_exp=-15)

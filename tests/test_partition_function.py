@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from bellhop.boson import BosonExpression, CoherentParam, number_word
+from bellhop import boson
+from bellhop.boson import BosonExpression, CoherentParam, NormalOrderedForm, number_word, parse_expression, word_moments
 from bellhop.combinatorics import _stirling_row, bell, bell_polynomial
 from bellhop import partition_function as pf
 from bellhop.errors import ResourceLimitError
@@ -473,6 +474,22 @@ def test_general_F_rounds_exact_sums_once():
     exponent = sum(v * x**n / math.factorial(n) for n, v in enumerate(res.v_sequence, 1))
     assert res.f_value == float(f_value)
     assert res.exp_form_value == math.exp(float(exponent))
+
+
+@pytest.mark.parametrize("text", ["ad a", "ad + a"])
+@pytest.mark.parametrize("z", [Fraction(5, 4), CoherentParam.from_mod_sq(Fraction(2, 3))], ids=["z", "mod_sq"])
+def test_moments_take_a_form_or_an_expression(text, z, monkeypatch):
+    by_words = word_moments(parse_expression(text), 12, z), general_F(parse_expression(text), -0.3, z, 10)
+
+    def refuse(expr):
+        raise AssertionError("a form is the step as it is")
+
+    monkeypatch.setattr(boson, "normal_order", refuse)
+    form = NormalOrderedForm.parse(text)
+    by_form = word_moments(form, 12, z), general_F(form, -0.3, z, 10)
+    assert by_form == by_words
+    for got, want in zip(by_form[0] + list(by_form[1].w_moments), by_words[0] + list(by_words[1].w_moments)):
+        assert type(got) is type(want)
 
 
 def test_gauss_value_is_the_same_on_every_python():
