@@ -89,14 +89,13 @@ class BosonExpression(LinearCombination):
         """Refuse, before building it, a product past 2 MOMENT_LIMIT letters or
         WORD_PAIR_LIMIT pairs; else concatenate the words of each pair.
 
-        Either path writes one coefficient object per distinct value, and
-        normal_order groups words by object.  With one word length on a
-        side, distinct pairs concatenate to distinct words (words form a
-        free monoid) and nonzero products stay nonzero, so on integer data,
-        ints or numerators over a common scale, the product is one
-        comprehension.  Mixed lengths on both sides, where pairs can meet
-        on one word and cancel, and operands that both mix ints with
-        Fractions take the loop.
+        Both operands run as integer numerators over their common scales
+        (``_scaled``), and either path writes one coefficient object per
+        distinct value, as normal_order groups words by object.  With one
+        word length on a side, distinct pairs concatenate to distinct words
+        (words form a free monoid) and nonzero products stay nonzero, so
+        the product is one comprehension.  Mixed lengths on both sides,
+        where pairs can meet on one word and cancel, take the loop.
         """
         if type(other) is not BosonExpression:
             return LinearCombination.__mul__(self, other)
@@ -109,11 +108,10 @@ class BosonExpression(LinearCombination):
         if pairs > WORD_PAIR_LIMIT:
             raise ResourceLimitError(f"product of {pairs} term pairs exceeds the limit {WORD_PAIR_LIMIT}")
         a, b, scale = _scaled(self.terms, other.terms)
-        integers = scale is not None or Fraction not in {*map(type, a.values()), *map(type, b.values())}
         # k1 k2 is k1 << shift | tail: each word of b's length and its letter bits
         tails = [(k2.bit_length() - 1, k2 ^ 1 << k2.bit_length() - 1, c2) for k2, c2 in b.items()]
-        if not integers or len(lengths_a) > 1 and len(lengths_b) > 1:
-            out: dict[Word, int | Fraction] = {}
+        if len(lengths_a) > 1 and len(lengths_b) > 1:
+            out: dict[Word, int] = {}
             for k1, c1 in a.items():
                 for shift, tail, c2 in tails:
                     k, c = k1 << shift | tail, c1 * c2
@@ -123,14 +121,8 @@ class BosonExpression(LinearCombination):
                             del out[k]
                             continue
                     out[k] = c
-            if integers:
-                shared = _unscaled(out.values(), scale)
-                out = {k: shared[n] for k, n in out.items()}
-            else:  # one object per value too, an int apart from an equal Fraction
-                shared = {}
-                out = {k: shared.setdefault(c if type(c) is int else (c.numerator, c.denominator), c)
-                       for k, c in out.items()}
-            return self._exact(out)
+            shared = _unscaled(out.values(), scale)
+            return self._exact({k: shared[n] for k, n in out.items()})
         # each distinct integer of a gets its row of b's words and coefficients
         numerators_a, numerators_b = set(a.values()), set(b.values())
         shared = _unscaled([n1 * n2 for n1 in numerators_a for n2 in numerators_b], scale)
@@ -255,9 +247,9 @@ def normal_order(expr: BosonExpression) -> NormalOrderedForm:
     # carries).  Products share their coefficient objects (a power of a sum
     # holds n + 1 for its 2^n words), and expr holds every object while
     # this runs, so an id names one.  Each group's sum is unpacked once and
-    # times its numerator joins the integer numerators of its denominator,
-    # int coefficients under None, so equal values held by distinct objects
-    # meet there; one Fraction per (denominator, key) at the end.
+    # times its numerator joins the integer numerators of its denominator
+    # (an int's is 1), so equal values held by distinct objects meet there;
+    # one coefficient per (denominator, key) at the end.
     groups: dict[tuple[int, tuple[int, int]], tuple[int | Fraction, list[int]]] = {}
     for word, coeff in expr.terms.items():
         rs, packed = _normal_order_word(word)
@@ -267,10 +259,10 @@ def normal_order(expr: BosonExpression) -> NormalOrderedForm:
             groups[key] = (coeff, [packed])
         else:
             group[1].append(packed)
-    numerators: dict[int | None, dict[tuple[int, int], int]] = {}
+    numerators: dict[int, dict[tuple[int, int], int]] = {}
     widths: dict[tuple[int, int], int] = {}  # per class: distinct coefficients make one group per word
     for (_, rs), (coeff, group) in groups.items():
-        acc = numerators.setdefault(None if type(coeff) is int else coeff.denominator, {})
+        acc = numerators.setdefault(coeff.denominator, {})
         width = widths.get(rs)
         if width is None:
             width = widths[rs] = _slot_width(*rs)
@@ -283,8 +275,8 @@ def normal_order(expr: BosonExpression) -> NormalOrderedForm:
             r, s = r - 1, s - 1
     out = NormalOrderedForm()
     for den, acc in numerators.items():
-        out += NormalOrderedForm._exact(
-            {rs: num if den is None else Fraction(num, den) for rs, num in acc.items() if num})
+        values = _unscaled(acc.values(), den)
+        out += NormalOrderedForm._exact({rs: values[num] for rs, num in acc.items() if num})
     return out
 
 
@@ -335,14 +327,9 @@ class CoherentParam(NamedTuple):
         return cls(z=math.sqrt(mod_sq), mod_sq=mod_sq)
 
     def powers(self, r: int, s: int):
-        """conj(z)^r * z^s, exact when possible."""
-        if self.mod_sq is not None:
-            if (r + s) % 2 == 0:
-                return self.mod_sq ** ((r + s) // 2)
-            return float(self.mod_sq) ** ((r + s - 1) // 2) * math.sqrt(self.mod_sq)
+        """conj(z)^r * z^s for a float or complex z; coherent_expectation
+        sums an exact z or an exact |z|^2 itself."""
         z = self.z
-        if isinstance(z, (int, Fraction)):
-            return Fraction(z) ** (r + s)
         if isinstance(z, float):  # real: conj(z) = z
             return z ** (r + s)
         z = complex(z)

@@ -1,17 +1,19 @@
 """Truncated exponential-generating-function arithmetic, plus the
 moment/connected-moment (W <-> V) transforms.
 
-A series of order N stores a_0..a_N and represents sum a_n x^n / n!.  The
-product, exp and log recurrences only add and multiply by binomials, so
-integer series stay integer and float or complex ones run in floating
-point.  Rational input runs on integers too: the recurrences are
-homogeneous of weighted degree n, so with one scale D per call such that
-den(a_n) divides D^n, the integers a_n D^n go through the same recurrence
-and each output n is one Fraction(A_n, D^n).  Input whose denominators
-share no common scale (1/p_k for the k-th prime, say) would make D^n far
-longer than the fractions; it runs as Fractions instead, as does every
-call whose D has more than SCALE_RATIO times the mean bits of its
-denominators.  A call whose products times digits pass EGF_WORK_LIMIT is
+A series of order N stores a_0..a_N and represents sum a_n x^n / n!.  An
+exact coefficient is an int exactly when it is whole, and a Fraction
+otherwise (``errors.rational``); the constructor, the sum and every
+recurrence keep that rule.  The product, exp and log recurrences only add
+and multiply by binomials, so integer series stay integer and float or
+complex ones run in floating point.  Rational input runs on integers too:
+the recurrences are homogeneous of weighted degree n, so with one scale D
+per call such that den(a_n) divides D^n, the integers a_n D^n go through
+the same recurrence and each output n is A_n / D^n.  Input whose
+denominators share no common scale (1/p_k for the k-th prime, say) would
+make D^n far longer than the fractions; it runs as Fractions instead, as
+does every call whose D has more than SCALE_RATIO times the mean bits of
+its denominators.  A call whose products times digits pass EGF_WORK_LIMIT is
 refused before the recurrence starts.
 """
 
@@ -21,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ResourceLimitError, _json_coefficient
+from .errors import ResourceLimitError, rational
 
 # Rational input runs on integers over one scale D only while bits(D) <=
 # SCALE_RATIO * mean bits of the denominators; past that, as for 1/p_k with
@@ -36,7 +38,8 @@ EGF_WORK_LIMIT = 5 * 10**8
 
 
 class EGFSeries:
-    """Coefficients a_0..a_N: each an int, or else made a Fraction.
+    """Coefficients a_0..a_N, each an int when it is whole and else a
+    Fraction, as the constructor makes them.
 
     Immutable, and not a tuple: a series has no length, iteration or
     tuple + and *; its + and * are the series sum and product.
@@ -46,7 +49,7 @@ class EGFSeries:
     coeffs: tuple[int | Fraction, ...]
 
     def __init__(self, coeffs: Sequence):
-        coeffs = tuple(c if type(c) is int else Fraction(c) for c in coeffs)
+        coeffs = tuple(map(rational, coeffs))
         if not coeffs:
             raise ValueError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", coeffs)
@@ -101,10 +104,10 @@ class EGFSeries:
         import json
 
         data = json.loads(text)
-        coeffs = tuple(_json_coefficient(c) for c in data["coefficients"])
+        coeffs = data["coefficients"]
         if len(coeffs) != data["order"] + 1:
             raise ValueError("coefficient count does not match order")
-        return cls(coeffs)
+        return cls(coeffs)  # the constructor reads the text by the coefficient rule
 
 
 def _mul_coeffs(x: Sequence, y: Sequence) -> list:
@@ -163,11 +166,11 @@ def _common_scale(seqs: list[Sequence]) -> tuple[int, bool]:
 
 
 def _scaled(kernel, *seqs: Sequence) -> list:
-    """kernel(*seqs) with rational input run on integers; each output n is
-    in the arithmetic of inputs 0..n, as the kernel alone gives it.
+    """kernel(*seqs) with exact input run on integers, each exact output by
+    the coefficient rule; float or complex input as the kernel gives it.
 
     Scale x -> D x: input n becomes the integer s_n D^n, the kernel's output
-    n comes out times D^n, and one Fraction per output maps it back.  A
+    n comes out times D^n, and one division per output maps it back.  A
     constant term p/q multiplies its whole sequence by q, which only the
     bilinear product allows: exp and log get an integer constant term.
     """
@@ -190,8 +193,10 @@ def _scaled(kernel, *seqs: Sequence) -> list:
     widest = max(map(max, bits)) + n * scale.bit_length()
     _refuse_work(n, growth + math.log10(2) * (n * (rate + scale.bit_length()) + const_bits),
                  math.log10(2) * widest)
-    if not (has_fraction and commensurate):
-        return kernel(*seqs)  # integers, or denominators with no common scale
+    if not has_fraction:
+        return kernel(*seqs)  # integers
+    if not commensurate:  # denominators with no common scale: Fractions
+        return list(map(rational, kernel(*seqs)))
     ints = []
     for s, unit in zip(seqs, units):
         power, row = 1, [s[0].numerator]
@@ -200,11 +205,9 @@ def _scaled(kernel, *seqs: Sequence) -> list:
             row.append(v.numerator * (power // v.denominator) * unit)
         ints.append(row)
     out = kernel(*ints)
-    # outputs before the first Fraction input stay int
-    first = min(i for s in seqs for i, v in enumerate(s) if type(v) is Fraction)
     power = math.prod(units)
     for m in range(n):
-        out[m] = out[m] // power if m < first else Fraction(out[m], power)
+        out[m] = rational(Fraction(out[m], power))
         power *= scale
     return out
 

@@ -1,4 +1,4 @@
-"""Exception types, limits and the JSON coefficient rule shared across the
+"""Exception types, limits and the coefficient rule shared across the
 package."""
 
 import sys
@@ -22,13 +22,13 @@ class ExpressionParseError(ValueError):
         self.position = position
 
 
-def _json_coefficient(value) -> int | Fraction:
-    """An integer string as an int, as the parsers read "3" and the JSON
-    forms print an int; any other string as its Fraction; a JSON number by
-    the constructor's rule."""
-    if not isinstance(value, str):
+def rational(value) -> int | Fraction:
+    """The one coefficient of value's value: an int when it is whole, else
+    a Fraction.  Every coefficient in bellhop follows this rule, so 3 and
+    Fraction(3) never both stand for three.  A str, float or other number
+    goes through Fraction, which raises on what it cannot read."""
+    if type(value) is int:
         return value
-    try:
-        return int(value)
-    except ValueError:
-        return Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value

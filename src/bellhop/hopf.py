@@ -12,7 +12,7 @@ import operator
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
-from .errors import ResourceLimitError, _json_coefficient
+from .errors import ResourceLimitError
 from .lincomb import LinearCombination
 
 Rational = Fraction | int
@@ -133,8 +133,9 @@ def _coproduct_monomial(m: Monomial) -> TensorElement:
 
 
 def coproduct(a: HopfElement) -> TensorElement:
-    # sum_m c_m Delta(m): each pair (l, r) of Delta(m) has l r = m, so no two m share one
-    return TensorElement._exact({
+    # sum_m c_m Delta(m): each pair (l, r) of Delta(m) has l r = m, so no two
+    # m share one; the constructor makes a whole c_m d, from a Fraction c_m, an int
+    return TensorElement({
         pair: c * d for m, c in a.terms.items() for pair, d in _coproduct_monomial(m).terms.items()
     })
 
@@ -384,9 +385,8 @@ def element_from_json(text: str) -> HopfElement:
     import json
 
     data = json.loads(text)
-    return HopfElement(
-        {Monomial(tuple(t["monomial"])): _json_coefficient(t["coeff"]) for t in data["terms"]}
-    )
+    # the constructor reads each coefficient, text or number, by the coefficient rule
+    return HopfElement({Monomial(tuple(t["monomial"])): t["coeff"] for t in data["terms"]})
 
 
 def tensor_to_json(t: TensorElement) -> str:

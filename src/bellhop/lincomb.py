@@ -5,17 +5,16 @@ the sort key, the text of a key, the coefficient separator and the element
 a symbol name stands for in text.  One parser reads the text of every
 subclass, and ``str`` prints text it reads back.
 
-A coefficient is an int, else a Fraction, and a product keeps that rule
-exactly: int x int stays int, and when either operand's coefficients are
-all Fractions, so are the product's.  Such a product runs on integers
-(``_scaled``): each operand is scaled once by the lcm D of its
-denominators, the pair loop multiplies integer numerators, and each
-result n maps back as Fraction(n, D1 D2), one Fraction per distinct n
-(``_unscaled``; powers of sums repeat their coefficients).  Operands that
-both mix ints with Fractions multiply as they are, in the same loop.
-Words multiply by concatenation in ``BosonExpression.__mul__``, which
-shares these two steps; the loop here multiplies normal forms (Wick),
-BELL monomials and tensors.
+A coefficient is an int exactly when it is whole, and a Fraction
+otherwise (``errors.rational``): the constructor, ``+``, scalar ``*``,
+products and the parser all keep that rule, so one value has one
+coefficient.  A product runs on integers (``_scaled``): each operand is
+scaled once by the lcm D of its denominators, an int's being 1, the pair
+loop multiplies integer numerators, and each result n maps back as
+n / (D1 D2), one object per distinct n (``_unscaled``; powers of sums
+repeat their coefficients).  Words multiply by concatenation in
+``BosonExpression.__mul__``, which shares these two steps; the loop here
+multiplies normal forms (Wick), BELL monomials and tensors.
 """
 
 from __future__ import annotations
@@ -25,14 +24,15 @@ import re
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from .errors import ExpressionParseError, ResourceLimitError, int_digits_limit
+from .errors import ExpressionParseError, ResourceLimitError, int_digits_limit, rational
 
 
 class LinearCombination:
-    """sum c_k k; ``terms`` maps each key k to its nonzero c_k: an int, else a Fraction.
+    """sum c_k k; ``terms`` maps each key k to its nonzero c_k: an int when
+    it is whole, else a Fraction.
 
-    A product with an all-Fraction operand multiplies integer numerators
-    over one scale per operand (see the module docstring).
+    A product multiplies integer numerators over one scale per operand
+    (see the module docstring).
     """
 
     __slots__ = ("terms",)
@@ -51,13 +51,13 @@ class LinearCombination:
         self.terms: dict[Any, int | Fraction] = {}
         if terms:
             for k, c in terms.items():
-                c = c if type(c) is int else Fraction(c)
+                c = rational(c)
                 if c:
                     self.terms[k] = c
 
     @classmethod
     def _exact(cls, terms: dict[Any, int | Fraction]):
-        """Wrap a dict of nonzero ints and Fractions as it is."""
+        """Wrap a dict of nonzero coefficients, each already by the rule, as it is."""
         out = cls.__new__(cls)
         out.terms = terms
         return out
@@ -89,6 +89,7 @@ class LinearCombination:
                 if not c:  # a sum is the only way to reach zero
                     del out[k]
                     continue
+                c = rational(c)  # two Fractions can sum to a whole value
             out[k] = c
         return self._exact(out)
 
@@ -106,7 +107,7 @@ class LinearCombination:
             # one product per coefficient object: terms that share an object
             # (a power of a sum shares n + 1 among 2^n words) share its product
             products = {id(c): c for c in self.terms.values()}
-            products = {i: c * other for i, c in products.items()}
+            products = {i: rational(c * other) for i, c in products.items()}
             return self._exact({k: products[id(c)] for k, c in self.terms.items()})
         product = self.key_product
         if type(other) is not type(self) or product is None:
@@ -124,9 +125,9 @@ class LinearCombination:
                             del out[k]
                             continue
                     out[k] = c
-        if scale is not None:
-            fractions = _unscaled(out.values(), scale)
-            out = {k: fractions[n] for k, n in out.items()}
+        if scale != 1:
+            values = _unscaled(out.values(), scale)
+            out = {k: values[n] for k, n in out.items()}
         return self._exact(out)
 
     # only scalars reach __rmul__, so a noncommutative key product is safe
@@ -190,24 +191,25 @@ class LinearCombination:
         return f"{type(self).__name__}({str(self)!r})"
 
 
-def _scaled(a: dict[Any, int | Fraction], b: dict[Any, int | Fraction]) -> tuple[dict, dict, int | None]:
-    """(a, b, scale) for a product of the terms a and b: when one operand
-    holds no int, so that every product is a Fraction, their integer
-    numerators over scales D1 and D2 with scale D1 D2; when both hold an
-    int, the terms as they are and None."""
-    # the map stops at an operand's first int
-    if int not in map(type, a.values()) or int not in map(type, b.values()):
-        (a, scale_a), (b, scale_b) = _over_common_scale(a), _over_common_scale(b)
-        return a, b, scale_a * scale_b
-    return a, b, None
+def _scaled(a: dict[Any, int | Fraction], b: dict[Any, int | Fraction]) -> tuple[dict, dict, int]:
+    """(A, B, D1 D2) for a product of the terms a and b: their integer
+    numerators over scales D1 and D2, and the scale of their products.
+    Terms of ints alone are their own numerators, over 1."""
+    scale_a = scale_b = 1
+    # the maps stop at an operand's first Fraction
+    if Fraction in map(type, a.values()):
+        a, scale_a = _over_common_scale(a)
+    if Fraction in map(type, b.values()):
+        b, scale_b = _over_common_scale(b)
+    return a, b, scale_a * scale_b
 
 
-def _unscaled(numerators: Iterable[int], scale: int | None) -> dict[int, int | Fraction]:
-    """{n: Fraction(n, scale)}, one Fraction per distinct numerator n; for
-    scale None, {n: n}, one int object per distinct value."""
-    if scale is None:
-        return {n: n for n in set(numerators)}
-    return {n: Fraction(n, scale) for n in set(numerators)}
+def _unscaled(numerators: Iterable[int], scale: int) -> dict[int, int | Fraction]:
+    """{n: n / scale} by the coefficient rule, one object per distinct
+    numerator n.  The rule is applied in place, as n // scale where scale
+    divides n and Fraction(n, scale) otherwise: one C-level % per value,
+    not a call of ``rational``."""
+    return {n: n // scale if not n % scale else Fraction(n, scale) for n in set(numerators)}
 
 
 def _over_common_scale(terms: dict[Any, int | Fraction]) -> tuple[dict[Any, int], int]:

@@ -35,6 +35,7 @@ from bellhop.boson import (
 from bellhop.combinatorics import bell, bell_polynomial, stirling2
 from bellhop.errors import ExpressionParseError, ResourceLimitError, int_digits_limit
 from bellhop.hopf import HopfElement, Monomial, coproduct, parse_element
+from coefficient_rule import assert_canonical
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +268,20 @@ def test_equal_values_in_distinct_objects_merge():
     # values held by distinct objects meet in the integer numerators of
     # their denominator, so the terms and their types are the Wick route's
     half, other_half = Fraction(1, 2), Fraction(1, 2)
+    big, other_big = 3**50, int(str(3**50))
     expr = BosonExpression._exact({word_key(w): c for w, c in [
         ((A, AD), half), ((AD, A), other_half), ((A, AD, A, AD), half),
-        ((A, A, AD), 2), ((AD, A, A), Fraction(2)), ((A, AD, A), 2)]})
-    assert half is not other_half
+        ((A, A, AD), big), ((AD, A, A), other_big), ((A, AD, A), 2)]})
+    assert half is not other_half and big is not other_big
     form = normal_order(expr)
     wick = reduce(NormalOrderedForm.__add__, (wick_form(w) * c for w, c in expr.terms.items()))
     assert form.terms == per_word_reference(expr)
     assert {rs: (type(c), c) for rs, c in form.terms.items()} == {
         rs: (type(c), c) for rs, c in wick.terms.items()}
-    assert type(form.terms[1, 2]) is Fraction and type(form.terms[0, 1]) is int
+    assert_canonical(form.terms.values())
+    # a ad and a ad a ad give 1/2 + 1/2 at ad^0 a^0, from two objects: a whole int
+    assert type(form.terms[0, 0]) is int and form.terms[0, 0] == 1
+    assert type(form.terms[1, 1]) is Fraction and type(form.terms[1, 2]) is int
 
 
 def random_text(rng: random.Random) -> str:
@@ -309,37 +314,41 @@ def test_normal_order_matches_wick_route_on_random_texts():
 
 
 def test_mixed_coefficients_keep_their_types():
-    # an int coefficient contributes ints; Fraction(3) contributes Fractions,
-    # though its denominator is 1
+    # the constructor reads Fraction(3) and -4/2 as the ints 3 and -2, so
+    # only the 1/2 of a^2 stays a Fraction
     expr = BosonExpression({word_key(w): c for w, c in [
         ((AD, A), 2), ((A, AD), Fraction(3)), ((A, A), Fraction(1, 2)), ((AD, AD), 5),
         ((A, A, AD), 4), ((AD, A, A), Fraction(-4, 2))]})
+    assert {type(c) for c in expr.terms.values()} == {int, Fraction}
     form = normal_order(expr)
     assert {rs: (type(c), c) for rs, c in form.terms.items()} == {
-        (1, 1): (Fraction, Fraction(5)),   # 2 + 3
-        (0, 0): (Fraction, Fraction(3)),
+        (1, 1): (int, 5),                  # 2 + 3
+        (0, 0): (int, 3),
         (0, 2): (Fraction, Fraction(1, 2)),
         (2, 0): (int, 5),
-        (1, 2): (Fraction, Fraction(2)),   # 4 - 4/2
+        (1, 2): (int, 2),                  # 4 - 4/2
         (0, 1): (int, 8),                  # a^2 ad = ad a^2 + 2 a
     }
 
 
 def test_mixed_products_share_one_object_per_value():
-    # operands that both mix ints with Fractions take the product loop, which
-    # writes one coefficient object per value, an int apart from an equal Fraction
-    x, y = parse_expression("2 ad + 3/1 a"), parse_expression("3 ad + 2/1 a")
+    # operands that both mix ints with Fractions run on integers over their
+    # common scales, and write one coefficient object per value: an int
+    # where the value is whole, a Fraction elsewhere
+    x, y = parse_expression("2 ad + 3/2 a"), parse_expression("3 ad + 2/3 a")
     assert {k: (type(c), c) for k, c in (x * y).terms.items()} == {
-        word_key((AD, AD)): (int, 6), word_key((AD, A)): (Fraction, Fraction(4)),
-        word_key((A, AD)): (Fraction, Fraction(9)), word_key((A, A)): (Fraction, Fraction(6))}
-    power = x**6
+        word_key((AD, AD)): (int, 6), word_key((AD, A)): (Fraction, Fraction(4, 3)),
+        word_key((A, AD)): (Fraction, Fraction(9, 2)), word_key((A, A)): (int, 1)}
+    power = x**6  # 2^k (3/2)^(6-k): whole for k >= 3
     objects: dict = {}
     for c in power.terms.values():
         objects.setdefault((type(c), c), set()).add(id(c))
     assert len(power.terms) == 64 and len(objects) == 7
     assert all(len(ids) == 1 for ids in objects.values())
+    assert set(objects) == {(int if k >= 3 else Fraction, Fraction(2**k * 3**(6 - k), 2**(6 - k)))
+                            for k in range(7)}
     assert type(power.terms[word_key((AD,) * 6)]) is int
-    assert normal_order(power) == NormalOrderedForm.parse("(2 ad + 3/1 a)^6")
+    assert normal_order(power) == NormalOrderedForm.parse("(2 ad + 3/2 a)^6")
 
 
 @pytest.mark.parametrize(
@@ -638,23 +647,31 @@ def coefficient_types(element) -> set:
 
 @pytest.mark.parametrize("c, kind", [(3, int), (Fraction(3), Fraction), (Fraction(1, 3), Fraction)])
 def test_coefficients_are_ints_exactly_where_the_data_are(c, kind):
+    # kind is the type the scalar c is given as; the coefficients follow its
+    # value alone, ints for whole data of either type
+    assert type(c) is kind
+    want = {int} if c.denominator == 1 else {Fraction}
     word = ((BosonExpression.ad() + BosonExpression.a()) * c) ** 4
     by_wick = ((NormalOrderedForm.symbol("ad") + NormalOrderedForm.symbol("a")) * c) ** 4
     bell_element = ((HopfElement.generator(1) + HopfElement.generator(2)) * c) ** 3
     for element in (word, by_wick, normal_order(word), bell_element, coproduct(bell_element)):
-        assert coefficient_types(element) == {kind}, element
+        assert coefficient_types(element) == want, element
+        assert_canonical(element.terms.values())
     assert normal_order(word) == by_wick
     # the constructor's rule, as in EGFSeries
     keys = [word_key(w) for w in ((A,), (AD,), (A, AD))]
-    assert coefficient_types(BosonExpression(dict(zip(keys, (2, Fraction(2), 0.5))))) == {int, Fraction}
+    assert {k: (type(c), c) for k, c in BosonExpression(dict(zip(keys, (2, Fraction(2), 0.5)))).terms.items()} == {
+        keys[0]: (int, 2), keys[1]: (int, 2), keys[2]: (Fraction, Fraction(1, 2))}
     assert BosonExpression({keys[0]: 0.5}).terms == {keys[0]: Fraction(1, 2)}
 
 
-def test_parsed_coefficients_are_ints_exactly_where_the_text_has_ints():
+def test_parsed_coefficients_are_ints_exactly_where_they_are_whole():
     assert coefficient_types(parse_expression("(2 ad + 3 a)^4 - 5")) == {int}
     assert coefficient_types(NormalOrderedForm.parse("(2 ad + 3 a)^4 - 5")) == {int}
     assert coefficient_types(parse_element("(2 y1 + 3 y2)^4 - 5")) == {int}
-    assert coefficient_types(NormalOrderedForm.parse("(4/2 ad + 3/1 a)^4")) == {Fraction}
+    whole = NormalOrderedForm.parse("(4/2 ad + 3/1 a)^4")
+    assert coefficient_types(whole) == {int} and whole == NormalOrderedForm.parse("(2 ad + 3 a)^4")
+    assert coefficient_types(parse_expression("(3/2 ad + 2/3 a)^2")) == {int, Fraction}
     mixed = NormalOrderedForm.parse("1/2 a + 2 ad")
     assert mixed.terms == {(0, 1): Fraction(1, 2), (1, 0): 2}
     assert type(mixed.coefficient(1, 0)) is int and type(mixed.coefficient(0, 1)) is Fraction
@@ -706,13 +723,14 @@ def assert_moments_agree(got: list, want: list, w: BosonExpression, z) -> None:
     # Exact moments agree exactly. Floating-point ones are sums of up to a
     # few hundred doubles taken in another order: within 1e-12 of the sum
     # of the terms' magnitudes (n * 2^-53 ~ 1e-14 for n terms, with margin).
-    param = z if isinstance(z, CoherentParam) else CoherentParam(z=z)
+    # |conj(z)^r z^s| = |z|^(r+s), and from_mod_sq sets z = sqrt(|z|^2)
+    size = abs(complex(z.z if isinstance(z, CoherentParam) else z))
     for n, (g, v) in enumerate(zip(got, want, strict=True)):
         if isinstance(g, Fraction) and isinstance(v, Fraction):
             assert g == v, (str(w), n)
             continue
         form = normal_order(w ** n)
-        scale = sum(abs(c) * abs(complex(param.powers(r, s))) for (r, s), c in form.terms.items())
+        scale = sum(abs(c) * size ** (r + s) for (r, s), c in form.terms.items())
         assert abs(complex(g) - complex(v)) <= 1e-12 * scale, (str(w), n)
 
 
@@ -844,6 +862,9 @@ def test_normal_form_key_text_is_the_word_text():
     )
 )
 def test_normal_form_parse_print_roundtrip(terms):
-    form = NormalOrderedForm(terms)
-    assert NormalOrderedForm.parse(format_normal_form(form)) == form
+    # printed text gives back each coefficient, type and all: a whole value
+    # is an int on both sides, e.g. the 4 of (4/2 ad)^2
+    for form in (NormalOrderedForm(terms), NormalOrderedForm.parse("(4/2 ad)^2")):
+        back = NormalOrderedForm.parse(format_normal_form(form))
+        assert {rs: (type(c), c) for rs, c in back.terms.items()} == {rs: (type(c), c) for rs, c in form.terms.items()}
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bellhop import combinatorics
@@ -33,6 +33,7 @@ from bellhop.boson import CoherentParam, coherent_expectation, normal_order, num
 from bellhop.egf import EGFSeries, egf_exp, v_to_w
 from bellhop.errors import ResourceLimitError
 from bellhop.hopf import Monomial
+from coefficient_rule import assert_canonical
 
 
 def _dob_close(res, exact, slack_exp=-25):
@@ -457,3 +458,19 @@ def test_every_route_to_the_bell_polynomial_agrees(n, y):
     for route, got in routes.items():
         assert got == want and type(got) in (int, Fraction), route
     assert _dob_close(dobinski_bell_poly(n, y, 2 * n + 30, 30), want, slack_exp=-15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.one_of(st.integers(-4, 4), st.integers(-4, 4).map(Fraction),
+                          st.fractions(min_value=-3, max_value=3, max_denominator=6)),
+                min_size=8, max_size=8))
+@example([Fraction(1, 2), Fraction(3, 4), 1, Fraction(2), Fraction(-1, 3), 0, Fraction(5, 2), 2])
+def test_the_census_at_the_connected_moments_is_the_moments(v):
+    """The paper's W/V exponential formula: W_n sums, over the set
+    partitions of n, the product of V_|B| over the blocks B, which is
+    diagram_census(n) evaluated at y_k = V_k."""
+    w = v_to_w(v)
+    assert_canonical(w)
+    for n in range(1, 9):
+        census = diagram_census(n).counts
+        assert w[n] == sum(count * math.prod(v[k - 1] for k in mono) for mono, count in census.items()), n

@@ -22,6 +22,7 @@ from bellhop.egf import (
     v_to_w,
     w_to_v,
 )
+from coefficient_rule import assert_canonical
 
 rationals = st.fractions(max_denominator=12, min_value=-10, max_value=10)
 
@@ -185,12 +186,15 @@ def test_json_roundtrip():
 
 
 def test_json_round_trip_keeps_coefficient_types():
-    # an int is read back as an int, as the parsers read "3", and a Fraction
-    # as a Fraction
-    for coeffs in [(1, 2, 5), (1, Fraction(-3, 7), 0, Fraction(22, 3)), (Fraction(1, 2), -4)]:
-        back = EGFSeries.from_json(EGFSeries(coeffs).to_json()).coeffs
+    # a whole value is an int on both sides, whole Fraction input included,
+    # and any other value a Fraction
+    for coeffs in [(1, 2, 5), (1, Fraction(-3, 7), 0, Fraction(22, 3)), (Fraction(1, 2), -4),
+                   (Fraction(3), Fraction(1, 2))]:
+        series = EGFSeries(coeffs)
+        back = EGFSeries.from_json(series.to_json()).coeffs
         assert back == coeffs
-        assert [type(c) for c in back] == [type(c) for c in coeffs]
+        assert [type(c) for c in back] == [type(c) for c in series.coeffs]
+        assert_canonical(back)
 
 
 def test_series_is_an_immutable_value_and_not_a_tuple():
@@ -304,14 +308,11 @@ def log_oracle(a):
     return [math.factorial(n) * x for n, x in enumerate(gamma)]
 
 
-def assert_typed(out, want, *inputs, skip_constant=False):
-    """Equal values; output n is a Fraction exactly when some input at an
-    index <= n is (exp and log never read the constant term)."""
+def assert_typed(out, want):
+    """Equal values, each output an int exactly when it is whole."""
     out = list(out)
     assert out == want
-    first = min((i for xs in inputs for i, x in enumerate(xs)
-                 if type(x) is Fraction and (i or not skip_constant)), default=len(out))
-    assert [type(x) for x in out] == [int] * min(first, len(out)) + [Fraction] * (len(out) - first)
+    assert_canonical(out)
 
 
 # ints, small and wide rationals, and Fractions with denominator 1
@@ -329,12 +330,12 @@ def test_scaled_route_matches_fraction_oracle(xs, ys, zero, one):
     n = min(len(xs), len(ys))
     # the product keeps any constant term, a non-integer one included
     assert_typed(egf_mul(EGFSeries(tuple(xs)), EGFSeries(tuple(ys))).coeffs,
-                 [conv_oracle(xs, ys, m) for m in range(n)], xs[:n], ys[:n])
+                 [conv_oracle(xs, ys, m) for m in range(n)])
     c, a = [zero, *xs], [one, *xs]
-    assert_typed(egf_exp(EGFSeries(tuple(c))).coeffs, exp_oracle(c), c, skip_constant=True)
-    assert_typed(egf_log(EGFSeries(tuple(a))).coeffs, log_oracle(a), a, skip_constant=True)
-    assert_typed(w_to_v(a), log_oracle(a)[1:], xs)
-    assert_typed(v_to_w(xs), exp_oracle(c), c, skip_constant=True)
+    assert_typed(egf_exp(EGFSeries(tuple(c))).coeffs, exp_oracle(c))
+    assert_typed(egf_log(EGFSeries(tuple(a))).coeffs, log_oracle(a))
+    assert_typed(w_to_v(a), log_oracle(a)[1:])
+    assert_typed(v_to_w(xs), exp_oracle(c))
 
 
 def _kernel_inputs(monkeypatch, name):
@@ -359,24 +360,24 @@ def test_prime_denominators_run_as_fractions(monkeypatch):
     # digits long against the fractions' few, so the recurrence gets Fractions
     c = (0, *(Fraction(1, p) for p in _primes(40)))
     seen = _kernel_inputs(monkeypatch, "_exp_coeffs")
-    assert_typed(egf_exp(EGFSeries(c)).coeffs, exp_oracle(c), c, skip_constant=True)
-    assert v_to_w(list(c[1:])) == exp_oracle(c)
+    assert_typed(egf_exp(EGFSeries(c)).coeffs, exp_oracle(c))
+    assert_typed(v_to_w(list(c[1:])), exp_oracle(c))
     assert all(any(type(x) is Fraction for x in s) for s in seen)
     a = (1, *c[1:])
     seen = _kernel_inputs(monkeypatch, "_log_coeffs")
-    assert_typed(egf_log(EGFSeries(a)).coeffs, log_oracle(a), a, skip_constant=True)
+    assert_typed(egf_log(EGFSeries(a)).coeffs, log_oracle(a))
     assert any(type(x) is Fraction for x in seen[0])
 
 
 def test_common_denominators_run_as_integers(monkeypatch):
     c = (0, *[Fraction(5, 8)] * 40)
     seen = _kernel_inputs(monkeypatch, "_exp_coeffs")
-    assert_typed(egf_exp(EGFSeries(c)).coeffs, exp_oracle(c), c, skip_constant=True)
+    assert_typed(egf_exp(EGFSeries(c)).coeffs, exp_oracle(c))
     assert all(type(x) is int for x in seen[0])
     x = (Fraction(1, 3), *[Fraction(k, 6) for k in range(1, 20)])
     seen = _kernel_inputs(monkeypatch, "_mul_coeffs")
     assert_typed(egf_mul(EGFSeries(x), EGFSeries(x)).coeffs,
-                 [conv_oracle(x, x, m) for m in range(20)], x)
+                 [conv_oracle(x, x, m) for m in range(20)])
     assert all(type(v) is int for s in seen for v in s)
 
 
@@ -392,3 +393,18 @@ def test_work_limit_refuses_before_the_recurrence(call):
     with pytest.raises(ResourceLimitError):
         call()
     assert time.perf_counter() - start < 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(mixed, min_size=1, max_size=10), st.lists(mixed, min_size=1, max_size=10))
+# no common scale: the recurrences run on Fractions, and W_2 = 3/4 + (1/2)^2 is whole
+@example([Fraction(1, 2), Fraction(3, 4), *(Fraction(1, p) for p in _primes(30)[2:])], [2] * 30)
+@example([Fraction(1, 2), Fraction(3, 4)], [Fraction(1, 2), Fraction(1, 2)])  # whole outputs of halves
+def test_every_route_keeps_the_coefficient_rule(xs, ys):
+    a, b = EGFSeries(tuple(xs)), EGFSeries(tuple(ys))
+    outputs = [a.coeffs, b.coeffs, (a + b).coeffs, egf_mul(a, b).coeffs,
+               egf_exp(EGFSeries((0, *xs))).coeffs, egf_log(EGFSeries((1, *xs))).coeffs,
+               w_to_v([1, *xs]), v_to_w(xs), EGFSeries.from_json(a.to_json()).coeffs]
+    for out in outputs:
+        assert_canonical(out)
+    assert EGFSeries.from_json(a.to_json()) == a

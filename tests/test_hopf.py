@@ -175,6 +175,9 @@ def test_coproduct_square():
         + TensorElement.pure(UNIT, y(1, 1))
     )
     assert delta == expected
+    # half of it: the whole 1/2 * 2 of y1 (x) y1 is the int 1
+    half = coproduct(HopfElement.from_monomial(y(1, 1), Fraction(1, 2)))
+    assert half == expected * Fraction(1, 2) and type(half.terms[y(1), y(1)]) is int
 
 
 def test_coproduct_y1y2():
@@ -512,11 +515,13 @@ def test_coding_bijection_with_census(n):
 
 @pytest.mark.parametrize(
     "text",
-    ["3/2*y1^2*y3 + y2", "y1", "5", "y2 - 7*y1*y1", "1/3", "2*y4^3"],
+    ["3/2*y1^2*y3 + y2", "y1", "5", "y2 - 7*y1*y1", "1/3", "2*y4^3", "3/1*y1"],
 )
 def test_parse_print_roundtrip_fixed(text):
+    # each coefficient comes back, type and all: 3/1 is the int 3 both times
     elem = parse_element(text)
-    assert parse_element(format_element(elem)) == elem
+    back = parse_element(format_element(elem))
+    assert {m: (type(c), c) for m, c in back.terms.items()} == {m: (type(c), c) for m, c in elem.terms.items()}
 
 
 @settings(max_examples=60)
@@ -550,7 +555,7 @@ def test_json_roundtrip():
 
 
 def test_json_roundtrip_keeps_coefficient_types():
-    for text in ("2*y1 + 3", "3/2*y1^2*y3 + y2 - 5"):
+    for text in ("2*y1 + 3", "3/2*y1^2*y3 + y2 - 5", "3/1*y1 + 4/2"):
         elem = parse_element(text)
         back = element_from_json(element_to_json(elem))
         assert {m: type(c) for m, c in back.terms.items()} == {m: type(c) for m, c in elem.terms.items()}

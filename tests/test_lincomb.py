@@ -1,6 +1,8 @@
 """LinearCombination products against a pair-by-pair oracle that multiplies
-the coefficients as they are (int by int, else Fraction by Fraction), in
-all four algebras: words, Wick products of normal forms, BELL and tensors."""
+the coefficients in exact arithmetic, in all four algebras: words, Wick
+products of normal forms, BELL and tensors.  Every result matches the
+oracle in value, and each of its coefficients is an int exactly when it is
+whole (``coefficient_rule``)."""
 
 import itertools
 import math
@@ -11,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellhop.lincomb
-from bellhop.boson import A, AD, BosonExpression, NormalOrderedForm, normal_order, parse_expression, word_key, word_letters
-from bellhop.hopf import HopfElement, Monomial, TensorElement
+from bellhop.boson import (A, AD, BosonExpression, NormalOrderedForm, forgetful_normal_order, normal_order,
+                           parse_expression, word_key, word_letters)
+from bellhop.hopf import HopfElement, Monomial, TensorElement, antipode, coproduct, element_from_json, element_to_json
 from bellhop.lincomb import _over_common_scale
+from coefficient_rule import assert_canonical
 
 PRIMES = [p for p in range(2, 200) if all(p % d for d in range(2, math.isqrt(p) + 1))][:40]
 
@@ -29,16 +33,15 @@ KEYS = {
 COEFFICIENTS = {
     "int": st.integers(-6, 6),
     "fraction": st.fractions(min_value=-3, max_value=3, max_denominator=12),
-    "whole fraction": st.integers(-6, 6).map(Fraction),  # Fraction(3) stays a Fraction
+    "whole fraction": st.integers(-6, 6).map(Fraction),  # the constructor reads Fraction(3) as 3
     "mixed": st.one_of(st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=12)),
 }
 
 
 def product_oracle(x, y) -> dict:
-    """x * y pair by pair on the coefficients as they are; a key whose sum
-    reaches zero goes, so a later int term starts it again as an int.
-    Words concatenate as letter tuples, decoded and encoded again; other
-    keys multiply by the algebra's key product."""
+    """x * y pair by pair in exact arithmetic; a key whose sum reaches zero
+    goes.  Words concatenate as letter tuples, decoded and encoded again;
+    other keys multiply by the algebra's key product."""
     out: dict = {}
     for (k1, c1), (k2, c2) in itertools.product(x.terms.items(), y.terms.items()):
         if type(x) is BosonExpression:
@@ -64,8 +67,9 @@ def operands(draw, cls):
 
 
 def assert_same(got: dict, want: dict):
+    """Equal values, and each coefficient got is an int exactly when it is whole."""
     assert got == want
-    assert {k: type(c) for k, c in got.items()} == {k: type(c) for k, c in want.items()}
+    assert_canonical(got.values())
 
 
 @pytest.mark.parametrize("cls", list(KEYS), ids=lambda cls: cls.__name__)
@@ -104,7 +108,8 @@ def test_tensor_products_cancel_like_the_oracle():
 
 # BosonExpression multiplies words by concatenation: one comprehension when
 # one side has one word length, a loop that collides and cancels when both
-# sides mix lengths.  Integer texts; the scalars give the coefficient kinds.
+# sides mix lengths.  Integer texts; the scalars give the coefficient kinds,
+# whole Fractions among them.
 WORD_PAIRS = {
     "one length left": ("ad a - 2 a ad + 3 a^2", "1 + 5 ad - 7 ad a^2"),
     "one length right": ("1 + 5 ad - 7 ad a^2", "ad a - 2 a ad + 3 a^2"),
@@ -127,13 +132,24 @@ def test_word_products_match_the_oracle(texts, cx, cy):
         assert word_key((AD,)) not in (x * y).terms and word_key((AD, A, AD)) not in (x * y).terms
 
 
-def test_word_products_keep_whole_fractions_fractions():
+def test_word_products_make_whole_fractions_ints():
+    # whole Fractions are read as ints, and whole products of proper
+    # Fractions come out as ints, on either path of the word product
     x = BosonExpression({word_key((AD,)): Fraction(3), word_key((A,)): Fraction(2)})
+    assert set(map(type, x.terms.values())) == {int}
     for y in (x, x + BosonExpression.one() * 5, BosonExpression({word_key(()): Fraction(4), word_key((A, A)): 1})):
         product = x * y
-        assert set(map(type, product.terms.values())) == {Fraction}
+        assert set(map(type, product.terms.values())) == {int}
         assert_same(product.terms, product_oracle(x, y))
     assert (x * x).terms[word_key((AD, A))] == 6
+    # 3/2 ad times 2/3 a^2 is whole: the loop (mixed lengths on both sides)
+    # and the comprehension (one length on the right) make it an int
+    x = BosonExpression({word_key((AD,)): Fraction(3, 2), word_key((A, A)): Fraction(2, 3), 1: Fraction(1, 2)})
+    for y in (x, BosonExpression({word_key((A, A)): Fraction(2, 3), word_key((AD, A)): Fraction(4, 3)})):
+        product = x * y
+        assert set(map(type, product.terms.values())) == {int, Fraction}
+        assert_same(product.terms, product_oracle(x, y))
+        assert type(product.terms[word_key((AD, A, A))]) is int
 
 
 def lcm_of_denominators(x) -> int:
@@ -223,3 +239,45 @@ def test_float_scalars_follow_the_constructor_rule(cls):
             x * bad
         with pytest.raises(TypeError):
             bad * x
+
+
+TEXT_SYMBOLS = {BosonExpression: ("a", "ad"), NormalOrderedForm: ("a", "ad"), HopfElement: ("y1", "y2", "y3")}
+
+
+@st.composite
+def texts(draw, cls):
+    """A power of a sum of numbers n/d times symbols: n/d is whole exactly when d divides n."""
+    terms = draw(st.lists(st.tuples(st.integers(-8, 8), st.integers(1, 4), st.sampled_from(TEXT_SYMBOLS[cls])),
+                          min_size=1, max_size=4))
+    text = " + ".join(f"({n}/{d}) {name}" for n, d, name in terms)
+    return f"({text})^{draw(st.integers(0, 3))}"
+
+
+def typed(x) -> dict:
+    return {k: (type(c), c) for k, c in x.terms.items()}
+
+
+@pytest.mark.parametrize("cls", list(KEYS), ids=lambda cls: cls.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_route_keeps_the_coefficient_rule(cls, data):
+    # int, whole-Fraction, proper-Fraction, mixed and prime-denominator data
+    x, y = data.draw(operands(cls)), data.draw(operands(cls))
+    scalar = data.draw(st.one_of(*COEFFICIENTS.values()))
+    results = [x, y, x + y, x - y, x * scalar, scalar * x, x * y, y * x, x ** 2]
+    if len(x.terms) <= 5:
+        results.append(x ** 3)
+    if cls in TEXT_SYMBOLS:
+        results += [cls.parse(data.draw(texts(cls))), cls.parse(str(x * y))]
+    if cls is BosonExpression:
+        results += [normal_order(x * y), forgetful_normal_order(x * y), normal_order(x ** 2)]
+    if cls is HopfElement:
+        results += [coproduct(x), coproduct(x * y), antipode(x)]
+    for result in results:
+        assert_canonical(result.terms.values())
+    # printed text, and BELL's JSON, give back each coefficient, type and all
+    scaled = x * scalar
+    if cls in TEXT_SYMBOLS:
+        assert typed(cls.parse(str(scaled))) == typed(scaled)
+    if cls is HopfElement:
+        assert typed(element_from_json(element_to_json(scaled))) == typed(scaled)
