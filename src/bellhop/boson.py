@@ -13,7 +13,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .errors import ResourceLimitError
-from .lincomb import LinearCombination, _over_common_scale, _scaled, _unscaled
+from .lincomb import LinearCombination, _over_common_scale, _polynomial_at, _scaled, _unscaled
 
 # word letters
 A = 0   # annihilation operator a
@@ -205,8 +205,8 @@ def _slot_width(n_ad: int, n_a: int) -> int:
 
 
 @lru_cache(maxsize=2**14)
-def _normal_order_word(word: Word) -> tuple[tuple[int, int], int]:
-    """The word's class (n_ad, n_a) and its normal form packed in one int.
+def _normal_order_word(word: Word) -> tuple[tuple[int, int], int, int]:
+    """The word's class (n_ad, n_a), slot width w and packed normal form.
 
     With w = _slot_width(n_ad, n_a), bits k w to (k + 1) w - 1 (slot k) hold
     the coefficient of ad^(n_ad-k) a^(n_a-k), k = 0..min(n_ad, n_a).  A word
@@ -234,7 +234,7 @@ def _normal_order_word(word: Word) -> tuple[tuple[int, int], int]:
     width, packed = _slot_width(n_ad, n_a), 0
     for c in reversed(coeffs):
         packed = packed << width | c
-    return (n_ad, n_a), packed
+    return (n_ad, n_a), width, packed
 
 
 def normal_order(expr: BosonExpression) -> NormalOrderedForm:
@@ -246,38 +246,31 @@ def normal_order(expr: BosonExpression) -> NormalOrderedForm:
     # packed forms add in one sum() (see _slot_width for why no slot
     # carries).  Products share their coefficient objects (a power of a sum
     # holds n + 1 for its 2^n words), and expr holds every object while
-    # this runs, so an id names one.  Each group's sum is unpacked once and
-    # times its numerator joins the integer numerators of its denominator
-    # (an int's is 1), so equal values held by distinct objects meet there;
-    # one coefficient per (denominator, key) at the end.
-    groups: dict[tuple[int, tuple[int, int]], tuple[int | Fraction, list[int]]] = {}
+    # this runs, so an id names one.  Each group's sum is unpacked once,
+    # times its numerator over L = the lcm of the group denominators, into
+    # one integer sum per key, where equal values held by distinct objects
+    # meet; each sum maps back to its coefficient once (_unscaled).
+    groups: dict[tuple[int, tuple[int, int]], tuple[int | Fraction, int, list[int]]] = {}
     for word, coeff in expr.terms.items():
-        rs, packed = _normal_order_word(word)
+        rs, width, packed = _normal_order_word(word)
         key = (id(coeff), rs)
         group = groups.get(key)
         if group is None:
-            groups[key] = (coeff, [packed])
+            groups[key] = (coeff, width, [packed])
         else:
-            group[1].append(packed)
-    numerators: dict[int, dict[tuple[int, int], int]] = {}
-    widths: dict[tuple[int, int], int] = {}  # per class: distinct coefficients make one group per word
-    for (_, rs), (coeff, group) in groups.items():
-        acc = numerators.setdefault(coeff.denominator, {})
-        width = widths.get(rs)
-        if width is None:
-            width = widths[rs] = _slot_width(*rs)
-        num, packed, mask, (r, s) = coeff.numerator, sum(group), (1 << width) - 1, rs
+            group[2].append(packed)
+    scale = math.lcm(*{coeff.denominator for coeff, _, _ in groups.values()})
+    acc: dict[tuple[int, int], int] = {}
+    for (_, (r, s)), (coeff, width, group) in groups.items():
+        num, packed, mask = coeff.numerator * (scale // coeff.denominator), sum(group), (1 << width) - 1
         while packed:  # slot k = 0, 1, ...: the coefficient of ad^r a^s
             c = packed & mask
             if c:
                 acc[r, s] = acc.get((r, s), 0) + num * c
             packed >>= width
             r, s = r - 1, s - 1
-    out = NormalOrderedForm()
-    for den, acc in numerators.items():
-        values = _unscaled(acc.values(), den)
-        out += NormalOrderedForm._exact({rs: values[num] for rs, num in acc.items() if num})
-    return out
+    values = _unscaled(acc.values(), scale)
+    return NormalOrderedForm._exact({rs: values[n] for rs, n in acc.items() if n})
 
 
 def forgetful_normal_order(expr: BosonExpression) -> NormalOrderedForm:
@@ -334,20 +327,6 @@ class CoherentParam(NamedTuple):
             return z ** (r + s)
         z = complex(z)
         return z.conjugate() ** r * z**s
-
-
-def _polynomial_at(numerators: Iterable[tuple[int, int]], scale: int, y: Fraction) -> Fraction:
-    """sum N y^d / scale over the (d, N) pairs, at y = p/q: the one integer
-    sum_d N_d p^d q^(top-d) by Horner, over scale q^top."""
-    by_degree: dict[int, int] = {}
-    for d, n in numerators:
-        by_degree[d] = by_degree.get(d, 0) + n
-    p, q, top = y.numerator, y.denominator, max(by_degree, default=0)
-    total, q_power = 0, 1
-    for d in range(top, -1, -1):
-        total = total * p + by_degree.get(d, 0) * q_power
-        q_power *= q
-    return Fraction(total, scale * q**top)
 
 
 def coherent_expectation(form: NormalOrderedForm, z) -> Fraction | float | complex:

@@ -27,6 +27,8 @@ STIRLING_SUM_LIMIT = 10**6
 # bits of one exact series' integers: at 2^30 (128 MiB), order 4000 at beta
 # epsilon = 0.05, M = 20 takes ~1.5 s and 262 MiB (Python 3.11, 2-vCPU VM)
 SERIES_BITS_LIMIT = 2**30
+# Dobinski's working digits, precision and guard: `dobinski 10` at 10^5 takes ~1 s
+PRECISION_LIMIT = 10**5
 
 
 # --------------------------------------------------------------------------
@@ -83,11 +85,13 @@ def bell(n: int) -> int:
 
 
 def bell_polynomial(n: int, y) -> Fraction:
-    """Exact evaluation of sum_k S(n,k) y^k at rational y = p/q, as the one
-    integer sum_k S(n,k) p^k q^(n-k) over q^n."""
-    y = Fraction(y)
-    p, q = y.numerator, y.denominator
-    return Fraction(sum(s * p**k * q ** (n - k) for k, s in enumerate(_stirling_row(n))), q**n)
+    """Exact evaluation of sum_k S(n,k) y^k at rational y = p/q, by Horner
+    over a power of q: the one integer sum_k S(n,k) p^k q^(n-k) over q^n."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    from .lincomb import _polynomial_at  # only bell_polynomial loads lincomb
+
+    return _polynomial_at(enumerate(_stirling_row(n)), 1, Fraction(y))
 
 
 def partition_count(n: int) -> int:
@@ -206,6 +210,8 @@ def dobinski_bell_poly(n: int, y, K: int, precision: int = 50) -> DobinskiResult
     # the certified truncation tail, however tight that tail is.
     ratio = partial / tail_frac
     guard = 10 + _decimal_digits(1 + ratio.numerator // ratio.denominator)
+    if precision + guard > PRECISION_LIMIT:
+        raise ResourceLimitError(f"precision {precision} + {guard} guard digits exceeds {PRECISION_LIMIT}")
     with mpmath.workdps(precision + guard):
         prefactor = mpmath.e ** (-mpmath.mpf(y.numerator) / y.denominator)
         value = prefactor * partial.numerator / partial.denominator

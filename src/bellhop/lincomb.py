@@ -218,6 +218,20 @@ def _over_common_scale(terms: dict[Any, int | Fraction]) -> tuple[dict[Any, int]
     return {k: c.numerator * (scale // c.denominator) for k, c in terms.items()}, scale
 
 
+def _polynomial_at(numerators: Iterable[tuple[int, int]], scale: int, y: Fraction) -> Fraction:
+    """sum N y^d / scale over the (d, N) pairs, at y = p/q: the one integer
+    sum_d N_d p^d q^(top-d) by Horner, over scale q^top."""
+    by_degree: dict[int, int] = {}
+    for d, n in numerators:
+        by_degree[d] = by_degree.get(d, 0) + n
+    p, q, top = y.numerator, y.denominator, max(by_degree, default=0)
+    total, q_power = 0, 1
+    for d in range(top, -1, -1):
+        total = total * p + by_degree.get(d, 0) * q_power
+        q_power *= q
+    return Fraction(total, scale * q**top)
+
+
 def _tokens(text: str) -> list[tuple[str, Any, int]]:
     """(kind, value, position) triples, closed by ('end', None, len(text))."""
     out: list[tuple[str, Any, int]] = []

@@ -195,6 +195,11 @@ def wick_form(word: int) -> NormalOrderedForm:
     return NormalOrderedForm.parse(BosonExpression.key_text(word) or "1")
 
 
+def wick_route(expr: BosonExpression) -> NormalOrderedForm:
+    """sum c_w F_w over the words w, F_w each word's form by the Wick route."""
+    return reduce(NormalOrderedForm.__add__, (wick_form(w) * c for w, c in expr.terms.items()), NormalOrderedForm())
+
+
 def per_word_reference(expr: BosonExpression) -> dict[tuple[int, int], Fraction]:
     out: dict[tuple[int, int], Fraction] = {}
     for word, coeff in expr.terms.items():
@@ -207,11 +212,12 @@ def unpacked(word: int) -> dict[tuple[int, int], int]:
     """_normal_order_word's packed form read with the documented slot width
     bits(P) + bits(N): P the partial matchings of the word's a's with its
     ad's, N the number of words with its letters."""
-    (n_ad, n_a), packed = _normal_order_word(word)
+    (n_ad, n_a), returned_width, packed = _normal_order_word(word)
     letters = word_letters(word)
     assert (n_ad, n_a) == (letters.count(AD), letters.count(A))
     matchings = sum(math.perm(n_a, k) * math.comb(n_ad, k) for k in range(min(n_ad, n_a) + 1))
     width = matchings.bit_length() + math.comb(n_ad + n_a, n_a).bit_length()
+    assert returned_width == width
     slots = min(n_ad, n_a) + 1
     assert packed >> (slots * width) == 0
     out = {(n_ad - k, n_a - k): packed >> (k * width) & ((1 << width) - 1) for k in range(slots)}
@@ -261,12 +267,26 @@ def test_distinct_coefficients_match_per_word_loop():
         expr = BosonExpression({word_key(random_word(rng, 14)): Fraction(rng.randint(-99, 99), rng.randint(1, 30))
                                 for _ in range(rng.randint(1, 60))})
         assert normal_order(expr).terms == per_word_reference(expr)
+    # one scale over many denominators: the first 200 words over 1/p for the
+    # first 200 primes, the square of the first 16 of them, and a power
+    # whose denominators 1, 4 and 6 meet on shared keys
+    primes = [n for n in range(2, 1224) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    assert len(primes) == 200
+    words = BosonExpression({w: Fraction(1, p) for w, p in zip(range(2, 202), primes)})
+    sixteen = BosonExpression({w: Fraction(1, p) for w, p in zip(range(2, 18), primes)})
+    cubic = "(-5/4 - 13/6 ad a^2 - 13/3 ad)^10"
+    for expr, wick in [(words, wick_route(words)), (sixteen * sixteen, wick_route(sixteen) ** 2),
+                       (parse_expression(cubic), NormalOrderedForm.parse(cubic))]:
+        form = normal_order(expr)
+        assert form.terms == per_word_reference(expr)
+        assert {rs: (type(c), c) for rs, c in form.terms.items()} == {
+            rs: (type(c), c) for rs, c in wick.terms.items()}
 
 
 def test_equal_values_in_distinct_objects_merge():
     # normal_order groups words once, by coefficient object and class; equal
-    # values held by distinct objects meet in the integer numerators of
-    # their denominator, so the terms and their types are the Wick route's
+    # values held by distinct objects meet in one integer sum over the
+    # common scale, so the terms and their types are the Wick route's
     half, other_half = Fraction(1, 2), Fraction(1, 2)
     big, other_big = 3**50, int(str(3**50))
     expr = BosonExpression._exact({word_key(w): c for w, c in [
@@ -274,7 +294,7 @@ def test_equal_values_in_distinct_objects_merge():
         ((A, A, AD), big), ((AD, A, A), other_big), ((A, AD, A), 2)]})
     assert half is not other_half and big is not other_big
     form = normal_order(expr)
-    wick = reduce(NormalOrderedForm.__add__, (wick_form(w) * c for w, c in expr.terms.items()))
+    wick = wick_route(expr)
     assert form.terms == per_word_reference(expr)
     assert {rs: (type(c), c) for rs, c in form.terms.items()} == {
         rs: (type(c), c) for rs, c in wick.terms.items()}

@@ -91,9 +91,10 @@ def test_stirling_600_3_in_a_fresh_process():
                                   ["stirling", "12000", "12000"], ["egf", "bell", "--order", "2100"],
                                   ["egf", "exp", "--", "0"] + ["9/7"] * 1500,
                                   ["partition-function", "--beta-eps", "0.05", "--order", "20000"],
-                                  ["dobinski", "10", "--k-max", "30000"]],
+                                  ["dobinski", "10", "--k-max", "30000"],
+                                  ["dobinski", "10", "--precision", "1000000"]],
                          ids=["bell", "stirling", "stirling-sum", "egf-bell", "egf-work",
-                              "series-bits", "dobinski-bits"])
+                              "series-bits", "dobinski-bits", "dobinski-precision"])
 def test_unprintable_integers_exit_3_before_the_work(argv, capsys):
     # a lower bound on the digits refuses them before any row is built;
     # S(12000, 12000) = 1 prints, but its explicit sum would take 12,001
@@ -101,7 +102,8 @@ def test_unprintable_integers_exit_3_before_the_work(argv, capsys):
     # the order-1500 exp recurrence is past EGF_WORK_LIMIT; the exact series
     # of order 20,000 (18 s on 2 vCPUs, then a MemoryError under a 3 GiB
     # address space) and Dobinski's to k = 30,001 (6 s, 831 MiB) pass
-    # SERIES_BITS_LIMIT
+    # SERIES_BITS_LIMIT; Dobinski at --precision 10^6 (over a minute) passes
+    # PRECISION_LIMIT
     start = time.perf_counter()
     code, out, err = run(argv, capsys)
     assert time.perf_counter() - start < 1.0

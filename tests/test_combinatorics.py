@@ -237,6 +237,13 @@ def test_dobinski_rejects_low_precision():
         dobinski_bell(3, 0, 50)
 
 
+def test_bell_polynomial_rejects_negative_n():
+    # as bell does; the Horner sum would read the last row built for n = -1
+    for n in (-1, -5):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            bell_polynomial(n, 2)
+
+
 # ---------------------------------------------------------------------------
 # Enumeration and census
 
