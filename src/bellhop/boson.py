@@ -12,8 +12,8 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .errors import ResourceLimitError
-from .lincomb import LinearCombination, _over_common_scale, _polynomial_at, _scaled, _unscaled
+from .errors import ResourceLimitError, _polynomial_at
+from .lincomb import LinearCombination, _over_common_scale, _scaled, _unscaled
 
 # word letters
 A = 0   # annihilation operator a

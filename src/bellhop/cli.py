@@ -12,7 +12,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .errors import ExpressionParseError, ResourceLimitError, int_digits_limit
+from .errors import ExpressionParseError, ResourceLimitError, float_times, int_digits_limit
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -80,7 +80,7 @@ def _refuse_unprintable(what: str, log10_lower_bounds=(), value: int = 0):
 def _log10_stirling_lower(n: int, k: int) -> float:
     # S(n, k) >= k^(n-k) for 1 <= k <= n: put 1..k in k different blocks and
     # each other element in any of them, k^(n-k) distinct partitions
-    return (n - k) * math.log10(k) if 1 <= k <= n else 0.0
+    return float_times(n - k, math.log10(k)) if 1 <= k <= n else 0.0
 
 
 def cmd_bell(args) -> int:

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 import math
 import threading
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, _polynomial_at, float_times
 
 if TYPE_CHECKING:
     import mpmath
@@ -68,7 +68,7 @@ def stirling2(n: int, k: int) -> int:
         return 0
     if n < len(_STIRLING_ROWS):
         return _STIRLING_ROWS[n][k]
-    digits = (k + 1) * n * math.log10(k) if k > 1 else 0
+    digits = float_times((k + 1) * n, math.log10(k)) if k > 1 else 0
     if digits > STIRLING_SUM_LIMIT:
         raise ResourceLimitError(
             f"S({n}, {k}) by the explicit sum needs {digits:.3g} digits of powers, "
@@ -89,8 +89,6 @@ def bell_polynomial(n: int, y) -> Fraction:
     over a power of q: the one integer sum_k S(n,k) p^k q^(n-k) over q^n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    from .lincomb import _polynomial_at  # only bell_polynomial loads lincomb
-
     return _polynomial_at(enumerate(_stirling_row(n)), 1, Fraction(y))
 
 
@@ -146,20 +144,15 @@ def _dobinski_result() -> type:
     return globals()["DobinskiResult"]
 
 
-def _over_common_denominator(x: Fraction, N: int, shift: int) -> list[int]:
-    """Integers u_0..u_N with u_n / u_0 = x^n / (n + shift)! for shift 0 or 1.
-
-    With x = m / d, u_n = m^n d^(N-n) (N + shift)! / (n + shift)!, so sums of
-    terms x^n / (n + shift)! become integer sums with one division at the end.
-    """
-    m, d = x.as_integer_ratio()
-    bits = (N + 1) * (N * max(m.bit_length(), d.bit_length()) + math.lgamma(N + shift + 1) / math.log(2))
+def _check_series(N: int, *points: Fraction) -> None:
+    """Refuse an exact series of order N at the rational points x, before any
+    term is built, when its N + 1 Horner steps on integers of N bits(x) +
+    log2 N! bits pass SERIES_BITS_LIMIT bits in all."""
+    width = max(max(x.numerator.bit_length(), x.denominator.bit_length()) for x in points)
+    # an N past the limit is refused as an int: lgamma(N + 1) can pass the float range
+    bits = (N + 1) * (N * width + math.lgamma(N + 1) / math.log(2)) if N <= SERIES_BITS_LIMIT else math.inf
     if bits > SERIES_BITS_LIMIT:
         raise ResourceLimitError(f"a series of order {N} takes {bits:.3g} bits, past {SERIES_BITS_LIMIT}")
-    u = [d**N * math.factorial(N + shift)]
-    for n in range(N):
-        u.append(u[n] * m // (d * (n + 1 + shift)))  # exact: d and n + 1 + shift divide u[n]
-    return u
 
 
 def _decimal_digits(x: int) -> int:
@@ -202,10 +195,10 @@ def dobinski_bell_poly(n: int, y, K: int, precision: int = 50) -> DobinskiResult
     if y <= 0:
         raise ValueError("y must be positive")
     k0 = _dobinski_tail_start(n, K, -(-y.numerator // y.denominator))
-    u = _over_common_denominator(y, k0, 0)  # u_k / u_0 = y^k / k!, and 0**0 == 1
-    partial = Fraction(sum(k**n * u[k] for k in range(K + 1)), u[0])
+    _check_series(k0, y)
+    partial = _polynomial_at(((k, k**n) for k in range(K + 1)), 1, y, egf=True)  # 0**0 == 1
     # explicit terms up to the geometric regime, then a factor-2 cap
-    tail_frac = Fraction(sum(k**n * u[k] for k in range(K + 1, k0)) + 2 * k0**n * u[k0], u[0])
+    tail_frac = _polynomial_at([*((k, k**n) for k in range(K + 1, k0)), (k0, 2 * k0**n)], 1, y, egf=True)
     # Padding so the prefactor multiplication's roundoff stays far below
     # the certified truncation tail, however tight that tail is.
     ratio = partial / tail_frac

@@ -1,8 +1,10 @@
-"""Exception types, limits and the coefficient rule shared across the
-package."""
+"""Exception types, limits, the coefficient rule and the one exact
+evaluator, a Horner pass for every exact sum at a rational point."""
 
+import math
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 
 class ResourceLimitError(RuntimeError):
@@ -32,3 +34,27 @@ def rational(value) -> int | Fraction:
     if type(value) is not Fraction:
         value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
+
+
+def float_times(count: int, factor: float) -> float:
+    """count * factor for an int count and a float factor, both >= 0; inf
+    where count passes the float range, whose conversion to a float raises
+    OverflowError: a size bound made of it refuses instead of crashing."""
+    if not factor:
+        return 0.0
+    return count * factor if count <= sys.float_info.max else math.inf
+
+
+def _polynomial_at(numerators: Iterable[tuple[int, int]], scale: int, y: Fraction, egf: bool = False) -> Fraction:
+    """sum_d N_d y^d / scale over the (d, N_d) pairs at y = p/q, or with egf
+    the EGF sum_d N_d y^d / (d! scale): by Horner, one integer over scale q^top,
+    times top! in an EGF, whose steps are those of 1 + y (1 + y/2 (1 + y/3 (...)))."""
+    by_degree: dict[int, int] = {}
+    for d, n in numerators:
+        by_degree[d] = by_degree.get(d, 0) + n
+    p, q, top = y.numerator, y.denominator, max(by_degree, default=0)
+    total, q_power = by_degree.get(top, 0), 1
+    for d in range(top - 1, -1, -1):
+        q_power *= q * (d + 1) if egf else q
+        total = total * p + by_degree.get(d, 0) * q_power
+    return Fraction(total, scale * q_power)

@@ -24,7 +24,7 @@ import re
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from .errors import ExpressionParseError, ResourceLimitError, int_digits_limit, rational
+from .errors import ExpressionParseError, ResourceLimitError, float_times, int_digits_limit, rational
 
 
 class LinearCombination:
@@ -142,7 +142,7 @@ class LinearCombination:
             raise ValueError("exponent must be nonnegative")
         if self.terms:
             largest = max(max(abs(c.numerator), c.denominator) for c in self.terms.values())
-            digits = n * math.log10(largest)
+            digits = float_times(n, math.log10(largest))
             limit = int_digits_limit()
             if 0 < limit < digits:
                 raise ResourceLimitError(
@@ -216,20 +216,6 @@ def _over_common_scale(terms: dict[Any, int | Fraction]) -> tuple[dict[Any, int]
     """({k: c_k D}, D) for the lcm D of the denominators of the c_k."""
     scale = math.lcm(*{c.denominator for c in terms.values()})
     return {k: c.numerator * (scale // c.denominator) for k, c in terms.items()}, scale
-
-
-def _polynomial_at(numerators: Iterable[tuple[int, int]], scale: int, y: Fraction) -> Fraction:
-    """sum N y^d / scale over the (d, N) pairs, at y = p/q: the one integer
-    sum_d N_d p^d q^(top-d) by Horner, over scale q^top."""
-    by_degree: dict[int, int] = {}
-    for d, n in numerators:
-        by_degree[d] = by_degree.get(d, 0) + n
-    p, q, top = y.numerator, y.denominator, max(by_degree, default=0)
-    total, q_power = 0, 1
-    for d in range(top, -1, -1):
-        total = total * p + by_degree.get(d, 0) * q_power
-        q_power *= q
-    return Fraction(total, scale * q**top)
 
 
 def _tokens(text: str) -> list[tuple[str, Any, int]]:

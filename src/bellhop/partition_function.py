@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .combinatorics import _over_common_denominator, _stirling_row
-from .errors import ResourceLimitError
+from .combinatorics import _check_series, _stirling_row
+from .errors import ResourceLimitError, _polynomial_at
 
 if TYPE_CHECKING:
     from .boson import BosonExpression, CoherentParam, NormalOrderedForm
@@ -203,38 +204,41 @@ def regularized_series_Z(p: ModelParams, M: float, N: int) -> float:
     The terms alternate and their largest grows like e^(alpha M), so float
     rounding of the terms would swamp the sum once alpha M passes ~35.  The
     series is summed exactly at the float alpha and M and rounded once, to
-    an infinity if it lies beyond the float range.
+    an infinity if it lies beyond the float range: with x = -alpha M, it is
+    (1 - e_{N+1}(x)) / alpha for e_{N+1} the exponential series to order N + 1.
     """
     _check_series_args(M, N)
-    # M sum_n x^n / (n+1)! with x = -alpha M
-    u = _over_common_denominator(Fraction(-p.alpha) * Fraction(M), N, 1)
-    a, b = Fraction(M).as_integer_ratio()
-    return _rounded(a * sum(u), b * u[0])
+    alpha, M = Fraction(p.alpha), Fraction(M)
+    x = -alpha * M
+    _check_series(N, x)
+    e = _polynomial_at(((n, 1) for n in range(N + 2)), 1, x, egf=True)
+    # alpha = 0, at a beta epsilon below the float range, leaves the n = 0 term
+    return _rounded(*((1 - e) / alpha if alpha else M).as_integer_ratio())
 
 
 def combinatorial_Z(p: ModelParams, M: float, N: int) -> float:
     """integral_0^M sum_{n<=N} B_n(y) x^n / n! dy, the order-N truncation of
     the Bell-polynomial sum integrated over [0, M].
 
-    With g_k = sum_n S(n,k) x^n / n!, the truncation is sum_k g_k y^k, and
-    each power integrates in closed form: the value is
-    sum_k g_k M^(k+1) / (k+1), summed exactly at the float x and M and
-    rounded once, to an infinity if it lies beyond the float range.
+    Each B_n(y) = sum_k S(n,k) y^k integrates in closed form, to
+    I_n = sum_k S(n,k) M^(k+1) / (k+1): the value is the EGF
+    sum_n I_n x^n / n!, summed exactly at the float x and M by one Horner
+    pass and rounded once, to an infinity if it lies beyond the float range.
 
     Converges to closed_form_Z as M and N grow jointly (N first).  The
     truncation is an alternating series in n whose terms grow with both
     |x| y and N; at fixed N the usable cutoff M is limited accordingly.
     """
     _check_series_args(M, N)
-    # u_n / u_0 = x^n / n!, so G_k / u_0 = g_k
-    u = _over_common_denominator(Fraction(p.x), N, 0)
-    rows = [_stirling_row(n) for n in range(N + 1)]
-    G = [sum(rows[n][k] * u[n] for n in range(k, N + 1)) for k in range(N + 1)]
-    # with M = a / b, M^(k+1) / (k+1) = a^(k+1) b^(N-k) ((N+1)! / (k+1)) / (b^(N+1) (N+1)!)
-    a, b = Fraction(M).as_integer_ratio()
+    x, M = Fraction(p.x), Fraction(M)
+    _check_series(N, x, M)
+    # with M = a / b, M^(k+1) / (k+1) = w_k / (b^(N+1) (N+1)!) for the integers
+    # w_k = a^(k+1) b^(N-k) (N+1)! / (k+1), so I_n is row n of S dotted with w
+    a, b = M.as_integer_ratio()
     F = math.factorial(N + 1)
-    numerator = sum(g * a ** (k + 1) * b ** (N - k) * (F // (k + 1)) for k, g in enumerate(G))
-    return _rounded(numerator, u[0] * b ** (N + 1) * F)
+    w = [a ** (k + 1) * b ** (N - k) * (F // (k + 1)) for k in range(N + 1)]
+    dots = ((n, sum(map(operator.mul, _stirling_row(n), w))) for n in range(N + 1))
+    return _rounded(*_polynomial_at(dots, b ** (N + 1) * F, x, egf=True).as_integer_ratio())
 
 
 def _check_series_args(M: float, N: int) -> None:
@@ -254,13 +258,15 @@ def _rounded(num: int, den: int) -> float:
 
 
 def _egf_at(coeffs: Sequence, x: float) -> complex | float:
-    """sum_n c_n x^n / n!: for int or Fraction c_n exactly at the float x,
-    over one common denominator, and rounded once; else in floating point."""
+    """sum_n c_n x^n / n!: for int or Fraction c_n exactly at the float x, by
+    one Horner pass over the lcm of their denominators, rounded once; else in floats."""
     if not all(isinstance(c, (int, Fraction)) for c in coeffs):
         return sum(complex(c) * x**n / math.factorial(n) for n, c in enumerate(coeffs))
-    u = _over_common_denominator(Fraction(x), len(coeffs) - 1, 0)  # u_n / u_0 = x^n / n!
+    x = Fraction(x)
+    _check_series(len(coeffs) - 1, x)
     D = math.lcm(*(c.denominator for c in coeffs))
-    return _rounded(sum(c.numerator * (D // c.denominator) * v for c, v in zip(coeffs, u)), D * u[0])
+    terms = ((n, c.numerator * (D // c.denominator)) for n, c in enumerate(coeffs))
+    return _rounded(*_polynomial_at(terms, D, x, egf=True).as_integer_ratio())
 
 
 class GeneralFResult(NamedTuple):

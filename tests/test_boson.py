@@ -400,6 +400,9 @@ def test_scalar_power_bound_in_every_algebra(parse):
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError):
         parse("2^99999999")
+    # an exponent past the float range: the bound reads inf digits, not an OverflowError
+    with pytest.raises(ResourceLimitError, match="~inf digits"):
+        parse("2") ** 10**400
     assert time.perf_counter() - start < 1.0
     assert str(parse("(1/2)^3")) == "1/8"
 
@@ -466,6 +469,9 @@ def test_word_limits_admit_what_normal_order_admits():
     assert parse_expression("a^48").max_word_length() == 48 == 2 * MOMENT_LIMIT
     with pytest.raises(ResourceLimitError, match="ordering limit 48"):
         parse_expression("a^24 ad^25")
+    # a coefficient 1 has no digits to bound: the first squaring past 48 letters refuses
+    with pytest.raises(ResourceLimitError, match="ordering limit 48"):
+        parse_expression("a") ** 10**400
     assert len(parse_expression("(a + ad)^16").terms) == 2**16  # 256 x 256 pairs
     with pytest.raises(ResourceLimitError, match="pairs"):
         parse_expression("(a + ad)^17")

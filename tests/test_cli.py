@@ -87,14 +87,25 @@ def test_stirling_600_3_in_a_fresh_process():
     assert json.loads(proc.stdout)[0]["stirling2"] == (3**600 - 3 * 2**600 + 3) // 6
 
 
+BIG = str(10**400)  # an int argument past the float range
+
+
 @pytest.mark.parametrize("argv", [["bell", "3000"], ["stirling", "100000", "200"],
                                   ["stirling", "12000", "12000"], ["egf", "bell", "--order", "2100"],
                                   ["egf", "exp", "--", "0"] + ["9/7"] * 1500,
                                   ["partition-function", "--beta-eps", "0.05", "--order", "20000"],
                                   ["dobinski", "10", "--k-max", "30000"],
-                                  ["dobinski", "10", "--precision", "1000000"]],
+                                  ["dobinski", "10", "--precision", "1000000"],
+                                  ["dobinski", "100000", "--k-max", "10"],
+                                  ["dobinski", "5", "--y", "1e400"], ["dobinski", BIG],
+                                  ["dobinski", "5", "--k-max", BIG],
+                                  ["partition-function", "--beta-eps", "1", "--order", BIG],
+                                  ["bell", BIG], ["stirling", BIG, "3"], ["egf", "bell", "--order", BIG],
+                                  ["normal-order", "a^" + BIG]],
                          ids=["bell", "stirling", "stirling-sum", "egf-bell", "egf-work",
-                              "series-bits", "dobinski-bits", "dobinski-precision"])
+                              "series-bits", "dobinski-bits", "dobinski-precision", "dobinski-tail-start",
+                              "huge-y", "huge-n", "huge-k-max", "huge-order", "huge-bell",
+                              "huge-stirling", "huge-egf-bell", "huge-power"])
 def test_unprintable_integers_exit_3_before_the_work(argv, capsys):
     # a lower bound on the digits refuses them before any row is built;
     # S(12000, 12000) = 1 prints, but its explicit sum would take 12,001
@@ -103,7 +114,10 @@ def test_unprintable_integers_exit_3_before_the_work(argv, capsys):
     # of order 20,000 (18 s on 2 vCPUs, then a MemoryError under a 3 GiB
     # address space) and Dobinski's to k = 30,001 (6 s, 831 MiB) pass
     # SERIES_BITS_LIMIT; Dobinski at --precision 10^6 (over a minute) passes
-    # PRECISION_LIMIT
+    # PRECISION_LIMIT.  Dobinski at n = 10^5 runs its tail to k = 2 10^5, so
+    # it is refused before any k^n is built.  An int argument past the float
+    # range (10^400) is refused by a bound that reads inf, not by an
+    # OverflowError's exit 1
     start = time.perf_counter()
     code, out, err = run(argv, capsys)
     assert time.perf_counter() - start < 1.0

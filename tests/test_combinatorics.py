@@ -307,6 +307,9 @@ def test_stirling_sum_limit(monkeypatch):
         stirling2(1000, 1000)
     with pytest.raises(ResourceLimitError, match=r"past the limit 1000000$"):
         stirling2(12000, 12000)
+    # (k + 1) n past the float range: the digits read inf, not an OverflowError
+    with pytest.raises(ResourceLimitError, match=r"needs inf digits"):
+        stirling2(10**400, 3)
     assert time.perf_counter() - start < 1.0  # before the work: the sum for S(12000, 12000) takes 69 s
     assert len(combinatorics._STIRLING_ROWS) == 1
 

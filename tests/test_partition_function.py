@@ -3,14 +3,17 @@ truncated combinatorial expansion, and the divergence demonstration."""
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bellhop import boson
 from bellhop.boson import BosonExpression, CoherentParam, NormalOrderedForm, number_word, parse_expression, word_moments
 from bellhop.combinatorics import _stirling_row, bell, bell_polynomial
-from bellhop import partition_function as pf
+from bellhop import combinatorics, partition_function as pf
 from bellhop.errors import ResourceLimitError
 from bellhop.partition_function import (
     GeneralFResult,
@@ -248,6 +251,29 @@ def test_series_past_the_float_range():
     assert abs(regularized_series_Z(p, 800.0, 2500) - closed_form_Z(p)) < 1e-15
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1.0, 1e-200]), st.one_of(st.floats(1e-9, 20.0), st.sampled_from([1e-300, 5e-324])),
+       st.floats(1e-3, 1e7), st.integers(0, 120))
+@example(1.0, 5.0, 1e6, 200)
+@example(1.0, 5.0, 1e6, 199)
+@example(1.0, 5.0, 150.0, 500)  # terms peak near 10^63, and the sum is ~1
+def test_series_matches_its_termwise_fraction_sum(beta, epsilon, M, N):
+    # M sum_n x^n / (n+1)!, x = -alpha M, summed term by term in Fractions
+    # and rounded once by int / int division: the route's
+    # (1 - e_{N+1}(x)) / alpha is this value, bit for bit, also at alpha = 0
+    # (beta = 1e-200 and beta epsilon below the float range) and past the float
+    # range.  test_series_past_the_float_range's third point, N = 2500, takes
+    # ~40 s this way (2-vCPU VM), so a shorter sum with the same cancellation stands in.
+    p = ModelParams(beta, epsilon)
+    x = -Fraction(p.alpha) * Fraction(M)
+    exact = sum(Fraction(M) * x**n / math.factorial(n + 1) for n in range(N + 1))
+    try:
+        want = exact.numerator / exact.denominator
+    except OverflowError:
+        want = math.inf if exact > 0 else -math.inf
+    assert regularized_series_Z(p, M, N) == want
+
+
 def test_series_cauchy_in_N():
     # at fixed finite M the series converges (interchange is legal there)
     p = params(1.0)
@@ -356,6 +382,17 @@ def test_combinatorial_past_the_float_range():
     # the top term g_N M^(N+1) / (N+1), with g_N = x^N / N!, dominates and sets the sign
     assert combinatorial_Z(params(1.0), 1e9, 200) == math.inf
     assert combinatorial_Z(params(1.0), 1e9, 199) == -math.inf
+
+
+def test_combinatorial_refuses_before_any_row_or_weight(monkeypatch):
+    # order 20,000 passes SERIES_BITS_LIMIT; no command reaches it, since
+    # regularized_series_Z refuses the same order first
+    monkeypatch.setattr(combinatorics, "_STIRLING_ROWS", [(1,)])
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="a series of order 20000"):
+        combinatorial_Z(ModelParams(1.0, 0.05), 20.0, 20000)
+    assert time.perf_counter() - start < 1.0
+    assert len(combinatorics._STIRLING_ROWS) == 1
 
 
 def test_combinatorial_order_zero_is_M():
