@@ -15,9 +15,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "combinatorics": (
         "DiagramCensus", "SetPartition", "bell", "bell_polynomial", "diagram_census",
-        "dobinski_bell", "dobinski_bell_poly", "enumerate_set_partitions", "partition_count",
-        "stirling2",
+        "enumerate_set_partitions", "partition_count", "stirling2",
     ),
+    "dobinski": ("dobinski_bell", "dobinski_bell_poly"),
     "boson": (
         "BosonExpression", "CoherentParam", "NormalOrderedForm", "coherent_expectation",
         "forgetful_normal_order", "normal_order", "parse_expression", "stirling_via_ordering",

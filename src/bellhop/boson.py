@@ -12,7 +12,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .errors import ResourceLimitError, _polynomial_at
+from .errors import ResourceLimitError, _polynomial_at, int_text
 from .lincomb import LinearCombination, _over_common_scale, _scaled, _unscaled
 
 # word letters
@@ -366,7 +366,7 @@ def word_moments(w: BosonExpression | NormalOrderedForm, nmax: int, z) -> list:
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     if nmax > MOMENT_LIMIT:
-        raise ResourceLimitError(f"moment order {nmax} exceeds the limit {MOMENT_LIMIT}")
+        raise ResourceLimitError(f"moment order {int_text(nmax)} exceeds the limit {MOMENT_LIMIT}")
     moments: list = [Fraction(1)]
     if nmax == 0:  # w is never ordered, so its length is unchecked
         return moments

@@ -134,9 +134,9 @@ def cmd_normal_order(args) -> int:
 def cmd_dobinski(args) -> int:
     import mpmath  # only the Dobinski paths pay for it
 
-    from . import combinatorics
+    from . import dobinski
 
-    res = combinatorics.dobinski_bell_poly(args.n, _rational(args.y), args.k_max, args.precision)
+    res = dobinski.dobinski_bell_poly(args.n, _rational(args.y), args.k_max, args.precision)
     # mpmath prints a far-from-1 mpf through an int as long as its mantissa,
     # precision + guard digits, which a tight tail takes past the digits
     # Python prints an int with; the digits printed do not depend on that limit

@@ -1,6 +1,6 @@
 """Exact integer combinatorics: Stirling and Bell numbers, Bell polynomials,
-truncated Dobinski evaluation with certified tail bounds, set-partition
-enumeration, and the block-size census as the complete Bell polynomial.
+the size check of an exact series, set-partition enumeration, and the
+block-size census as the complete Bell polynomial.
 """
 
 from __future__ import annotations
@@ -11,11 +11,9 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 import math
 import threading
 
-from .errors import ResourceLimitError, _polynomial_at, float_times
+from .errors import ResourceLimitError, _polynomial_at, float_times, int_text
 
 if TYPE_CHECKING:
-    import mpmath
-
     from .hopf import Monomial
 
 ENUMERATION_LIMIT = 14  # enumeration yields B(n) partitions: B(14) = 190,899,322
@@ -27,8 +25,6 @@ STIRLING_SUM_LIMIT = 10**6
 # bits of one exact series' integers: at 2^30 (128 MiB), order 4000 at beta
 # epsilon = 0.05, M = 20 takes ~1.5 s and 262 MiB (Python 3.11, 2-vCPU VM)
 SERIES_BITS_LIMIT = 2**30
-# Dobinski's working digits, precision and guard: `dobinski 10` at 10^5 takes ~1 s
-PRECISION_LIMIT = 10**5
 
 
 # --------------------------------------------------------------------------
@@ -71,7 +67,7 @@ def stirling2(n: int, k: int) -> int:
     digits = float_times((k + 1) * n, math.log10(k)) if k > 1 else 0
     if digits > STIRLING_SUM_LIMIT:
         raise ResourceLimitError(
-            f"S({n}, {k}) by the explicit sum needs {digits:.3g} digits of powers, "
+            f"S({int_text(n)}, {int_text(k)}) by the explicit sum needs {digits:.3g} digits of powers, "
             f"past the limit {STIRLING_SUM_LIMIT}"
         )
     return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)) // math.factorial(k)
@@ -109,41 +105,6 @@ def partition_count(n: int) -> int:
     return table[n][n] if n > 0 else 1
 
 
-# --------------------------------------------------------------------------
-# Dobinski evaluation
-# --------------------------------------------------------------------------
-
-
-_DOBINSKI_LOCK = threading.Lock()
-
-
-def __getattr__(name: str):
-    # DobinskiResult is a frozen dataclass, defined on first use: dataclasses
-    # loads inspect, ast and dis (~10 ms), which only the Dobinski path, the
-    # one that loads mpmath too, pays for
-    if name == "DobinskiResult":
-        return _dobinski_result()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _dobinski_result() -> type:
-    with _DOBINSKI_LOCK:  # one class, also when two threads ask first
-        if "DobinskiResult" not in globals():
-            from dataclasses import dataclass
-
-            class DobinskiResult:
-                """Truncated Dobinski value with a certified bound on the omitted tail."""
-
-                value: mpmath.mpf
-                tail_bound: mpmath.mpf
-                terms_used: int
-                precision: int
-
-            DobinskiResult.__qualname__ = "DobinskiResult"  # its repr and pickle name
-            globals()["DobinskiResult"] = dataclass(frozen=True)(DobinskiResult)
-    return globals()["DobinskiResult"]
-
-
 def _check_series(N: int, *points: Fraction) -> None:
     """Refuse an exact series of order N at the rational points x, before any
     term is built, when its N + 1 Horner steps on integers of N bits(x) +
@@ -152,66 +113,9 @@ def _check_series(N: int, *points: Fraction) -> None:
     # an N past the limit is refused as an int: lgamma(N + 1) can pass the float range
     bits = (N + 1) * (N * width + math.lgamma(N + 1) / math.log(2)) if N <= SERIES_BITS_LIMIT else math.inf
     if bits > SERIES_BITS_LIMIT:
-        raise ResourceLimitError(f"a series of order {N} takes {bits:.3g} bits, past {SERIES_BITS_LIMIT}")
-
-
-def _decimal_digits(x: int) -> int:
-    """len(str(x)) for an integer x >= 1, counted without printing x, which
-    Python refuses past 4,300 digits."""
-    # 2^(b-1) <= x < 2^b puts the count at floor(b log10 2) or one more
-    digits = int(x.bit_length() * math.log10(2))
-    while x >= 10**digits:
-        digits += 1
-    return digits
-
-
-def _dobinski_tail_start(n: int, K: int, y_ceiling: int) -> int:
-    # From index k0 on, successive terms k^n y^k / k! shrink by at least 1/2:
-    # the ratio is (1+1/k)^n * y/(k+1) <= e^(1/2) * y/(k+1) once k >= 2n,
-    # and e^(1/2)/(k+1) <= 1/2 once k >= 3 (for y <= 1; scale by y otherwise).
-    return max(K + 1, 2 * n, 3, 4 * y_ceiling)
-
-
-def dobinski_bell(n: int, K: int, precision: int = 50) -> DobinskiResult:
-    """(1/e) sum_{k=0}^{K} k^n / k!  with a certified tail bound.
-
-    The exact Bell number lies within value +/- tail_bound up to
-    working-precision representation error.
-    """
-    return dobinski_bell_poly(n, 1, K, precision)
-
-
-def dobinski_bell_poly(n: int, y, K: int, precision: int = 50) -> DobinskiResult:
-    """e^{-y} sum_{k=0}^{K} (k^n / k!) y^k  with a certified tail bound."""
-    import mpmath  # only the Dobinski paths pay for it
-
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if precision < 10:
-        raise ValueError("precision below 10 digits gives a meaningless certificate")
-    y = Fraction(y)
-    if y <= 0:
-        raise ValueError("y must be positive")
-    k0 = _dobinski_tail_start(n, K, -(-y.numerator // y.denominator))
-    _check_series(k0, y)
-    partial = _polynomial_at(((k, k**n) for k in range(K + 1)), 1, y, egf=True)  # 0**0 == 1
-    # explicit terms up to the geometric regime, then a factor-2 cap
-    tail_frac = _polynomial_at([*((k, k**n) for k in range(K + 1, k0)), (k0, 2 * k0**n)], 1, y, egf=True)
-    # Padding so the prefactor multiplication's roundoff stays far below
-    # the certified truncation tail, however tight that tail is.
-    ratio = partial / tail_frac
-    guard = 10 + _decimal_digits(1 + ratio.numerator // ratio.denominator)
-    if precision + guard > PRECISION_LIMIT:
-        raise ResourceLimitError(f"precision {precision} + {guard} guard digits exceeds {PRECISION_LIMIT}")
-    with mpmath.workdps(precision + guard):
-        prefactor = mpmath.e ** (-mpmath.mpf(y.numerator) / y.denominator)
-        value = prefactor * partial.numerator / partial.denominator
-        tail = prefactor * tail_frac.numerator / tail_frac.denominator
-        out_value = +value
-        out_tail = +tail
-    return _dobinski_result()(out_value, out_tail, K + 1, precision)
+        raise ResourceLimitError(
+            f"a series of order {int_text(N)} takes {bits:.3g} bits, past {SERIES_BITS_LIMIT}"
+        )
 
 
 # --------------------------------------------------------------------------
@@ -264,7 +168,7 @@ def _check_limit(n: int, limit: int, what: str):
     if n < 1:
         raise ValueError("n must be positive")
     if n > limit:
-        raise ResourceLimitError(f"{what} for n={n} exceeds the limit {limit}")
+        raise ResourceLimitError(f"{what} for n={int_text(n)} exceeds the limit {limit}")
 
 
 def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:

@@ -1,5 +1,6 @@
-"""Exception types, limits, the coefficient rule and the one exact
-evaluator, a Horner pass for every exact sum at a rational point."""
+"""Exception types, limits, a long int's size for refusals, the coefficient
+rule and the one exact evaluator, a Horner pass for every exact sum at a
+rational point."""
 
 import math
 import sys
@@ -36,6 +37,15 @@ def rational(value) -> int | Fraction:
     return value.numerator if value.denominator == 1 else value
 
 
+def int_text(n: int) -> str:
+    """str(n) for an n >= 0, or its size as ~10^d once it has more than 30
+    digits: a refusal names its argument without printing it, which Python
+    refuses past 4,300 digits."""
+    if n < 10**30:
+        return str(n)
+    return f"~10^{int(n.bit_length() * math.log10(2))}"
+
+
 def float_times(count: int, factor: float) -> float:
     """count * factor for an int count and a float factor, both >= 0; inf
     where count passes the float range, whose conversion to a float raises
@@ -47,14 +57,17 @@ def float_times(count: int, factor: float) -> float:
 
 def _polynomial_at(numerators: Iterable[tuple[int, int]], scale: int, y: Fraction, egf: bool = False) -> Fraction:
     """sum_d N_d y^d / scale over the (d, N_d) pairs at y = p/q, or with egf
-    the EGF sum_d N_d y^d / (d! scale): by Horner, one integer over scale q^top,
-    times top! in an EGF, whose steps are those of 1 + y (1 + y/2 (1 + y/3 (...)))."""
+    the EGF sum_d N_d y^d / (d! scale): by Horner from the top degree down to
+    the lowest one, low, one integer over scale q^top, times top! in an EGF,
+    whose steps are those of 1 + y (1 + y/2 (1 + y/3 (...)))."""
     by_degree: dict[int, int] = {}
     for d, n in numerators:
         by_degree[d] = by_degree.get(d, 0) + n
-    p, q, top = y.numerator, y.denominator, max(by_degree, default=0)
+    p, q = y.numerator, y.denominator
+    low, top = min(by_degree, default=0), max(by_degree, default=0)
     total, q_power = by_degree.get(top, 0), 1
-    for d in range(top - 1, -1, -1):
+    for d in range(top - 1, low - 1, -1):
         q_power *= q * (d + 1) if egf else q
         total = total * p + by_degree.get(d, 0) * q_power
-    return Fraction(total, scale * q_power)
+    # no degree below low: its factor y^low, or y^low / low! in an EGF, once
+    return Fraction(total * p**low, scale * q_power * q**low * (math.factorial(low) if egf else 1))

@@ -12,7 +12,7 @@ import operator
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, int_text
 from .lincomb import LinearCombination
 
 Rational = Fraction | int
@@ -201,7 +201,7 @@ def _integer_partitions(n: int) -> Iterator[tuple[int, ...]]:
 def basis_monomials(max_weight: int) -> list[Monomial]:
     """All monomials of weight <= max_weight (one per integer partition)."""
     if max_weight > WEIGHT_LIMIT:
-        raise ResourceLimitError(f"basis of weight {max_weight} exceeds the limit {WEIGHT_LIMIT}")
+        raise ResourceLimitError(f"basis of weight {int_text(max_weight)} exceeds the limit {WEIGHT_LIMIT}")
     return [Monomial(parts) for w in range(max_weight + 1) for parts in _integer_partitions(w)]
 
 

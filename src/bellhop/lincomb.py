@@ -24,7 +24,9 @@ import re
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from .errors import ExpressionParseError, ResourceLimitError, float_times, int_digits_limit, rational
+from .errors import (
+    ExpressionParseError, ResourceLimitError, float_times, int_digits_limit, int_text, rational,
+)
 
 
 class LinearCombination:
@@ -146,7 +148,7 @@ class LinearCombination:
             limit = int_digits_limit()
             if 0 < limit < digits:
                 raise ResourceLimitError(
-                    f"power {n} has coefficients of ~{digits:.0f} digits, over the "
+                    f"power {int_text(n)} has coefficients of ~{digits:.0f} digits, over the "
                     f"{limit} digits an integer prints with"
                 )
         if not n:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .combinatorics import _check_series, _stirling_row
-from .errors import ResourceLimitError, _polynomial_at
+from .errors import ResourceLimitError, _polynomial_at, int_text
 
 if TYPE_CHECKING:
     from .boson import BosonExpression, CoherentParam, NormalOrderedForm
@@ -176,7 +176,7 @@ def _termwise_exact(n: int, p: ModelParams, M: float) -> tuple[int, int]:
     """termwise_partial as an integer numerator over a positive denominator."""
     _check_series_args(M, n)
     if n > DIVERGENCE_LIMIT:
-        raise ResourceLimitError(f"divergence term n={n} exceeds the limit {DIVERGENCE_LIMIT}")
+        raise ResourceLimitError(f"divergence term n={int_text(n)} exceeds the limit {DIVERGENCE_LIMIT}")
     m, d = (Fraction(-p.alpha) * Fraction(M)).as_integer_ratio()
     a, b = Fraction(M).as_integer_ratio()
     return a * m**n, b * d**n * math.factorial(n + 1)

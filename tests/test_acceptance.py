@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from bellhop import boson, combinatorics, egf, hopf
+from bellhop import boson, combinatorics, dobinski, egf, hopf
 from bellhop import partition_function as pf
 
 
@@ -64,7 +64,7 @@ def test_criterion_04_dobinski_certified():
     worst = Fraction(0)
     ok = True
     for n in range(16):
-        res = combinatorics.dobinski_bell(n, 2 * n + 40, 50)
+        res = dobinski.dobinski_bell(n, 2 * n + 40, 50)
         b = combinatorics.bell(n)
         import mpmath
 

@@ -97,14 +97,15 @@ BIG = str(10**400)  # an int argument past the float range
                                   ["dobinski", "10", "--k-max", "30000"],
                                   ["dobinski", "10", "--precision", "1000000"],
                                   ["dobinski", "100000", "--k-max", "10"],
-                                  ["dobinski", "5", "--y", "1e400"], ["dobinski", BIG],
+                                  ["dobinski", "5", "--y", "1e400"], ["dobinski", "5", "--y", "1e5000"],
+                                  ["dobinski", BIG],
                                   ["dobinski", "5", "--k-max", BIG],
                                   ["partition-function", "--beta-eps", "1", "--order", BIG],
                                   ["bell", BIG], ["stirling", BIG, "3"], ["egf", "bell", "--order", BIG],
                                   ["normal-order", "a^" + BIG]],
                          ids=["bell", "stirling", "stirling-sum", "egf-bell", "egf-work",
                               "series-bits", "dobinski-bits", "dobinski-precision", "dobinski-tail-start",
-                              "huge-y", "huge-n", "huge-k-max", "huge-order", "huge-bell",
+                              "huge-y", "huge-y-digits", "huge-n", "huge-k-max", "huge-order", "huge-bell",
                               "huge-stirling", "huge-egf-bell", "huge-power"])
 def test_unprintable_integers_exit_3_before_the_work(argv, capsys):
     # a lower bound on the digits refuses them before any row is built;
@@ -117,7 +118,8 @@ def test_unprintable_integers_exit_3_before_the_work(argv, capsys):
     # PRECISION_LIMIT.  Dobinski at n = 10^5 runs its tail to k = 2 10^5, so
     # it is refused before any k^n is built.  An int argument past the float
     # range (10^400) is refused by a bound that reads inf, not by an
-    # OverflowError's exit 1
+    # OverflowError's exit 1; a tail start of 5,001 digits (--y 1e5000) is
+    # named by its size, as Python prints no int past 4,300 digits
     start = time.perf_counter()
     code, out, err = run(argv, capsys)
     assert time.perf_counter() - start < 1.0
@@ -796,8 +798,8 @@ def test_import_loads_neither_numpy_nor_mpmath():
 # the names bellhop exported before its submodules were loaded lazily
 EXPORTS = {
     "combinatorics": ["DiagramCensus", "SetPartition", "bell", "bell_polynomial", "diagram_census",
-                      "dobinski_bell", "dobinski_bell_poly", "enumerate_set_partitions",
-                      "partition_count", "stirling2"],
+                      "enumerate_set_partitions", "partition_count", "stirling2"],
+    "dobinski": ["dobinski_bell", "dobinski_bell_poly"],
     "boson": ["BosonExpression", "CoherentParam", "NormalOrderedForm", "coherent_expectation",
               "forgetful_normal_order", "normal_order", "parse_expression", "stirling_via_ordering",
               "word_moments"],
@@ -859,7 +861,7 @@ sys.exit(code)
 _LOADS = [
     (["bell", "5", "--triangle"], "combinatorics"),
     (["--format", "json", "stirling", "5", "2"], "combinatorics"),
-    (["--format", "csv", "dobinski", "5"], "combinatorics"),
+    (["--format", "csv", "dobinski", "5"], "combinatorics dobinski"),
     (["normal-order", "(ad a)^2"], "boson lincomb"),
     (["--format", "json", "hopf-verify", "--max-weight", "2"], "hopf lincomb"),
     (["partition-function", "--beta-eps", "1", "--combinatorial", "--order", "10"],
@@ -917,10 +919,10 @@ def test_only_dobinski_loads_dataclasses_and_json_only_for_json(argv):
 
 
 def test_dobinski_result_is_a_dataclass_before_and_after_first_use():
-    # the class is imported before any Dobinski call defines it
+    # a module-level frozen dataclass: its repr, replace, pickling and frozenness
     proc = _python(
         "import dataclasses, pickle; "
-        "from bellhop.combinatorics import DobinskiResult, dobinski_bell; "
+        "from bellhop.dobinski import DobinskiResult, dobinski_bell; "
         "res = dobinski_bell(5, 30); "
         "print(type(res) is DobinskiResult, repr(res).startswith('DobinskiResult(value=')); "
         "print(dataclasses.replace(res, terms_used=7).terms_used, res.terms_used, "

@@ -16,19 +16,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellhop import combinatorics
+from bellhop import combinatorics, dobinski
 from bellhop.combinatorics import (
     SetPartition,
     bell,
     bell_polynomial,
     diagram_census,
-    dobinski_bell,
-    dobinski_bell_poly,
     enumerate_set_partitions,
     partition_count,
     restricted_growth_strings,
     stirling2,
 )
+from bellhop.dobinski import dobinski_bell, dobinski_bell_poly
 from bellhop.boson import CoherentParam, coherent_expectation, normal_order, number_word, stirling_via_ordering
 from bellhop.egf import EGFSeries, egf_exp, v_to_w
 from bellhop.errors import ResourceLimitError
@@ -201,7 +200,7 @@ def _dobinski_per_term(n, y, K, precision):
         return Fraction(kn) * y**k / math.factorial(k)
 
     partial = sum(term(k) for k in range(K + 1))
-    k0 = combinatorics._dobinski_tail_start(n, K, math.ceil(y))
+    k0 = dobinski._dobinski_tail_start(n, K, math.ceil(y))
     tail = sum(term(k) for k in range(K + 1, k0)) + 2 * term(k0)
     ratio = partial / tail
     guard = 10 + len(str(1 + ratio.numerator // ratio.denominator))
@@ -227,7 +226,7 @@ def test_decimal_digits_match_str():
     xs = [1, 9, 10, 2**64 - 1, 2**64] + [10**k + d for k in range(1, 4300, 37) for d in (-1, 0, 1)]
     xs += [rng.getrandbits(rng.randint(1, 14000)) | 1 for _ in range(300)]
     for x in xs:
-        assert combinatorics._decimal_digits(x) == len(str(x)), x
+        assert dobinski._decimal_digits(x) == len(str(x)), x
 
 
 def test_dobinski_rejects_low_precision():
