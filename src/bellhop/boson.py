@@ -143,7 +143,10 @@ class NormalOrderedForm(LinearCombination):
 
     @staticmethod
     def key_text(rs: tuple[int, int]) -> str:
-        return " ".join([_power_text(name, n) for name, n in zip(("ad", "a"), rs) if n])
+        r, s = rs
+        ad = ("ad" if r == 1 else f"ad^{r}") if r else ""
+        a = ("a" if s == 1 else f"a^{s}") if s else ""
+        return f"{ad} {a}" if r and s else ad or a
 
     @staticmethod
     @lru_cache(maxsize=2**14)

@@ -32,8 +32,11 @@ SERIES_BITS_LIMIT = 2**30
 # --------------------------------------------------------------------------
 
 
-# rows S(n, 0..n) built so far, row n at index n; the lock keeps two
-# threads from appending the same row twice, which would shift later indices
+# rows S(n, 0..n) built so far, row n at index n: bell (bell_egf through it)
+# and bell_polynomial extend it, stirling2 reads the rows built, and
+# combinatorial_Z runs the recurrence on its weights and builds none.  The
+# lock keeps two threads from appending the same row twice, which would
+# shift later indices
 _STIRLING_ROWS: list[tuple[int, ...]] = [(1,)]
 _STIRLING_LOCK = threading.Lock()
 

@@ -175,16 +175,20 @@ class LinearCombination:
     def __str__(self) -> str:
         parts = []
         for key, c in self.sorted_terms():
-            mag = abs(c)
+            # sign and magnitude from the numerator and denominator: an int's
+            # denominator is 1, so printing takes no Fraction arithmetic
+            n, d = c.numerator, c.denominator
+            negative, n = n < 0, abs(n)
+            mag = str(n) if d == 1 else f"{n}/{d}"
             if key == self.unit_key:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif n == d == 1:
                 body = self.key_text(key)
             else:
                 body = f"{mag}{self.separator}{self.key_text(key)}"
             if parts:
-                body = f" {'-' if c < 0 else '+'} {body}"
-            elif c < 0:
+                body = f" {'-' if negative else '+'} {body}"
+            elif negative:
                 body = f"-{body}"
             parts.append(body)
         return "".join(parts) or "0"

@@ -3,7 +3,9 @@
 The radial coherent-state integral reduces the 2-D trace to
 Z = integral_0^inf exp(-alpha y) dy with alpha = 1 - e^(-beta epsilon);
 this module evaluates it in closed form, by cutoff-regularized quadrature,
-and through the truncated Bell-polynomial expansion, and it reproduces the
+and through the truncated Bell-polynomial expansion, whose integrals
+I_n = sum_k S(n,k) w_k come from Stirling's recurrence run on the weights,
+I_n = (T^n w)_0 with (T v)_k = k v_k + v_(k+1), and it reproduces the
 term-wise divergence of the illegal sum/integral interchange.
 """
 
@@ -11,12 +13,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, count, repeat
+from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .combinatorics import _check_series, _stirling_row
+from .combinatorics import _check_series
 from .errors import ResourceLimitError, _polynomial_at, int_text
 
 if TYPE_CHECKING:
@@ -224,6 +227,10 @@ def combinatorial_Z(p: ModelParams, M: float, N: int) -> float:
     I_n = sum_k S(n,k) M^(k+1) / (k+1): the value is the EGF
     sum_n I_n x^n / n!, summed exactly at the float x and M by one Horner
     pass and rounded once, to an infinity if it lies beyond the float range.
+    Stirling's recurrence S(n+1,k) = k S(n,k) + S(n,k-1) runs on the
+    weights w_k = M^(k+1) / (k+1) instead of on the rows: I_n = (T^n w)_0
+    with (T v)_k = k v_k + v_(k+1), so no Stirling number is built and
+    every multiplier is a small k.
 
     Converges to closed_form_Z as M and N grow jointly (N first).  The
     truncation is an alternating series in n whose terms grow with both
@@ -233,12 +240,18 @@ def combinatorial_Z(p: ModelParams, M: float, N: int) -> float:
     x, M = Fraction(p.x), Fraction(M)
     _check_series(N, x, M)
     # with M = a / b, M^(k+1) / (k+1) = w_k / (b^(N+1) (N+1)!) for the integers
-    # w_k = a^(k+1) b^(N-k) (N+1)! / (k+1), so I_n is row n of S dotted with w
+    # w_k = a^(k+1) b^(N-k) (N+1)! / (k+1), from running powers of a and b
     a, b = M.as_integer_ratio()
     F = math.factorial(N + 1)
-    w = [a ** (k + 1) * b ** (N - k) * (F // (k + 1)) for k in range(N + 1)]
-    dots = ((n, sum(map(operator.mul, _stirling_row(n), w))) for n in range(N + 1))
-    return _rounded(*_polynomial_at(dots, b ** (N + 1) * F, x, egf=True).as_integer_ratio())
+    b_powers = list(accumulate(repeat(b, N), mul, initial=1))  # b^0 .. b^N
+    a_powers = accumulate(repeat(a, N + 1), mul)  # a^1 .. a^(N+1)
+    w = [ap * bp * (F // k) for k, ap, bp in zip(count(1), a_powers, reversed(b_powers))]
+    integrals = []
+    while w:  # I_n = (T^n w)_0, each T w one entry shorter
+        integrals.append(w[0])
+        w = list(map(add, map(mul, count(), w), w[1:]))
+    value = _polynomial_at(enumerate(integrals), b ** (N + 1) * F, x, egf=True)
+    return _rounded(*value.as_integer_ratio())
 
 
 def _check_series_args(M: float, N: int) -> None:

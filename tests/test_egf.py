@@ -2,6 +2,7 @@
 exp/log inversion, and the moment transforms."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from bellhop import egf
 from bellhop.boson import number_word, word_moments
 from bellhop.combinatorics import bell, bell_polynomial
-from bellhop.errors import ResourceLimitError
+from bellhop.errors import ResourceLimitError, rational
 from bellhop.egf import (
     EGFSeries,
     bell_egf,
@@ -408,3 +409,82 @@ def test_every_route_keeps_the_coefficient_rule(xs, ys):
     for out in outputs:
         assert_canonical(out)
     assert EGFSeries.from_json(a.to_json()) == a
+
+
+# ---------------------------------------------------------------------------
+# Kept binomial rows, against the per-term math.comb sums they replace
+
+
+def comb_mul(x, y):
+    """c_n = sum_k C(n,k) x_k y_{n-k}, one math.comb per product."""
+    return [sum(math.comb(m, k) * x[k] * y[m - k] for k in range(m + 1))
+            for m in range(min(len(x), len(y)))]
+
+
+def comb_exp(c):
+    """a_n = sum_{k=1..n} C(n-1, k-1) c_k a_{n-k}, one math.comb per product."""
+    a = [1]
+    for m in range(1, len(c)):
+        a.append(sum(math.comb(m - 1, k - 1) * c[k] * a[m - k] for k in range(1, m + 1)))
+    return a
+
+
+def comb_log(a):
+    """c_n = a_n - sum_{k<n} C(n-1, k-1) c_k a_{n-k}, one math.comb per product."""
+    c = [0]
+    for m in range(1, len(a)):
+        c.append(a[m] - sum(math.comb(m - 1, k - 1) * c[k] * a[m - k] for k in range(1, m)))
+    return c
+
+
+def assert_bitwise(out, want):
+    # repr tells every two floats apart, -0.0 from 0.0 included
+    assert [type(v) for v in out] == [type(v) for v in want]
+    assert list(map(repr, out)) == list(map(repr, want))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 12, 40, 90, 140])
+@pytest.mark.parametrize("kind", ["float", "complex"])
+def test_floating_kernels_match_the_per_term_comb_sum(order, kind):
+    # same products, same grouping, same order of summation: bit for bit,
+    # through rows past the 128 kept (order 140) as well as within them
+    rng = random.Random(order)
+
+    def draw():
+        if kind == "float":
+            return rng.uniform(-1, 1)
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    x, y = [draw() for _ in range(order + 1)], [draw() for _ in range(order + 1)]
+    c, a = [0, *x[1:]], [1, *x[1:]]
+    assert_bitwise(egf._mul_coeffs(x, y), comb_mul(x, y))
+    assert_bitwise(egf._exp_coeffs(c), comb_exp(c))
+    assert_bitwise(egf._log_coeffs(a), comb_log(a))
+    assert_bitwise(w_to_v(a), comb_log(a)[1:])
+    assert_bitwise(v_to_w(x[1:]), comb_exp(c))
+
+
+@pytest.mark.parametrize("order", [0, 3, 40, 140])
+def test_series_match_the_per_term_comb_sum(order):
+    # a series reads each float as its exact dyadic value: the same sums, exact
+    rng = random.Random(order)
+    x = EGFSeries(tuple(rng.uniform(-1, 1) for _ in range(order + 1)))
+    y = EGFSeries(tuple(rng.uniform(-1, 1) for _ in range(order + 1)))
+    c, a = (0, *x.coeffs[1:]), (1, *x.coeffs[1:])
+    assert_typed(egf_mul(x, y).coeffs, list(map(rational, comb_mul(x.coeffs, y.coeffs))))
+    assert_typed(egf_exp(EGFSeries(c)).coeffs, list(map(rational, comb_exp(c))))
+    assert_typed(egf_log(EGFSeries(a)).coeffs, list(map(rational, comb_log(a))))
+
+
+def test_binomial_rows_are_kept_within_their_bound():
+    egf._binomials.cache_clear()
+    # order 300 reads rows 0..299, more than the 128 kept
+    assert v_to_w([1] * 300) == [bell(n) for n in range(301)]
+    info = egf._binomials.cache_info()
+    assert info.currsize <= info.maxsize == 128
+    # half a row by the ratio C(m, k+1) / C(m, k), the rest by symmetry
+    for m in (0, 1, 2, 3, 298, 299):
+        assert egf._binomials(m) == tuple(math.comb(m, k) for k in range(m + 1))
+    # rows evicted by the sweep are rebuilt as they are read
+    q = [Fraction(5, 8)] * 20
+    assert_typed(v_to_w(q), exp_oracle([0, *q]))

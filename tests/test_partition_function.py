@@ -395,6 +395,15 @@ def test_combinatorial_refuses_before_any_row_or_weight(monkeypatch):
     assert len(combinatorics._STIRLING_ROWS) == 1
 
 
+def test_combinatorial_builds_no_stirling_row(monkeypatch):
+    # Stirling's recurrence runs on the weights, so no row is built or read
+    monkeypatch.setattr(combinatorics, "_STIRLING_ROWS", [(1,)])
+    p = ModelParams(1.0, 0.05)
+    value = combinatorial_Z(p, 20.0, 300)
+    assert combinatorics._STIRLING_ROWS == [(1,)]
+    assert value == regularized_series_Z(p, 20.0, 300) == 12.773333645271567
+
+
 def test_combinatorial_order_zero_is_M():
     assert abs(combinatorial_Z(params(1.0), 6.0, 0) - 6.0) < 1e-12
 
