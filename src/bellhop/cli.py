@@ -91,6 +91,8 @@ def cmd_bell(args) -> int:
         raise ValueError("nmax must be nonnegative")
     # B(n) >= S(n, k) for every k
     _refuse_unprintable(f"B({nmax})", (_log10_stirling_lower(nmax, k) for k in range(1, nmax + 1)))
+    # B(nmax) first: one call builds the rows 0..nmax, or refuses before any
+    _refuse_unprintable(f"B({nmax})", value=combinatorics.bell(nmax))
     rows = []
     for n in range(nmax + 1):
         row = {"n": n, "bell": combinatorics.bell(n)}
@@ -99,7 +101,6 @@ def cmd_bell(args) -> int:
                 str(combinatorics.stirling2(n, k)) for k in range(n + 1)
             )
         rows.append(row)
-    _refuse_unprintable(f"B({nmax})", value=rows[-1]["bell"])
     cols = ["n", "bell"] + (["stirling"] if args.triangle else [])
     _emit(args, rows, cols)
     return EXIT_OK

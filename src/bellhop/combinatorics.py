@@ -32,24 +32,42 @@ SERIES_BITS_LIMIT = 2**30
 # --------------------------------------------------------------------------
 
 
-# rows S(n, 0..n) built so far, row n at index n: bell (bell_egf through it)
-# and bell_polynomial extend it, stirling2 reads the rows built, and
-# combinatorial_Z runs the recurrence on its weights and builds none.  The
-# lock keeps two threads from appending the same row twice, which would
-# shift later indices
+# rows S(n, 0..n) built so far, row n at index n, and beside them the Bell
+# numbers B(n) = sum_k S(n, k), B(n) at index n: bell (bell_egf through it)
+# and bell_polynomial extend both, stirling2 reads the rows built, and
+# combinatorial_Z runs the recurrence on its weights and builds none.  Each
+# list is extended to n from its own length, so both stay index-aligned
+# whatever the length of the other.  The lock keeps two threads from
+# appending the same row or number twice, which would shift later indices
 _STIRLING_ROWS: list[tuple[int, ...]] = [(1,)]
+_BELLS: list[int] = [1]
 _STIRLING_LOCK = threading.Lock()
 
 
 def _stirling_row(n: int) -> tuple[int, ...]:
-    """Row S(n, 0..n), filled in a loop from the last row built and kept."""
-    rows = _STIRLING_ROWS
-    if n >= len(rows):
+    """Row S(n, 0..n), filled in a loop from the last row built and kept,
+    with B(0..n) beside it.
+
+    Refused before any row is built when the rows 0..n would hold more
+    than SERIES_BITS_LIMIT bits: row m has m + 1 entries of at most
+    m log2(m) bits (S(m, k) <= k^m / k!), and log2(n) bounds every
+    log2(m), so the rows hold at most log2(n) n (n + 1) (n + 2) / 3 bits.
+    The bound counts the whole kept table, since a loop over n builds one
+    row a call; it refuses from n = 698 on.
+    """
+    rows, bells = _STIRLING_ROWS, _BELLS
+    if n >= len(rows) or n >= len(bells):
+        bits = float_times(n * (n + 1) * (n + 2) // 3, math.log2(n)) if n > 1 else 0
+        if bits > SERIES_BITS_LIMIT:
+            raise ResourceLimitError(
+                f"Stirling rows 0..{int_text(n)} take {bits:.3g} bits, past {SERIES_BITS_LIMIT}"
+            )
         with _STIRLING_LOCK:
             while len(rows) <= n:
                 # S(m, k) = k S(m-1, k) + S(m-1, k-1); S(m, 0) = 0 and S(m, m) = 1
                 prev = rows[-1]
                 rows.append((0, *(k * prev[k] + prev[k - 1] for k in range(1, len(prev))), 1))
+            bells.extend(map(sum, rows[len(bells):n + 1]))
     return rows[n]
 
 
@@ -77,10 +95,13 @@ def stirling2(n: int, k: int) -> int:
 
 
 def bell(n: int) -> int:
-    """Number of partitions of an n-element set; bell(0) = 1."""
+    """Number of partitions of an n-element set; bell(0) = 1.  Read from the
+    kept Bell numbers, which _stirling_row extends with its rows."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return sum(_stirling_row(n))
+    if n >= len(_BELLS):
+        _stirling_row(n)
+    return _BELLS[n]
 
 
 def bell_polynomial(n: int, y) -> Fraction:

@@ -37,8 +37,10 @@ from .errors import ResourceLimitError, rational
 # order 40 (~37) runs 1.5x slower scaled.
 SCALE_RATIO = 20
 
-# products times the digits of their operands (see _refuse_work): 0.6-3 s
-# per 10^9 on a 2-vCPU VM, so at most ~1.5 s of recurrence is admitted
+# products times the digits of their operands (see _refuse_work): 0.1-1.2 s
+# per 10^9 with the kept binomial rows (Python 3.11, 2-vCPU VM), so at most
+# ~0.6 s of recurrence is admitted: order 588 of 9/7, the largest, takes
+# 0.4-0.6 s
 EGF_WORK_LIMIT = 5 * 10**8
 
 
@@ -260,7 +262,8 @@ def bell_egf(order: int) -> EGFSeries:
     """The series whose n-th coefficient is the n-th Bell number."""
     from .combinatorics import bell  # only bell_egf loads combinatorics
 
-    return EGFSeries(tuple(bell(n) for n in range(order + 1)))
+    bell(order)  # one call builds B(0..order), or refuses before any row
+    return EGFSeries(tuple(map(bell, range(order + 1))))
 
 
 def w_to_v(w: Sequence) -> list:

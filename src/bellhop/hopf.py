@@ -116,20 +116,36 @@ def product(a: HopfElement, b: HopfElement) -> HopfElement:
     return a * b
 
 
+# Delta(m) kept for every m of weight <= WEIGHT_LIMIT, at most the 272
+# basis monomials (~0.7 MiB): the axiom checks, the pair check's packed
+# table and coproduct() read each one from here, built once per process.
+# A heavier m (a product in the pair check, or a term of a heavy element)
+# is built per call, so the table stays bounded.  No reader mutates what it
+# gets: coproduct() and swap() build new elements.  Two threads that miss
+# together both build Delta(m) and store equal values, so no lock is needed
+_COPRODUCTS: dict[Monomial, TensorElement] = {}
+
+
 def _coproduct_monomial(m: Monomial) -> TensorElement:
     # Primitive generators, Delta(y_k) = y_k (x) 1 + 1 (x) y_k, extended as an
     # algebra map: Delta(y^a) = sum_{b <= a} prod_k C(a_k, b_k) y^b (x) y^(a-b),
     # a_k the multiplicity of y_k.  The letters come out sorted, and distinct
     # b give distinct pairs.
+    delta = _COPRODUCTS.get(m)
+    if delta is not None:
+        return delta
     mult = m.multiplicities()
     ks, alpha = list(mult), list(mult.values())
-    return TensorElement._exact({
+    delta = TensorElement._exact({
         (
             tuple.__new__(Monomial, [k for k, b in zip(ks, beta) for _ in range(b)]),
             tuple.__new__(Monomial, [k for k, a, b in zip(ks, alpha, beta) for _ in range(a - b)]),
         ): math.prod(map(math.comb, alpha, beta))
         for beta in itertools.product(*(range(a + 1) for a in alpha))
     })
+    if m.weight <= WEIGHT_LIMIT:
+        _COPRODUCTS[m] = delta
+    return delta
 
 
 def coproduct(a: HopfElement) -> TensorElement:
@@ -296,7 +312,8 @@ def check_bialgebra(max_weight: int) -> CheckReport:
     slot and each multiplicity fits in (2 max_weight).bit_length() bits,
     as does the sum of two from Delta(m) and Delta(n).  A product of
     monomials or keys is then one int add, with no carry between slots.
-    Each Delta(x) comes from _coproduct_monomial once per x and call.
+    Each Delta(x) is packed once per x and call; _coproduct_monomial keeps
+    Delta(x) across calls for x of weight <= WEIGHT_LIMIT.
     """
     basis = basis_monomials(max_weight)
     width, slots = (2 * max_weight).bit_length(), 2 * max_weight

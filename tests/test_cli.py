@@ -102,11 +102,12 @@ BIG = str(10**400)  # an int argument past the float range
                                   ["dobinski", "5", "--k-max", BIG],
                                   ["partition-function", "--beta-eps", "1", "--order", BIG],
                                   ["bell", BIG], ["stirling", BIG, "3"], ["egf", "bell", "--order", BIG],
-                                  ["normal-order", "a^" + BIG]],
+                                  ["normal-order", "a^" + BIG],
+                                  ["bell", "2000"], ["egf", "bell", "--order", "2000"]],
                          ids=["bell", "stirling", "stirling-sum", "egf-bell", "egf-work",
                               "series-bits", "dobinski-bits", "dobinski-precision", "dobinski-tail-start",
                               "huge-y", "huge-y-digits", "huge-n", "huge-k-max", "huge-order", "huge-bell",
-                              "huge-stirling", "huge-egf-bell", "huge-power"])
+                              "huge-stirling", "huge-egf-bell", "huge-power", "bell-rows", "egf-bell-rows"])
 def test_unprintable_integers_exit_3_before_the_work(argv, capsys):
     # a lower bound on the digits refuses them before any row is built;
     # S(12000, 12000) = 1 prints, but its explicit sum would take 12,001
@@ -119,7 +120,10 @@ def test_unprintable_integers_exit_3_before_the_work(argv, capsys):
     # it is refused before any k^n is built.  An int argument past the float
     # range (10^400) is refused by a bound that reads inf, not by an
     # OverflowError's exit 1; a tail start of 5,001 digits (--y 1e5000) is
-    # named by its size, as Python prints no int past 4,300 digits
+    # named by its size, as Python prints no int past 4,300 digits.  B(2000)
+    # prints (4,211 < 4,301 digits by the lower bound), but its Stirling rows
+    # 0..2000 would pass SERIES_BITS_LIMIT (~1.6 GB, extrapolated from n = 1000
+    # and 1500), so bell and egf bell ask for B(2000) first and are refused
     start = time.perf_counter()
     code, out, err = run(argv, capsys)
     assert time.perf_counter() - start < 1.0

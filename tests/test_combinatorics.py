@@ -29,7 +29,7 @@ from bellhop.combinatorics import (
 )
 from bellhop.dobinski import dobinski_bell, dobinski_bell_poly
 from bellhop.boson import CoherentParam, coherent_expectation, normal_order, number_word, stirling_via_ordering
-from bellhop.egf import EGFSeries, egf_exp, v_to_w
+from bellhop.egf import EGFSeries, bell_egf, egf_exp, v_to_w
 from bellhop.errors import ResourceLimitError
 from bellhop.hopf import Monomial
 from coefficient_rule import assert_canonical
@@ -95,9 +95,23 @@ def test_stirling_sum_agrees_with_rows(monkeypatch):
     assert [[stirling2(n, k) for k in range(n + 1)] for n in range(61)] == summed
 
 
+def bell_triangle(nmax: int) -> list[int]:
+    """B(0..nmax) by the Bell triangle (Aitken's array), whose row n starts
+    with B(n): independent of the Stirling rows."""
+    row, bells = [1], [1]
+    for _ in range(nmax):
+        new = [row[-1]]
+        for x in row:
+            new.append(new[-1] + x)
+        row = new
+        bells.append(row[0])
+    return bells
+
+
 def test_stirling_rows_under_threads(monkeypatch):
     reference = [combinatorics._stirling_row(n) for n in range(121)]
     monkeypatch.setattr(combinatorics, "_STIRLING_ROWS", [(1,)])
+    monkeypatch.setattr(combinatorics, "_BELLS", [1])
 
     def build(seed):
         order = list(range(121))
@@ -117,6 +131,39 @@ def test_stirling_rows_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert combinatorics._STIRLING_ROWS == reference
+    # the Bell numbers kept beside the rows, each appended once at its index
+    assert combinatorics._BELLS == [bell(n) for n in range(121)] == bell_triangle(120)
+
+
+def test_kept_bell_numbers_stay_at_their_index_when_the_rows_are_reset(monkeypatch):
+    bell(30)
+    # rows reset below the kept numbers: the numbers past B(30) come from
+    # the rebuilt rows, appended at their own index
+    monkeypatch.setattr(combinatorics, "_BELLS", combinatorics._BELLS[:31])
+    monkeypatch.setattr(combinatorics, "_STIRLING_ROWS", [(1,)])
+    assert [bell(n) for n in range(61)] == bell_triangle(60)
+    assert len(combinatorics._BELLS) == len(combinatorics._STIRLING_ROWS) == 61
+    # numbers reset below the kept rows: they are summed from the rows built
+    monkeypatch.setattr(combinatorics, "_BELLS", [1])
+    assert [bell(n) for n in range(61)] == bell_triangle(60)
+    assert len(combinatorics._STIRLING_ROWS) == 61
+
+
+def test_stirling_rows_past_the_bits_limit_are_refused_before_any_is_built(monkeypatch):
+    # rows 0..n hold at most log2(n) n (n + 1) (n + 2) / 3 bits, past
+    # SERIES_BITS_LIMIT from n = 698 on; the ascending loops of bell_egf and
+    # the CLI ask for B(n) first, so they are refused before any row too
+    monkeypatch.setattr(combinatorics, "_STIRLING_ROWS", [(1,)])
+    monkeypatch.setattr(combinatorics, "_BELLS", [1])
+    start = time.perf_counter()
+    for call in (lambda: bell(698), lambda: bell(10**4), lambda: bell_egf(10**4),
+                 lambda: bell_polynomial(10**4, 1), lambda: combinatorics._stirling_row(10**4)):
+        with pytest.raises(ResourceLimitError, match=r"^Stirling rows 0\.\.\d+ take [0-9.e+]+ bits, past 1073741824$"):
+            call()
+    assert time.perf_counter() - start < 1.0
+    assert combinatorics._STIRLING_ROWS == [(1,)] and combinatorics._BELLS == [1]
+    # the largest table admitted: a process peak of 80 MiB, ~0.2 s on 2 vCPUs
+    assert bell(697) == bell_triangle(697)[-1]
 
 
 def _python(code: str) -> str:
@@ -132,13 +179,7 @@ def _python(code: str) -> str:
 def test_cold_bell_499_needs_no_recursion():
     # a fresh interpreter: the rows 0..499 are built in a loop, not a call chain
     got = int(_python("from bellhop import bell; print(bell(499))"))
-    row = [1]  # Bell triangle (Aitken's array): row n starts with B(n)
-    for _ in range(499):
-        new = [row[-1]]
-        for x in row:
-            new.append(new[-1] + x)
-        row = new
-    assert got == row[0]
+    assert got == bell_triangle(499)[-1]
 
 
 def test_bell_polynomial():

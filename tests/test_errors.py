@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from bellhop import boson, combinatorics, dobinski, hopf
+from bellhop import boson, combinatorics, dobinski, egf, hopf
 from bellhop import partition_function as pf
 from bellhop.errors import ResourceLimitError, _polynomial_at
 
@@ -49,13 +49,16 @@ P = pf.ModelParams(1.0, 0.05)
     lambda: pf.combinatorial_Z(P, 20.0, HUGE),
     lambda: pf.termwise_partial(HUGE, P, 10.0),
     lambda: combinatorics.stirling2(HUGE, 3),
+    lambda: combinatorics.bell(HUGE),
+    lambda: egf.bell_egf(HUGE),
+    lambda: combinatorics.bell_polynomial(HUGE, 1),
     lambda: combinatorics.diagram_census(HUGE),
     lambda: list(combinatorics.enumerate_set_partitions(HUGE)),
     lambda: hopf.basis_monomials(HUGE),
     lambda: boson.word_moments(boson.number_word(), HUGE, 1),
     lambda: boson.BosonExpression.parse("2") ** HUGE,
 ], ids=["dobinski-y", "dobinski-n", "dobinski-precision", "series-Z", "combinatorial-Z", "termwise",
-        "stirling2", "census", "enumeration", "basis", "moments", "power"])
+        "stirling2", "bell", "bell-egf", "bell-polynomial", "census", "enumeration", "basis", "moments", "power"])
 def test_a_refused_argument_too_long_to_print_is_named_by_its_size(call):
     # the refusal's own message once printed the argument, which raised
     # ValueError (exit 2 at the command line) instead of ResourceLimitError

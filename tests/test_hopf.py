@@ -3,6 +3,7 @@ coding, and the text/JSON forms."""
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellhop import hopf
-from bellhop.combinatorics import bell, diagram_census, enumerate_set_partitions, partition_count
+from bellhop.combinatorics import bell, diagram_census, enumerate_set_partitions, partition_count, stirling2
 from bellhop.errors import ExpressionParseError, ResourceLimitError
 from bellhop.hopf import (
     UNIT,
@@ -191,16 +192,70 @@ def test_coproduct_y1y2():
     assert delta == expected
 
 
+def product_of_primitives(m: Monomial) -> TensorElement:
+    """prod_k (y_k (x) 1 + 1 (x) y_k)^(a_k), multiplied out in BELL (x) BELL."""
+    expected = TensorElement.one()
+    for k in m.letters:
+        expected = expected * (TensorElement.pure(y(k), UNIT) + TensorElement.pure(UNIT, y(k)))
+    return expected
+
+
 @pytest.mark.parametrize("weight", range(11))
 def test_coproduct_closed_form_is_the_product_of_primitives(weight):
-    # prod_k (y_k (x) 1 + 1 (x) y_k)^(a_k), multiplied out in BELL (x) BELL
     for m in basis_monomials(weight):
         if m.weight < weight:
             continue
-        expected = TensorElement.one()
-        for k in m.letters:
-            expected = expected * (TensorElement.pure(y(k), UNIT) + TensorElement.pure(UNIT, y(k)))
-        assert _coproduct_monomial(m) == expected, str(m)
+        assert _coproduct_monomial(m) == product_of_primitives(m), str(m)
+
+
+def test_the_coproduct_table_keeps_basis_monomials_alone(monkeypatch):
+    # the pair check at weight 7 builds Delta(mn) up to weight 14, and the
+    # element's terms reach weight 14: only weights <= WEIGHT_LIMIT are kept
+    monkeypatch.setattr(hopf, "_COPRODUCTS", {})
+    check_bialgebra(6)
+    check_bialgebra(7)
+    heavy = HopfElement({y(7, 7): 1, y(14): Fraction(2, 3), y(1, 2, 3, 8): -1, y(12): 5})
+    assert coproduct(heavy) == coproduct(heavy)
+    table = hopf._COPRODUCTS
+    assert set(table) <= set(basis_monomials(hopf.WEIGHT_LIMIT)) and len(table) <= 272
+    assert y(12) in table and y(7, 7) not in table and y(14) not in table
+    for m, delta in table.items():
+        assert delta == product_of_primitives(m), str(m)
+
+
+def test_a_changed_coproduct_leaves_the_next_one_as_it_was():
+    for a in (parse_element("y1^2*y3 - 1/2*y2"), HopfElement.from_monomial(y(2, 2))):
+        first = coproduct(a)
+        want = dict(first.terms)
+        first.terms[(UNIT, UNIT)] = 7
+        first.swap().terms.clear()
+        assert coproduct(a).terms == want
+        first.terms.clear()
+        assert coproduct(a).terms == want
+
+
+def census_element(n: int) -> HopfElement:
+    """Y_n, the census of the partitions of {1..n}, as an element; Y_0 = 1."""
+    return HopfElement(diagram_census(n).counts) if n else HopfElement.unit()
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_the_census_is_group_like(n):
+    # exp(P), P = sum_k y_k x^k / k!, is group-like since every y_k is
+    # primitive: its coefficients Y_n satisfy Delta(Y_n) = sum_k C(n, k)
+    # Y_k (x) Y_(n-k) and, with S(exp P) = exp(-P), sum_k C(n, k) Y_k S(Y_(n-k))
+    # = [n = 0]; collapsing every y_k onto y_1 gives the Touchard polynomial
+    Y = [census_element(k) for k in range(n + 1)]
+    tensor = TensorElement()
+    convolution = HopfElement()
+    for k in range(n + 1):
+        c = math.comb(n, k)
+        tensor = tensor + TensorElement({(l, r): c * a * b for l, a in Y[k].terms.items()
+                                         for r, b in Y[n - k].terms.items()})
+        convolution = convolution + Y[k] * antipode(Y[n - k]) * c
+    assert coproduct(Y[n]) == tensor
+    assert convolution == HopfElement.unit(1 if n == 0 else 0)
+    assert poly_specialize(Y[n]) == HopfElement({Monomial((1,) * k): stirling2(n, k) for k in range(n + 1)})
 
 
 def test_coproduct_preserves_weight():
