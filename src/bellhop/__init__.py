@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 # the submodule each exported name lives in
 _EXPORTS = {
     "combinatorics": (
-        "DiagramCensus", "SetPartition", "bell", "bell_polynomial", "diagram_census",
+        "DiagramCensus", "Monomial", "SetPartition", "bell", "bell_polynomial", "diagram_census",
         "enumerate_set_partitions", "partition_count", "stirling2",
     ),
     "dobinski": ("dobinski_bell", "dobinski_bell_poly"),
@@ -29,7 +29,7 @@ _EXPORTS = {
         "integrand", "regularized_Z", "regularized_series_Z", "termwise_partial",
     ),
     "hopf": (
-        "HopfElement", "Monomial", "TensorElement", "antipode", "code_diagram", "coproduct",
+        "HopfElement", "TensorElement", "antipode", "code_diagram", "coproduct",
         "counit", "parse_element", "poly_specialize", "product", "run_all_checks",
     ),
     "errors": ("ExpressionParseError", "ResourceLimitError"),

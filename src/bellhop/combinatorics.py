@@ -1,20 +1,20 @@
-"""Exact integer combinatorics: Stirling and Bell numbers, Bell polynomials,
-the size check of an exact series, set-partition enumeration, and the
-block-size census as the complete Bell polynomial.
-"""
+"""Exact integer combinatorics, bellhop's base layer (of bellhop it loads
+`errors` alone): Stirling and Bell numbers, Bell polynomials, integer
+partitions, set-partition enumeration, and the block-size census as the
+complete Bell polynomial, keyed by `Monomial`, the BELL algebra's basis."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from functools import cache
+from typing import Iterable, Iterator, NamedTuple
 
+import itertools
 import math
+import operator
 import threading
 
-from .errors import ResourceLimitError, _polynomial_at, float_times, int_text
-
-if TYPE_CHECKING:
-    from .hopf import Monomial
+from .errors import SERIES_BITS_LIMIT, ResourceLimitError, _polynomial_at, float_times, int_text
 
 ENUMERATION_LIMIT = 14  # enumeration yields B(n) partitions: B(14) = 190,899,322
 # the census keeps p(m) monomials in row m, not B(m) partitions: p(25) = 1,958
@@ -22,9 +22,8 @@ CENSUS_LIMIT = 25
 # digits of the powers in stirling2's explicit sum, about 10 ms of work:
 # S(1000, 1000) = 1 would take 3e6 digits, S(12000, 12000) 6e8
 STIRLING_SUM_LIMIT = 10**6
-# bits of one exact series' integers: at 2^30 (128 MiB), order 4000 at beta
-# epsilon = 0.05, M = 20 takes ~1.5 s and 262 MiB (Python 3.11, 2-vCPU VM)
-SERIES_BITS_LIMIT = 2**30
+# partition_count's n: p(40,000) takes ~1 s and a few MiB (Python 3.11, 2-vCPU VM)
+PARTITION_LIMIT = 40_000
 
 
 # --------------------------------------------------------------------------
@@ -32,21 +31,15 @@ SERIES_BITS_LIMIT = 2**30
 # --------------------------------------------------------------------------
 
 
-# rows S(n, 0..n) built so far, row n at index n, and beside them the Bell
-# numbers B(n) = sum_k S(n, k), B(n) at index n: bell (bell_egf through it)
-# and bell_polynomial extend both, stirling2 reads the rows built, and
-# combinatorial_Z runs the recurrence on its weights and builds none.  Each
-# list is extended to n from its own length, so both stay index-aligned
-# whatever the length of the other.  The lock keeps two threads from
-# appending the same row or number twice, which would shift later indices
+# rows S(n, 0..n) built so far, row n at index n: bell (bell_egf through it)
+# and bell_polynomial extend them, stirling2 reads the rows built.  The lock
+# keeps two threads from appending a row twice, which would shift later ones
 _STIRLING_ROWS: list[tuple[int, ...]] = [(1,)]
-_BELLS: list[int] = [1]
 _STIRLING_LOCK = threading.Lock()
 
 
 def _stirling_row(n: int) -> tuple[int, ...]:
-    """Row S(n, 0..n), filled in a loop from the last row built and kept,
-    with B(0..n) beside it.
+    """Row S(n, 0..n), filled in a loop from the last row built and kept.
 
     Refused before any row is built when the rows 0..n would hold more
     than SERIES_BITS_LIMIT bits: row m has m + 1 entries of at most
@@ -55,8 +48,8 @@ def _stirling_row(n: int) -> tuple[int, ...]:
     The bound counts the whole kept table, since a loop over n builds one
     row a call; it refuses from n = 698 on.
     """
-    rows, bells = _STIRLING_ROWS, _BELLS
-    if n >= len(rows) or n >= len(bells):
+    rows = _STIRLING_ROWS
+    if n >= len(rows):
         bits = float_times(n * (n + 1) * (n + 2) // 3, math.log2(n)) if n > 1 else 0
         if bits > SERIES_BITS_LIMIT:
             raise ResourceLimitError(
@@ -67,7 +60,6 @@ def _stirling_row(n: int) -> tuple[int, ...]:
                 # S(m, k) = k S(m-1, k) + S(m-1, k-1); S(m, 0) = 0 and S(m, m) = 1
                 prev = rows[-1]
                 rows.append((0, *(k * prev[k] + prev[k - 1] for k in range(1, len(prev))), 1))
-            bells.extend(map(sum, rows[len(bells):n + 1]))
     return rows[n]
 
 
@@ -94,14 +86,14 @@ def stirling2(n: int, k: int) -> int:
     return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)) // math.factorial(k)
 
 
+@cache
 def bell(n: int) -> int:
-    """Number of partitions of an n-element set; bell(0) = 1.  Read from the
-    kept Bell numbers, which _stirling_row extends with its rows."""
+    """Number of partitions of an n-element set; bell(0) = 1: the sum of
+    Stirling row n, memoized, so bell(0..N) sums each row once a process
+    (at most 698 entries: a refusal past row 697 is not cached)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n >= len(_BELLS):
-        _stirling_row(n)
-    return _BELLS[n]
+    return sum(_stirling_row(n))
 
 
 def bell_polynomial(n: int, y) -> Fraction:
@@ -113,33 +105,30 @@ def bell_polynomial(n: int, y) -> Fraction:
 
 
 def partition_count(n: int) -> int:
-    """Number of integer partitions of n, by the parts-bounded recurrence.
-
-    Independent of the census path; used to cross-check its key count.
-    """
+    """Number of integer partitions of n, by Euler's pentagonal-number
+    recurrence p(m) = sum_k>=1 (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2))
+    in O(n) memory.  Independent of the census, whose key count it checks."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    # p(n, k) = partitions of n into parts <= k
-    table = [[0] * (n + 1) for _ in range(n + 1)]
-    for k in range(n + 1):
-        table[0][k] = 1
+    if n > PARTITION_LIMIT:
+        raise ResourceLimitError(f"partition count for n={int_text(n)} exceeds the limit {PARTITION_LIMIT}")
+    # the pentagonal numbers k(3k -+ 1)/2 <= n, of odd k and of even k, need k <= sqrt(n)
+    ks = range(1, math.isqrt(n) + 1)
+    added, subtracted = ([g for k in half for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)]
+                         for half in (ks[::2], ks[1::2]))
+    p = [1]
     for m in range(1, n + 1):
-        for k in range(1, n + 1):
-            table[m][k] = table[m][k - 1] + (table[m - k][k] if m >= k else 0)
-    return table[n][n] if n > 0 else 1
-
-
-def _check_series(N: int, *points: Fraction) -> None:
-    """Refuse an exact series of order N at the rational points x, before any
-    term is built, when its N + 1 Horner steps on integers of N bits(x) +
-    log2 N! bits pass SERIES_BITS_LIMIT bits in all."""
-    width = max(max(x.numerator.bit_length(), x.denominator.bit_length()) for x in points)
-    # an N past the limit is refused as an int: lgamma(N + 1) can pass the float range
-    bits = (N + 1) * (N * width + math.lgamma(N + 1) / math.log(2)) if N <= SERIES_BITS_LIMIT else math.inf
-    if bits > SERIES_BITS_LIMIT:
-        raise ResourceLimitError(
-            f"a series of order {int_text(N)} takes {bits:.3g} bits, past {SERIES_BITS_LIMIT}"
-        )
+        total = 0
+        for g in added:
+            if g > m:
+                break
+            total += p[m - g]
+        for g in subtracted:
+            if g > m:
+                break
+            total -= p[m - g]
+        p.append(total)
+    return p[n]
 
 
 # --------------------------------------------------------------------------
@@ -175,6 +164,38 @@ class SetPartition(NamedTuple("SetPartition", [("n", int), ("blocks", tuple)])):
 
     def __str__(self) -> str:
         return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
+
+
+class Monomial(tuple):
+    """A commutative word in the alphabet {y_1, y_2, ...}: the sorted tuple
+    of its letter indices, so hash, equality and order are the tuple's.
+
+    The empty tuple is the algebra unit.  The constructor is the one place
+    letters are checked; a product of two monomials merges them without
+    checking again.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, letters: Iterable[int] = ()) -> "Monomial":
+        letters = sorted(map(operator.index, letters))  # a float or str letter raises TypeError
+        if letters and letters[0] < 1:
+            raise ValueError("letter indices must be positive")
+        return tuple.__new__(cls, letters)
+
+    letters = property(tuple)  # the plain tuple
+    weight = property(sum)  # sum of the indices
+    degree = property(len)  # number of letters
+
+    def __mul__(self, other: "Monomial") -> "Monomial":
+        return tuple.__new__(Monomial, sorted(self + other))
+
+    def multiplicities(self) -> dict[int, int]:
+        return {k: len(list(run)) for k, run in itertools.groupby(self)}
+
+    def __str__(self) -> str:
+        parts = (f"y{k}" if m == 1 else f"y{k}^{m}" for k, m in self.multiplicities().items())
+        return "*".join(parts) or "1"
 
 
 class DiagramCensus(NamedTuple):
@@ -231,8 +252,6 @@ def diagram_census(n: int) -> DiagramCensus:
     The tally is the complete Bell polynomial Y_n(y_1..y_n), computed by its
     recurrence without enumerating the partitions.
     """
-    from .hopf import Monomial  # the census key; only the census loads hopf
-
     _check_limit(n, CENSUS_LIMIT, "diagram census")
     # exp in BELL, i.e. the complete Bell polynomial: Y_m = sum_k C(m-1,k-1) y_k Y_{m-k}
     Y: list[dict[Monomial, int]] = [{Monomial(): 1}]

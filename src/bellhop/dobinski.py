@@ -11,8 +11,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .combinatorics import _check_series
-from .errors import ResourceLimitError, _polynomial_at, int_text
+from .errors import ResourceLimitError, _check_series, _polynomial_at, int_text
 
 # Dobinski's working digits, precision and guard: `dobinski 10` at 10^5 takes ~1 s
 PRECISION_LIMIT = 10**5

@@ -262,7 +262,7 @@ def bell_egf(order: int) -> EGFSeries:
     """The series whose n-th coefficient is the n-th Bell number."""
     from .combinatorics import bell  # only bell_egf loads combinatorics
 
-    bell(order)  # one call builds B(0..order), or refuses before any row
+    bell(order)  # one call builds rows 0..order, or refuses before any row
     return EGFSeries(tuple(map(bell, range(order + 1))))
 
 

@@ -1,17 +1,18 @@
 """The BELL Hopf algebra: the free commutative algebra on generators
 y_1, y_2, ... with every generator primitive, together with machine
 checks of the Hopf axioms, the single-variable specialization, and the
-coding of set-partition diagrams by monomials.
+coding of set-partition diagrams by monomials.  Its basis monomials,
+`Monomial`, live in `bellhop.combinatorics`, whose census they key.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
+from .combinatorics import Monomial
 from .errors import ResourceLimitError, int_text
 from .lincomb import LinearCombination
 
@@ -22,39 +23,6 @@ Rational = Fraction | int
 WEIGHT_LIMIT = 12
 # the cases a passing pair check reports, whatever it proved; the benchmark pins it
 PAIR_CHECK_CASES = 100
-
-
-class Monomial(tuple):
-    """A commutative word in the alphabet {y_1, y_2, ...}: the sorted tuple
-    of its letter indices, so hash, equality and order are the tuple's.
-
-    The empty tuple is the algebra unit.  The constructor is the one place
-    letters are checked; a product of two monomials merges them without
-    checking again.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, letters: Iterable[int] = ()) -> "Monomial":
-        letters = sorted(map(operator.index, letters))  # a float or str letter raises TypeError
-        if letters and letters[0] < 1:
-            raise ValueError("letter indices must be positive")
-        return tuple.__new__(cls, letters)
-
-    letters = property(tuple)  # the plain tuple
-    weight = property(sum)  # sum of the indices
-    degree = property(len)  # number of letters
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return tuple.__new__(Monomial, sorted(self + other))
-
-    def multiplicities(self) -> dict[int, int]:
-        return {k: len(list(run)) for k, run in itertools.groupby(self)}
-
-    def __str__(self) -> str:
-        parts = (f"y{k}" if m == 1 else f"y{k}^{m}" for k, m in self.multiplicities().items())
-        return "*".join(parts) or "1"
-
 
 UNIT = Monomial()
 

@@ -19,8 +19,7 @@ from itertools import accumulate, count, repeat
 from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .combinatorics import _check_series
-from .errors import ResourceLimitError, _polynomial_at, int_text
+from .errors import ResourceLimitError, _check_series, _polynomial_at, int_text
 
 if TYPE_CHECKING:
     from .boson import BosonExpression, CoherentParam, NormalOrderedForm

@@ -336,8 +336,9 @@ def test_normal_order_fuzz(text):
     code, err, elapsed = run_quietly(["normal-order", text])
     assert code in (0, 2, 3), (text, err)
     assert "Traceback" not in err
-    # the slowest texts of this size the term bound admits, such as
-    # '(1+a+ad+ad a)^48', take ~21 s on a 2-vCPU machine
+    # the slowest texts of this size the term bound admits take ~6-10 s
+    # on a 2-vCPU machine: '(1+a+ad+ad a)^48' 7.5 s, '((1+ad)(1+a))^48'
+    # 6.4-7.2 s, '(1+a+ad+ad a)^24 (1+a+ad+ad a)^24' 7.6-10.1 s
     assert elapsed < 60, text
 
 
@@ -801,8 +802,8 @@ def test_import_loads_neither_numpy_nor_mpmath():
 
 # the names bellhop exported before its submodules were loaded lazily
 EXPORTS = {
-    "combinatorics": ["DiagramCensus", "SetPartition", "bell", "bell_polynomial", "diagram_census",
-                      "enumerate_set_partitions", "partition_count", "stirling2"],
+    "combinatorics": ["DiagramCensus", "Monomial", "SetPartition", "bell", "bell_polynomial",
+                      "diagram_census", "enumerate_set_partitions", "partition_count", "stirling2"],
     "dobinski": ["dobinski_bell", "dobinski_bell_poly"],
     "boson": ["BosonExpression", "CoherentParam", "NormalOrderedForm", "coherent_expectation",
               "forgetful_normal_order", "normal_order", "parse_expression", "stirling_via_ordering",
@@ -811,7 +812,7 @@ EXPORTS = {
     "partition_function": ["ModelParams", "QuadratureConfig", "closed_form_Z", "combinatorial_Z",
                            "general_F", "integrand", "regularized_Z", "regularized_series_Z",
                            "termwise_partial"],
-    "hopf": ["HopfElement", "Monomial", "TensorElement", "antipode", "code_diagram", "coproduct",
+    "hopf": ["HopfElement", "TensorElement", "antipode", "code_diagram", "coproduct",
              "counit", "parse_element", "poly_specialize", "product", "run_all_checks"],
     "errors": ["ExpressionParseError", "ResourceLimitError"],
 }
@@ -822,6 +823,19 @@ def test_import_loads_no_submodule():
                    "print(bellhop.hopf.Monomial is bellhop.Monomial)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['bellhop']\nTrue\n"  # a submodule is an attribute, as before
+
+
+def test_combinatorics_is_the_base_layer():
+    # combinatorics loads neither the algebra it keys nor the linear
+    # combinations; the series modules take their bound from errors alone
+    proc = _python("import sys, bellhop.combinatorics; "
+                   "print(sorted(m for m in sys.modules if m.startswith('bellhop')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['bellhop', 'bellhop.combinatorics', 'bellhop.errors']\n"
+    proc = _python("import sys, bellhop.partition_function, bellhop.dobinski; "
+                   "print('bellhop.combinatorics' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_package_exports_every_name_once_loaded():
@@ -865,14 +879,13 @@ sys.exit(code)
 _LOADS = [
     (["bell", "5", "--triangle"], "combinatorics"),
     (["--format", "json", "stirling", "5", "2"], "combinatorics"),
-    (["--format", "csv", "dobinski", "5"], "combinatorics dobinski"),
+    (["--format", "csv", "dobinski", "5"], "dobinski"),
     (["normal-order", "(ad a)^2"], "boson lincomb"),
-    (["--format", "json", "hopf-verify", "--max-weight", "2"], "hopf lincomb"),
-    (["partition-function", "--beta-eps", "1", "--combinatorial", "--order", "10"],
-     "combinatorics partition_function"),
+    (["--format", "json", "hopf-verify", "--max-weight", "2"], "combinatorics hopf lincomb"),
+    (["partition-function", "--beta-eps", "1", "--combinatorial", "--order", "10"], "partition_function"),
     (["egf", "bell"], "combinatorics egf"),
     (["wv", "w-to-v", "1", "2"], "egf"),
-    (["diagrams", "4"], "combinatorics hopf lincomb"),
+    (["diagrams", "4"], "combinatorics"),
 ]
 
 

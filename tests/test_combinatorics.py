@@ -111,13 +111,14 @@ def bell_triangle(nmax: int) -> list[int]:
 def test_stirling_rows_under_threads(monkeypatch):
     reference = [combinatorics._stirling_row(n) for n in range(121)]
     monkeypatch.setattr(combinatorics, "_STIRLING_ROWS", [(1,)])
-    monkeypatch.setattr(combinatorics, "_BELLS", [1])
+    bell.cache_clear()
 
     def build(seed):
         order = list(range(121))
         random.Random(seed).shuffle(order)
+        extend = bell if seed % 2 else combinatorics._stirling_row
         for n in order:
-            combinatorics._stirling_row(n)
+            extend(n)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -131,22 +132,26 @@ def test_stirling_rows_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert combinatorics._STIRLING_ROWS == reference
-    # the Bell numbers kept beside the rows, each appended once at its index
-    assert combinatorics._BELLS == [bell(n) for n in range(121)] == bell_triangle(120)
+    # the memo, filled by the threads calling bell, holds each B(n) once
+    assert [bell(n) for n in range(121)] == bell_triangle(120)
+    assert bell.cache_info().currsize == 121
 
 
 def test_kept_bell_numbers_stay_at_their_index_when_the_rows_are_reset(monkeypatch):
+    bell.cache_clear()
     bell(30)
-    # rows reset below the kept numbers: the numbers past B(30) come from
-    # the rebuilt rows, appended at their own index
-    monkeypatch.setattr(combinatorics, "_BELLS", combinatorics._BELLS[:31])
+    # rows reset below the memo: B(0..30) are read from it, and the numbers
+    # past B(30) are summed from the rebuilt rows
     monkeypatch.setattr(combinatorics, "_STIRLING_ROWS", [(1,)])
+    assert bell(30) == bell_triangle(30)[-1] and combinatorics._STIRLING_ROWS == [(1,)]
     assert [bell(n) for n in range(61)] == bell_triangle(60)
-    assert len(combinatorics._BELLS) == len(combinatorics._STIRLING_ROWS) == 61
-    # numbers reset below the kept rows: they are summed from the rows built
-    monkeypatch.setattr(combinatorics, "_BELLS", [1])
+    assert len(combinatorics._STIRLING_ROWS) == bell.cache_info().currsize == 61
+    # the memo reset below the kept rows: each number is summed from the
+    # rows built, and no row is built again
+    rows = combinatorics._STIRLING_ROWS[:]
+    bell.cache_clear()
     assert [bell(n) for n in range(61)] == bell_triangle(60)
-    assert len(combinatorics._STIRLING_ROWS) == 61
+    assert combinatorics._STIRLING_ROWS == rows
 
 
 def test_stirling_rows_past_the_bits_limit_are_refused_before_any_is_built(monkeypatch):
@@ -154,14 +159,15 @@ def test_stirling_rows_past_the_bits_limit_are_refused_before_any_is_built(monke
     # SERIES_BITS_LIMIT from n = 698 on; the ascending loops of bell_egf and
     # the CLI ask for B(n) first, so they are refused before any row too
     monkeypatch.setattr(combinatorics, "_STIRLING_ROWS", [(1,)])
-    monkeypatch.setattr(combinatorics, "_BELLS", [1])
+    bell.cache_clear()
     start = time.perf_counter()
     for call in (lambda: bell(698), lambda: bell(10**4), lambda: bell_egf(10**4),
                  lambda: bell_polynomial(10**4, 1), lambda: combinatorics._stirling_row(10**4)):
         with pytest.raises(ResourceLimitError, match=r"^Stirling rows 0\.\.\d+ take [0-9.e+]+ bits, past 1073741824$"):
             call()
     assert time.perf_counter() - start < 1.0
-    assert combinatorics._STIRLING_ROWS == [(1,)] and combinatorics._BELLS == [1]
+    # a refusal is not memoized: nothing is kept
+    assert combinatorics._STIRLING_ROWS == [(1,)] and bell.cache_info().currsize == 0
     # the largest table admitted: a process peak of 80 MiB, ~0.2 s on 2 vCPUs
     assert bell(697) == bell_triangle(697)[-1]
 
@@ -192,6 +198,50 @@ def test_bell_polynomial():
 def test_partition_count():
     # p(0..10) = 1 1 2 3 5 7 11 15 22 30 42
     assert [partition_count(n) for n in range(11)] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+
+
+def partition_table(n: int) -> int:
+    """p(n) by the parts-bounded recurrence p(m, k) = p(m, k-1) + p(m-k, k)
+    over an (n+1)^2 table: independent of the pentagonal numbers."""
+    table = [[0] * (n + 1) for _ in range(n + 1)]
+    for k in range(n + 1):
+        table[0][k] = 1
+    for m in range(1, n + 1):
+        for k in range(1, n + 1):
+            table[m][k] = table[m][k - 1] + (table[m - k][k] if m >= k else 0)
+    return table[n][n] if n > 0 else 1
+
+
+def test_partition_count_agrees_with_the_parts_bounded_table():
+    assert [partition_count(n) for n in range(301)] == [partition_table(n) for n in range(301)]
+
+
+def rademacher_leading_term(n: int) -> mpmath.mpf:
+    """The k = 1 term of Rademacher's series for p(n),
+    d/dn [sinh(c l) / l] / (pi sqrt 2) with l = sqrt(n - 1/24) and
+    c = pi sqrt(2/3); the rest of the series is below sqrt(p(n))."""
+    l = mpmath.sqrt(n - mpmath.mpf(1) / 24)
+    c = mpmath.pi * mpmath.sqrt(mpmath.mpf(2) / 3)
+    derivative = (c * mpmath.cosh(c * l) / l - mpmath.sinh(c * l) / l**2) / (2 * l)
+    return derivative / (mpmath.pi * mpmath.sqrt(2))
+
+
+def test_partition_count_at_ten_thousand_in_linear_memory():
+    # the (n+1)^2 table would hold 10^8 entries; p(10^4) has 107 digits
+    start = time.perf_counter()
+    value = partition_count(10**4)
+    assert time.perf_counter() - start < 1.0
+    with mpmath.workdps(130):
+        assert abs(value / rademacher_leading_term(10**4) - 1) < mpmath.mpf(10) ** -40
+    assert len(str(value)) == 107
+
+
+def test_partition_count_past_its_limit_is_refused_at_once():
+    start = time.perf_counter()
+    for n in (combinatorics.PARTITION_LIMIT + 1, 10**12):
+        with pytest.raises(ResourceLimitError, match=r"^partition count for n=\d+ exceeds the limit 40000$"):
+            partition_count(n)
+    assert time.perf_counter() - start < 0.1
 
 
 # ---------------------------------------------------------------------------

@@ -54,11 +54,13 @@ P = pf.ModelParams(1.0, 0.05)
     lambda: combinatorics.bell_polynomial(HUGE, 1),
     lambda: combinatorics.diagram_census(HUGE),
     lambda: list(combinatorics.enumerate_set_partitions(HUGE)),
+    lambda: combinatorics.partition_count(HUGE),
     lambda: hopf.basis_monomials(HUGE),
     lambda: boson.word_moments(boson.number_word(), HUGE, 1),
     lambda: boson.BosonExpression.parse("2") ** HUGE,
 ], ids=["dobinski-y", "dobinski-n", "dobinski-precision", "series-Z", "combinatorial-Z", "termwise",
-        "stirling2", "bell", "bell-egf", "bell-polynomial", "census", "enumeration", "basis", "moments", "power"])
+        "stirling2", "bell", "bell-egf", "bell-polynomial", "census", "enumeration",
+        "partition-count", "basis", "moments", "power"])
 def test_a_refused_argument_too_long_to_print_is_named_by_its_size(call):
     # the refusal's own message once printed the argument, which raised
     # ValueError (exit 2 at the command line) instead of ResourceLimitError
