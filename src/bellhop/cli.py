@@ -133,24 +133,23 @@ def cmd_normal_order(args) -> int:
 
 
 def cmd_dobinski(args) -> int:
-    import mpmath  # only the Dobinski paths pay for it
-
     from . import dobinski
 
-    res = dobinski.dobinski_bell_poly(args.n, _rational(args.y), args.k_max, args.precision)
-    # mpmath prints a far-from-1 mpf through an int as long as its mantissa,
-    # precision + guard digits, which a tight tail takes past the digits
-    # Python prints an int with; the digits printed do not depend on that limit
+    value, tail, scale = dobinski._dobinski_fixed(args.n, _rational(args.y), args.k_max, args.precision)
+    # up to 10^5 digits are printed through an int, past the digits Python
+    # prints an int with; the digits printed do not depend on that limit
     limit = int_digits_limit()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        # one digit past --precision, so rounding stays inside the certificate
-        value, tail = (mpmath.nstr(x, args.precision + 1) for x in (res.value, res.tail_bound))
+        # one digit past --precision, rounded to nearest in mpmath.nstr's layout:
+        # the digits mpmath printed but for a last one within 10^-(precision+9)
+        # of a rounding half, which either may round the other way
+        value, tail = (dobinski._nstr(x, -scale, args.precision + 1) for x in (value, tail))
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    rows = [{"n": args.n, "y": args.y, "terms": res.terms_used, "value": value, "tail_bound": tail}]
+    rows = [{"n": args.n, "y": args.y, "terms": args.k_max + 1, "value": value, "tail_bound": tail}]
     _emit(args, rows, ["n", "y", "terms", "value", "tail_bound"])
     return EXIT_OK
 

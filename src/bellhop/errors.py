@@ -1,6 +1,7 @@
 """Exception types, limits, a long int's size for refusals, the coefficient
 rule, the one exact evaluator, a Horner pass for every exact sum at a
-rational point, and the bound on that pass's work, SERIES_BITS_LIMIT."""
+rational point (as an integer pair or one Fraction), and the bound on that
+pass's work, SERIES_BITS_LIMIT."""
 
 import math
 import sys
@@ -59,11 +60,11 @@ def float_times(count: int, factor: float) -> float:
     return count * factor if count <= sys.float_info.max else math.inf
 
 
-def _polynomial_at(numerators: Iterable[tuple[int, int]], scale: int, y: Fraction, egf: bool = False) -> Fraction:
-    """sum_d N_d y^d / scale over the (d, N_d) pairs at y = p/q, or with egf
-    the EGF sum_d N_d y^d / (d! scale): by Horner from the top degree down to
-    the lowest one, low, one integer over scale q^top, times top! in an EGF,
-    whose steps are those of 1 + y (1 + y/2 (1 + y/3 (...)))."""
+def _horner(numerators: Iterable[tuple[int, int]], y: Fraction, egf: bool = False) -> tuple[int, int]:
+    """sum_d N_d y^d over the (d, N_d) pairs at y = p/q, or with egf the EGF
+    sum_d N_d y^d / d!, as an unreduced integer pair (numerator, q^top, times
+    top! in an EGF): by Horner from the top degree down to the lowest one,
+    low, whose steps are those of 1 + y (1 + y/2 (1 + y/3 (...))) in an EGF."""
     by_degree: dict[int, int] = {}
     for d, n in numerators:
         by_degree[d] = by_degree.get(d, 0) + n
@@ -74,7 +75,13 @@ def _polynomial_at(numerators: Iterable[tuple[int, int]], scale: int, y: Fractio
         q_power *= q * (d + 1) if egf else q
         total = total * p + by_degree.get(d, 0) * q_power
     # no degree below low: its factor y^low, or y^low / low! in an EGF, once
-    return Fraction(total * p**low, scale * q_power * q**low * (math.factorial(low) if egf else 1))
+    return total * p**low, q_power * q**low * (math.factorial(low) if egf else 1)
+
+
+def _polynomial_at(numerators: Iterable[tuple[int, int]], scale: int, y: Fraction, egf: bool = False) -> Fraction:
+    """_horner's sum over scale, as one Fraction."""
+    numerator, denominator = _horner(numerators, y, egf)
+    return Fraction(numerator, scale * denominator)
 
 
 def _check_series(N: int, *points: Fraction) -> None:

@@ -454,8 +454,8 @@ def test_dobinski_prints_enclosure_at_precision(capsys):
 
 @pytest.mark.parametrize("n", [10, 200])
 def test_dobinski_far_past_the_tail_start(n, capsys):
-    # at K = 2000 the ratio of partial sum to tail, and so the tail's mpf
-    # mantissa, has more digits than Python prints an int with (4,300)
+    # at K = 2000 the ratio of partial sum to tail adds 5,365-5,722 guard digits,
+    # more than Python prints an int with (4,300), to the working precision
     limit = int_digits_limit()
     code, out, err = run(["--format", "json", "dobinski", str(n), "--k-max", "2000"], capsys)
     assert (code, err) == (0, "")
@@ -949,6 +949,18 @@ def test_dobinski_result_is_a_dataclass_before_and_after_first_use():
     assert "FrozenInstanceError" in proc.stderr
 
 
+def test_dobinski_loads_mpmath_only_for_its_mpf_results():
+    # the command prints bellhop's own integers; the library's DobinskiResult
+    # holds mpf, so dobinski_bell imports mpmath when it builds one
+    proc = _python("import sys; from bellhop import cli, dobinski; "
+                   "print('mpmath' in sys.modules, 'dataclasses' in sys.modules); "
+                   "code = cli.main(['dobinski', '12', '--y', '2/3']); print('mpmath' in sys.modules); "
+                   "dobinski.dobinski_bell(5, 30); print('mpmath' in sys.modules); sys.exit(code)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "False True"
+    assert proc.stdout.splitlines()[-2:] == ["False", "True"]
+
+
 def readme_commands() -> list[list[str]]:
     """The argv of every `bellhop ...` line in README's command-line block."""
     text = (ROOT / "README.md").read_text()
@@ -976,6 +988,6 @@ def _readme_id(argv: list[str]) -> str:
 def test_readme_commands_run_without_numpy(argv, capsys):
     proc = _python(_NO_NUMPY, *argv)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ("mpmath loaded" if argv[0] == "dobinski" else "")
+    assert proc.stderr == ""  # no command loads mpmath, dobinski included
     code, out, _ = run(argv, capsys)
     assert (code, proc.stdout) == (0, out)

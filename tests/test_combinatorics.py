@@ -1,6 +1,7 @@
 """Exact combinatorics: recurrences vs brute-force enumeration oracles."""
 
 import itertools
+import json
 import math
 import os
 import random
@@ -30,7 +31,7 @@ from bellhop.combinatorics import (
 from bellhop.dobinski import dobinski_bell, dobinski_bell_poly
 from bellhop.boson import CoherentParam, coherent_expectation, normal_order, number_word, stirling_via_ordering
 from bellhop.egf import EGFSeries, bell_egf, egf_exp, v_to_w
-from bellhop.errors import ResourceLimitError
+from bellhop.errors import ResourceLimitError, int_digits_limit
 from bellhop.hopf import Monomial
 from coefficient_rule import assert_canonical
 
@@ -282,8 +283,9 @@ def test_dobinski_poly_examples():
 
 
 def _dobinski_per_term(n, y, K, precision):
-    """dobinski_bell_poly with one Fraction per term: the reference for the
-    integer sum, through the same mpmath steps."""
+    """dobinski_bell_poly with one Fraction per term and mpmath's e^{-y}: the
+    exact partial sum and tail bound, the guard digits, and value and tail
+    bound at precision + guard digits, the reference for the integer route."""
     y = Fraction(y)
 
     def term(k):
@@ -299,7 +301,7 @@ def _dobinski_per_term(n, y, K, precision):
         prefactor = mpmath.e ** (-mpmath.mpf(y.numerator) / y.denominator)
         value = prefactor * partial.numerator / partial.denominator
         bound = prefactor * tail.numerator / tail.denominator
-        return +value, +bound
+        return partial, tail, guard, +value, +bound
 
 
 @pytest.mark.parametrize("n, y, K, precision", [
@@ -307,9 +309,136 @@ def _dobinski_per_term(n, y, K, precision):
     (10, Fraction(2, 3), 60, 50), (60, Fraction(23, 8), 200, 80), (7, Fraction(41, 5), 3, 25),
 ])
 def test_dobinski_integer_sum_matches_per_term_fractions(n, y, K, precision):
+    partial, tail, scale = dobinski._dobinski_sums(n, Fraction(y), K)
+    ref_partial, ref_tail, guard, value, bound = _dobinski_per_term(n, y, K, precision)
+    assert (Fraction(partial, scale), Fraction(tail, scale)) == (ref_partial, ref_tail)
     res = dobinski_bell_poly(n, y, K, precision)
-    value, bound = _dobinski_per_term(n, y, K, precision)
-    assert (res.value, res.tail_bound) == (value, bound)
+    # the value to its working precision, precision + guard digits; the tail
+    # is rounded at the value's scale, which leaves it precision + 10 digits
+    with mpmath.workdps(2 * (precision + guard)):
+        assert abs(res.value - value) <= value * mpmath.mpf(10) ** -(precision + guard - 1)
+        assert abs(res.tail_bound - bound) <= bound * mpmath.mpf(10) ** -(precision + 9)
+        assert res.value <= ref_partial * mpmath.exp(-mpmath.mpf(Fraction(y).numerator) / Fraction(y).denominator)
+
+
+def test_dobinski_rounding_is_directed():
+    # v/2^s <= e^{-y} P and e^{-y} (P + T) <= (v + t)/2^s, each against
+    # mpmath at twice the working bits, on random arguments
+    rng = random.Random(3434)
+    for _ in range(300):
+        n, y = rng.randint(0, 30), Fraction(rng.randint(1, 60), rng.randint(1, 12))
+        K, precision = rng.randint(1, 80), rng.randint(10, 40)
+        v, t, s = dobinski._dobinski_fixed(n, y, K, precision)
+        partial, tail, scale = dobinski._dobinski_sums(n, y, K)
+        with mpmath.workprec(2 * max(v.bit_length(), s) + 64):
+            prefactor = mpmath.exp(-mpmath.mpf(y.numerator) / y.denominator) * mpmath.mpf(2) ** s / scale
+            assert v <= prefactor * partial, (n, y, K, precision)
+            assert prefactor * (partial + tail) <= v + t, (n, y, K, precision)
+
+
+# a y as wide as --y takes, 4,300 digits over 4,300, and a 20-digit decimal:
+# e^{-y} comes from pieces of y's binary digits, not one series in y itself
+WIDE_Y = "7" * 4300 + "/" + "7" * 4299 + "6"
+DECIMAL_Y = "1.2345678901234567890"
+
+# the README command, the shapes of the benchmark's `cli` workload, n = 0 at
+# four y, K = 2000, precision 5000, whose digits Python prints only with its
+# int printing limit lifted, and the wide y at precision 5000
+CLI_DOBINSKI = [
+    (10, "1/2", 60, 50), (10, "2/3", 60, 50), (5, "1", 60, 20), (13, "1", 60, 47), (20, "1", 60, 60),
+    (0, "1", 60, 50), (0, "2/3", 60, 50), (0, "1/3", 60, 50), (0, "20", 60, 50),
+    (10, "1", 2000, 50), (3, "2/3", 60, 5000), (0, WIDE_Y, 1, 5000), (10, DECIMAL_Y, 60, 5000),
+]
+
+
+@pytest.mark.parametrize("n, y, K, precision", CLI_DOBINSKI,
+                         ids=["-".join(map(str, c)) if c[1] != WIDE_Y else "wide-y" for c in CLI_DOBINSKI])
+def test_dobinski_command_prints_the_digits_mpmath_prints(n, y, K, precision, capsys):
+    from bellhop import cli
+
+    limit = int_digits_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        *_, value, bound = _dobinski_per_term(n, y, K, precision)
+        row = [str(n), y, str(K + 1), mpmath.nstr(value, precision + 1), mpmath.nstr(bound, precision + 1)]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    header = ["n", "y", "terms", "value", "tail_bound"]
+    widths = [max(len(h), len(v)) for h, v in zip(header, row)]
+    expected = {
+        "plain": "".join("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() + "\n"
+                         for line in (header, row)),
+        "csv": ",".join(header) + "\n" + ",".join(row) + "\n",
+        "json": json.dumps([{"n": n, "y": y, "terms": K + 1, "value": row[3], "tail_bound": row[4]}],
+                           separators=(",", ":")) + "\n",
+    }
+    for fmt, text in expected.items():
+        argv = ["--format", fmt, "dobinski", str(n), "--y", y, "--k-max", str(K), "--precision", str(precision)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == (text, ""), argv
+    assert int_digits_limit() == limit
+
+
+def test_nstr_lays_out_digits_as_mpmath_does():
+    # random mantissas about the leading-digit exponents where nstr turns
+    # from fixed point to an exponent, both ways, and far past them
+    rng = random.Random(34)
+    for _ in range(4000):
+        digits = rng.randint(1, 80)
+        e10 = rng.choice([rng.randint(-(digits // 3) - 8, digits + 4), rng.randint(-6000, 6000)])
+        man = rng.getrandbits(rng.randint(1, 400)) | 1
+        exp = round(e10 * math.log2(10)) - man.bit_length() + rng.randint(-4, 4)
+        x = mpmath.mpf((man, exp), prec=man.bit_length())
+        assert dobinski._nstr(man, exp, digits) == mpmath.nstr(x, digits), (man, exp, digits)
+    # a carry from 9.99... onto the next power of ten, and exact halves
+    for man, exp, digits in [(2**64 - 1, 0, 5), (999995, 0, 5), (999949, 0, 5), (1, -3, 2), (5, -1, 1),
+                             (3, -2, 1), (1, 0, 11), (52, 0, 51), (10**20 - 1, -20, 11)]:
+        x = mpmath.mpf((man, exp), prec=max(man.bit_length(), 1))
+        assert dobinski._nstr(man, exp, digits) == mpmath.nstr(x, digits), (man, exp, digits)
+
+
+@pytest.mark.parametrize("y", [Fraction(1), Fraction(2, 3), Fraction(1, 3), Fraction(20), Fraction(1, 10**30),
+                               Fraction(41, 5), Fraction(10**30 + 1, 10**30), Fraction(1234, 7),
+                               Fraction(12345, 65521), Fraction(10**6 + 1, 2**17), Fraction(DECIMAL_Y),
+                               Fraction(WIDE_Y), Fraction(10**40 + 1, 10**37 + 3)])
+def test_exp_neg_encloses_e_to_the_minus_y(y):
+    for bits in (1, 53, 200, 1000, 6000, 20000):
+        w = bits + math.ceil(float(y) * math.log2(math.e))  # e^{-y} 2^w >= 2^bits
+        lo, hi = dobinski._exp_neg(y, w)
+        assert 0 < hi - lo <= 2
+        with mpmath.workprec(2 * w + 64):
+            scaled = mpmath.exp(-mpmath.mpf(y.numerator) / y.denominator) * mpmath.mpf(2) ** w
+            assert lo <= scaled <= hi, (y, bits)
+
+
+def test_dobinski_decimal_y_at_the_highest_precision(capsys):
+    # 99,000 digits of B_10(y) at a 20-digit decimal y in a few seconds, where
+    # one series in y would carry its 64-bit denominator in each of ~25,000
+    # terms.  At K = 400 the tail is near 10^-800 of the value, so the value
+    # printed must agree to ~800 digits with the enclosure found at 5,000
+    # digits, whose digits are checked against mpmath above at K = 60
+    from bellhop import cli
+
+    y, precision = Fraction(DECIMAL_Y), 99000
+    v, t, s = dobinski._dobinski_fixed(10, y, 400, 5000)
+    assert t < v >> 2500  # under 10^-750 of the value
+    argv = ["--format", "csv", "dobinski", "10", "--y", DECIMAL_Y, "--k-max", "400", "--precision", str(precision)]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    limit = int_digits_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        value, tail = (Fraction(x) for x in out.splitlines()[1].split(",")[3:])
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert err == "" and tail > 0
+    # the printed value is the certified one rounded at 99,001 digits
+    ulp = value / 10**precision
+    assert Fraction(v, 2**s) - tail - ulp <= value <= Fraction(v + t, 2**s) + ulp
 
 
 def test_decimal_digits_match_str():
