@@ -36,7 +36,7 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 # reachable as attributes of the package, like the exported names
-_SUBMODULES = frozenset(_EXPORTS) | {"lincomb"}
+_SUBMODULES = frozenset(_EXPORTS) | {"enclosure", "lincomb"}
 
 __all__ = sorted(_HOME)
 

@@ -100,11 +100,11 @@ class EGFSeries:
         return f"EGFSeries(coeffs={self.coeffs!r})"
 
     def to_json(self) -> str:
-        import json  # only JSON output pays for it
-
-        return json.dumps(
-            {"order": self.order, "coefficients": [str(c) for c in self.coeffs]}
-        )
+        # json.dumps' text of {"order": ..., "coefficients": [str(c), ...]},
+        # written without json: str() of an int or a Fraction is digits, "-"
+        # and "/", none of which JSON escapes
+        coefficients = ", ".join(f'"{c}"' for c in self.coeffs)
+        return f'{{"order": {self.order}, "coefficients": [{coefficients}]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "EGFSeries":

@@ -19,7 +19,7 @@ from itertools import accumulate, count, repeat
 from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import ResourceLimitError, _check_series, _polynomial_at, int_text
+from .errors import ResourceLimitError, _check_series, _horner, int_text
 
 if TYPE_CHECKING:
     from .boson import BosonExpression, CoherentParam, NormalOrderedForm
@@ -213,9 +213,11 @@ def regularized_series_Z(p: ModelParams, M: float, N: int) -> float:
     alpha, M = Fraction(p.alpha), Fraction(M)
     x = -alpha * M
     _check_series(N, x)
-    e = _polynomial_at(((n, 1) for n in range(N + 2)), 1, x, egf=True)
-    # alpha = 0, at a beta epsilon below the float range, leaves the n = 0 term
-    return _rounded(*((1 - e) / alpha if alpha else M).as_integer_ratio())
+    if not alpha:  # at a beta epsilon below the float range: the n = 0 term alone
+        return _rounded(*M.as_integer_ratio())
+    e, scale = _horner(((n, 1) for n in range(N + 2)), x, egf=True)  # e_{N+1}(x) = e / scale
+    a, b = alpha.as_integer_ratio()
+    return _rounded(b * (scale - e), a * scale)
 
 
 def combinatorial_Z(p: ModelParams, M: float, N: int) -> float:
@@ -249,8 +251,8 @@ def combinatorial_Z(p: ModelParams, M: float, N: int) -> float:
     while w:  # I_n = (T^n w)_0, each T w one entry shorter
         integrals.append(w[0])
         w = list(map(add, map(mul, count(), w), w[1:]))
-    value = _polynomial_at(enumerate(integrals), b ** (N + 1) * F, x, egf=True)
-    return _rounded(*value.as_integer_ratio())
+    value, scale = _horner(enumerate(integrals), x, egf=True)
+    return _rounded(value, b ** (N + 1) * F * scale)
 
 
 def _check_series_args(M: float, N: int) -> None:
@@ -262,7 +264,8 @@ def _check_series_args(M: float, N: int) -> None:
 
 def _rounded(num: int, den: int) -> float:
     """num / den (den > 0) to the nearest float, or an infinity of the
-    sign of num past the float range."""
+    sign of num past the float range.  int / int is rounded once, correctly,
+    so an unreduced pair gives the float of its reduced Fraction."""
     try:
         return num / den
     except OverflowError:
@@ -278,7 +281,8 @@ def _egf_at(coeffs: Sequence, x: float) -> complex | float:
     _check_series(len(coeffs) - 1, x)
     D = math.lcm(*(c.denominator for c in coeffs))
     terms = ((n, c.numerator * (D // c.denominator)) for n, c in enumerate(coeffs))
-    return _rounded(*_polynomial_at(terms, D, x, egf=True).as_integer_ratio())
+    value, scale = _horner(terms, x, egf=True)
+    return _rounded(value, D * scale)
 
 
 class GeneralFResult(NamedTuple):

@@ -542,6 +542,28 @@ def test_stirling_via_ordering_limit():
         stirling_via_ordering(25)
 
 
+def _generalized_stirling(r, s, n, k):
+    # S_{r,s}(n, k) = ((-1)^k / k!) sum_p (-1)^p C(k, p) prod_{j=1}^{n} (p + (j-1)(r-s))^(falling s)
+    # (Blasiak, Penson and Solomon, Ann. Combin. 7 (2003) 127)
+    total = sum((-1) ** p * math.comb(k, p) * math.prod(math.perm(p + (j - 1) * (r - s), s) for j in range(1, n + 1))
+                for p in range(k + 1))
+    assert total % math.factorial(k) == 0
+    return (-1) ** k * total // math.factorial(k)
+
+
+@pytest.mark.parametrize("r, s", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (1, 0), (3, 3)])
+def test_powers_of_one_word_match_the_generalized_stirling_numbers(r, s):
+    # (ad^r a^s)^n = ad^(n(r-s)) sum_k S_{r,s}(n, k) ad^k a^k, on both the
+    # Wick route (the parser) and the word route (normal_order)
+    for n in range(6):
+        text = f"(ad^{r} a^{s})^{n}"
+        expected = {(n * (r - s) + k, k): c for k in range(n * s + 1)
+                    if (c := _generalized_stirling(r, s, n, k))}
+        for form in (NormalOrderedForm.parse(text), normal_order(parse_expression(text))):
+            assert form.terms == expected, (text, form)
+            assert_canonical(form.terms.values())
+
+
 def test_forgetful():
     assert forgetful_normal_order(BosonExpression.from_word((A, AD))).terms == {(1, 1): 1}
     for n in range(1, 6):

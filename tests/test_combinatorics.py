@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellhop import combinatorics, dobinski
+from bellhop import combinatorics, enclosure
 from bellhop.combinatorics import (
     SetPartition,
     bell,
@@ -293,7 +293,7 @@ def _dobinski_per_term(n, y, K, precision):
         return Fraction(kn) * y**k / math.factorial(k)
 
     partial = sum(term(k) for k in range(K + 1))
-    k0 = dobinski._dobinski_tail_start(n, K, math.ceil(y))
+    k0 = enclosure._dobinski_tail_start(n, K, math.ceil(y))
     tail = sum(term(k) for k in range(K + 1, k0)) + 2 * term(k0)
     ratio = partial / tail
     guard = 10 + len(str(1 + ratio.numerator // ratio.denominator))
@@ -309,7 +309,7 @@ def _dobinski_per_term(n, y, K, precision):
     (10, Fraction(2, 3), 60, 50), (60, Fraction(23, 8), 200, 80), (7, Fraction(41, 5), 3, 25),
 ])
 def test_dobinski_integer_sum_matches_per_term_fractions(n, y, K, precision):
-    partial, tail, scale = dobinski._dobinski_sums(n, Fraction(y), K)
+    partial, tail, scale = enclosure._dobinski_sums(n, Fraction(y), K)
     ref_partial, ref_tail, guard, value, bound = _dobinski_per_term(n, y, K, precision)
     assert (Fraction(partial, scale), Fraction(tail, scale)) == (ref_partial, ref_tail)
     res = dobinski_bell_poly(n, y, K, precision)
@@ -328,8 +328,8 @@ def test_dobinski_rounding_is_directed():
     for _ in range(300):
         n, y = rng.randint(0, 30), Fraction(rng.randint(1, 60), rng.randint(1, 12))
         K, precision = rng.randint(1, 80), rng.randint(10, 40)
-        v, t, s = dobinski._dobinski_fixed(n, y, K, precision)
-        partial, tail, scale = dobinski._dobinski_sums(n, y, K)
+        v, t, s = enclosure._dobinski_fixed(n, y, K, precision)
+        partial, tail, scale = enclosure._dobinski_sums(n, y, K)
         with mpmath.workprec(2 * max(v.bit_length(), s) + 64):
             prefactor = mpmath.exp(-mpmath.mpf(y.numerator) / y.denominator) * mpmath.mpf(2) ** s / scale
             assert v <= prefactor * partial, (n, y, K, precision)
@@ -391,12 +391,12 @@ def test_nstr_lays_out_digits_as_mpmath_does():
         man = rng.getrandbits(rng.randint(1, 400)) | 1
         exp = round(e10 * math.log2(10)) - man.bit_length() + rng.randint(-4, 4)
         x = mpmath.mpf((man, exp), prec=man.bit_length())
-        assert dobinski._nstr(man, exp, digits) == mpmath.nstr(x, digits), (man, exp, digits)
+        assert enclosure._nstr(man, exp, digits) == mpmath.nstr(x, digits), (man, exp, digits)
     # a carry from 9.99... onto the next power of ten, and exact halves
     for man, exp, digits in [(2**64 - 1, 0, 5), (999995, 0, 5), (999949, 0, 5), (1, -3, 2), (5, -1, 1),
                              (3, -2, 1), (1, 0, 11), (52, 0, 51), (10**20 - 1, -20, 11)]:
         x = mpmath.mpf((man, exp), prec=max(man.bit_length(), 1))
-        assert dobinski._nstr(man, exp, digits) == mpmath.nstr(x, digits), (man, exp, digits)
+        assert enclosure._nstr(man, exp, digits) == mpmath.nstr(x, digits), (man, exp, digits)
 
 
 @pytest.mark.parametrize("y", [Fraction(1), Fraction(2, 3), Fraction(1, 3), Fraction(20), Fraction(1, 10**30),
@@ -406,7 +406,7 @@ def test_nstr_lays_out_digits_as_mpmath_does():
 def test_exp_neg_encloses_e_to_the_minus_y(y):
     for bits in (1, 53, 200, 1000, 6000, 20000):
         w = bits + math.ceil(float(y) * math.log2(math.e))  # e^{-y} 2^w >= 2^bits
-        lo, hi = dobinski._exp_neg(y, w)
+        lo, hi = enclosure._exp_neg(y, w)
         assert 0 < hi - lo <= 2
         with mpmath.workprec(2 * w + 64):
             scaled = mpmath.exp(-mpmath.mpf(y.numerator) / y.denominator) * mpmath.mpf(2) ** w
@@ -422,7 +422,7 @@ def test_dobinski_decimal_y_at_the_highest_precision(capsys):
     from bellhop import cli
 
     y, precision = Fraction(DECIMAL_Y), 99000
-    v, t, s = dobinski._dobinski_fixed(10, y, 400, 5000)
+    v, t, s = enclosure._dobinski_fixed(10, y, 400, 5000)
     assert t < v >> 2500  # under 10^-750 of the value
     argv = ["--format", "csv", "dobinski", "10", "--y", DECIMAL_Y, "--k-max", "400", "--precision", str(precision)]
     assert cli.main(argv) == 0
@@ -446,7 +446,7 @@ def test_decimal_digits_match_str():
     xs = [1, 9, 10, 2**64 - 1, 2**64] + [10**k + d for k in range(1, 4300, 37) for d in (-1, 0, 1)]
     xs += [rng.getrandbits(rng.randint(1, 14000)) | 1 for _ in range(300)]
     for x in xs:
-        assert dobinski._decimal_digits(x) == len(str(x)), x
+        assert enclosure._decimal_digits(x) == len(str(x)), x
 
 
 def test_dobinski_rejects_low_precision():

@@ -1,6 +1,7 @@
 """EGF arithmetic: convolution against a direct double-sum oracle, exact
 exp/log inversion, and the moment transforms."""
 
+import json
 import math
 import random
 import time
@@ -184,6 +185,17 @@ def test_json_roundtrip():
     text = a.to_json()
     assert '"coefficients": ["1", "-3/7", "0", "22/3"]'.replace(" ", "") in text.replace(" ", "")
     assert EGFSeries.from_json(text) == a
+
+
+@pytest.mark.parametrize("coeffs", [
+    (0,), (7,), (-1,), (Fraction(-3, 7),), (0, 0, 0), (1, Fraction(-3, 7), 0, Fraction(22, 3)),
+    (-(10**400), 10**600 + 1, Fraction(-(10**300), 3**500)), tuple(Fraction(-k, k + 1) for k in range(30)),
+], ids=["zero", "int", "negative", "negative-fraction", "zeros", "mixed", "long", "order-29"])
+def test_to_json_is_the_text_json_dumps_writes(coeffs):
+    # to_json writes its one shape itself; json.dumps of the same object is the oracle
+    series = EGFSeries(coeffs)
+    expected = json.dumps({"order": series.order, "coefficients": [str(c) for c in series.coeffs]})
+    assert series.to_json() == expected
 
 
 def test_json_round_trip_keeps_coefficient_types():

@@ -274,6 +274,42 @@ def test_series_matches_its_termwise_fraction_sum(beta, epsilon, M, N):
     assert regularized_series_Z(p, M, N) == want
 
 
+def _float_of(value: Fraction) -> float:
+    """float(value), or an infinity of its sign past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+# beta epsilon = 1e-500 reads 0 as a float, so alpha = 0; at M = 1e300 the
+# sums of order 1 and up pass the float range, to +inf or -inf
+FLOAT_GRID = [(p, M, N) for p in (ModelParams(1.0, 1.0), ModelParams(1.0, 0.05), ModelParams(1.0, 5.0),
+                                  ModelParams(1.0, 1e-9), ModelParams(1e-200, 1e-300))
+              for M in (1e-3, 0.5, 20.0, 1e300) for N in (0, 1, 2, 7, 30)]
+
+
+def test_float_series_routes_match_their_per_term_fraction_sums():
+    # the three exact sums rounded once from Horner's unreduced integer pair
+    # against float() of an independent per-term Fraction sum: bit for bit
+    signs = set()
+    for p, M, N in FLOAT_GRID:
+        x, Mq = Fraction(p.x), Fraction(M)
+        series = Mq * sum((-Fraction(p.alpha) * Mq) ** n / math.factorial(n + 1) for n in range(N + 1))
+        integral = sum(x**n / math.factorial(n) * sum(combinatorics.stirling2(n, k) * Mq ** (k + 1) / (k + 1)
+                                                      for k in range(n + 1)) for n in range(N + 1))
+        got = regularized_series_Z(p, M, N), combinatorial_Z(p, M, N)
+        assert got == (_float_of(series), _float_of(integral)), (p, M, N)
+        signs.update(v for v in got if math.isinf(v))
+    assert signs == {math.inf, -math.inf}
+    rng = random.Random(35)
+    for coeffs in [(1, 2, 3), (Fraction(1, 3), -2, Fraction(7, 5)), (10**300, -(10**301), 5),
+                   tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(25))]:
+        for x in (-0.9, 0.0, 2.5, 1e300, -1e300, 5e-324):
+            exact = sum(Fraction(c) * Fraction(x) ** n / math.factorial(n) for n, c in enumerate(coeffs))
+            assert pf._egf_at(coeffs, x) == _float_of(exact), (coeffs, x)
+
+
 def test_series_cauchy_in_N():
     # at fixed finite M the series converges (interchange is legal there)
     p = params(1.0)
