@@ -67,9 +67,10 @@ def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind; 0 when k > n or (k=0, n>0).
 
     Read from row n when it is built; otherwise the explicit sum
-    S(n, k) = sum_j (-1)^j C(k, j) (k - j)^n / k!, which builds no rows,
-    refused when its k + 1 powers of up to n log10(k) digits pass
-    STIRLING_SUM_LIMIT digits in all.
+    S(n, k) = sum_j (-1)^j C(k, j) (k - j)^n / k!, which builds no rows.
+    When its k + 1 powers of up to n log10(k) digits pass
+    STIRLING_SUM_LIMIT digits in all, it is read from row n if rows 0..n
+    are within SERIES_BITS_LIMIT (n <= 697), and refused otherwise.
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
@@ -79,10 +80,13 @@ def stirling2(n: int, k: int) -> int:
         return _STIRLING_ROWS[n][k]
     digits = float_times((k + 1) * n, math.log10(k)) if k > 1 else 0
     if digits > STIRLING_SUM_LIMIT:
-        raise ResourceLimitError(
-            f"S({int_text(n)}, {int_text(k)}) by the explicit sum needs {digits:.3g} digits of powers, "
-            f"past the limit {STIRLING_SUM_LIMIT}"
-        )
+        try:
+            return _stirling_row(n)[k]
+        except ResourceLimitError:  # refused before any row is built
+            raise ResourceLimitError(
+                f"S({int_text(n)}, {int_text(k)}) by the explicit sum needs {digits:.3g} digits of powers, "
+                f"past the limit {STIRLING_SUM_LIMIT}"
+            ) from None
     return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)) // math.factorial(k)
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from functools import cache
+from typing import Any, Callable, Iterable, NamedTuple
 
-from .combinatorics import Monomial
+from .combinatorics import Monomial, diagram_census
 from .errors import ResourceLimitError, int_text
 from .lincomb import LinearCombination
 
@@ -170,23 +171,18 @@ class CheckReport(NamedTuple):
         return f"{self.name}: {status} ({self.checked} cases){extra}"
 
 
-def _integer_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    def rec(remaining: int, largest: int):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            for rest in rec(remaining - part, part):
-                yield (part,) + rest
-
-    yield from rec(n, n)
+@cache
+def _basis_of_weight(w: int) -> tuple[Monomial, ...]:
+    # the census's keys, one per integer partition of w, largest part first
+    # in reverse lexicographic order; kept for the w <= WEIGHT_LIMIT asked for
+    return tuple(sorted(diagram_census(w).counts, key=lambda m: m[::-1], reverse=True)) if w else (UNIT,)
 
 
-def basis_monomials(max_weight: int) -> list[Monomial]:
-    """All monomials of weight <= max_weight (one per integer partition)."""
+def basis_monomials(max_weight: int) -> tuple[Monomial, ...]:
+    """All monomials of weight <= max_weight (one per integer partition), by weight."""
     if max_weight > WEIGHT_LIMIT:
         raise ResourceLimitError(f"basis of weight {int_text(max_weight)} exceeds the limit {WEIGHT_LIMIT}")
-    return [Monomial(parts) for w in range(max_weight + 1) for parts in _integer_partitions(w)]
+    return tuple(m for w in range(max_weight + 1) for m in _basis_of_weight(w))
 
 
 def _first_failure(name: str, cases: Iterable[Any], holds: Callable[[Any], bool]) -> CheckReport:
@@ -250,7 +246,7 @@ def check_antipode(
     return _first_failure("antipode", basis_monomials(max_weight), holds)
 
 
-def _pair_check(name: str, basis: list[Monomial], verdict: Callable[[int, int], bool]) -> CheckReport:
+def _pair_check(name: str, basis: tuple[Monomial, ...], verdict: Callable[[int, int], bool]) -> CheckReport:
     """The report for an identity bilinear and symmetric in (A, B) that
     verdict(i, j) decides on the basis pair (basis[i], basis[j]).
 

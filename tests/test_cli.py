@@ -109,7 +109,9 @@ BIG = str(10**400)  # an int argument past the float range
                               "huge-y", "huge-y-digits", "huge-n", "huge-k-max", "huge-order", "huge-bell",
                               "huge-stirling", "huge-egf-bell", "huge-power", "bell-rows", "egf-bell-rows"])
 def test_unprintable_integers_exit_3_before_the_work(argv, capsys):
-    # a lower bound on the digits refuses them before any row is built;
+    # the work limits refuse them before any row is built: rows 0..3000
+    # pass SERIES_BITS_LIMIT, and so do rows 0..100000 once the explicit sum
+    # for S(100000, 200) passes STIRLING_SUM_LIMIT;
     # S(12000, 12000) = 1 prints, but its explicit sum would take 12,001
     # powers of up to 49,000 digits (69 s on 2 vCPUs), past STIRLING_SUM_LIMIT;
     # the order-1500 exp recurrence is past EGF_WORK_LIMIT; the exact series
@@ -121,9 +123,9 @@ def test_unprintable_integers_exit_3_before_the_work(argv, capsys):
     # range (10^400) is refused by a bound that reads inf, not by an
     # OverflowError's exit 1; a tail start of 5,001 digits (--y 1e5000) is
     # named by its size, as Python prints no int past 4,300 digits.  B(2000)
-    # prints (4,211 < 4,301 digits by the lower bound), but its Stirling rows
-    # 0..2000 would pass SERIES_BITS_LIMIT (~1.6 GB, extrapolated from n = 1000
-    # and 1500), so bell and egf bell ask for B(2000) first and are refused
+    # has 4,350 digits, but its Stirling rows 0..2000 would pass
+    # SERIES_BITS_LIMIT (~1.6 GB, extrapolated from n = 1000 and 1500), so
+    # bell and egf bell ask for B(2000) first and are refused before printing
     start = time.perf_counter()
     code, out, err = run(argv, capsys)
     assert time.perf_counter() - start < 1.0
@@ -147,12 +149,55 @@ def test_egf_and_wv_values_too_long_to_print_exit_3(argv, capsys):
 
 @pytest.mark.parametrize("n, code", [(14000, 0), (14285, 0), (14286, 3)])
 def test_stirling_near_the_printing_limit(n, code, capsys):
-    # S(n, 2) = 2^(n-1) - 1 has 4300 digits at n = 14285 and 4301 at 14286,
-    # which the bound k^(n-k) lets through: the computed value is refused
+    # S(n, 2) = 2^(n-1) - 1 has 4300 digits at n = 14285 and 4301 at 14286:
+    # the computed value is refused
     got, out, err = run(["--format", "json", "stirling", str(n), "2"], capsys)
     assert got == code, err
     if code == 0:
         assert json.loads(out)[0]["stirling2"] == 2 ** (n - 1) - 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no integer printing limit")
+@pytest.mark.parametrize("argv", [["bell", "697"], ["egf", "bell", "--order", "697"],
+                                  ["stirling", "20000", "3"], ["wv", "v-to-w", "1e700"]],
+                         ids=["bell", "egf-bell", "stirling", "wv"])
+def test_one_refusal_under_a_lowered_printing_limit(argv, capsys):
+    # B(697) has 1,256 digits and 697! 1,681: within the work limits, each
+    # value is computed and then refused by the one check of the printed value
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        start = time.perf_counter()
+        code, out, err = run(argv, capsys)
+        assert time.perf_counter() - start < 1.0
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit:") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no integer printing limit")
+def test_stirling_past_the_default_printing_limit_is_refused_by_its_value(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(["stirling", "20000", "3"], capsys)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (3, "")
+    assert err == "resource limit: S(20000, 3) has more than 4300 digits, the integer printing limit\n"
+
+
+@pytest.mark.parametrize("fmt, expected", [("plain", "n    k    stirling2\n600  600  1\n"),
+                                           ("csv", "n,k,stirling2\n600,600,1\n"),
+                                           ("json", '[{"n":600,"k":600,"stirling2":1}]\n')])
+def test_stirling_past_the_sum_limit_prints_from_row_n(fmt, expected, capsys, monkeypatch):
+    # the explicit sum for S(600, 600) passes STIRLING_SUM_LIMIT, and rows
+    # 0..600 are in reach: no rows built yet, as in a fresh process
+    from bellhop import combinatorics
+
+    monkeypatch.setattr(combinatorics, "_STIRLING_ROWS", [(1,)])
+    assert run(["--format", fmt, "stirling", "600", "600"], capsys) == (0, expected, "")
 
 
 # ---------------------------------------------------------------------------

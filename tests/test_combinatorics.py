@@ -533,6 +533,20 @@ def test_stirling_sum_limit(monkeypatch):
     assert len(combinatorics._STIRLING_ROWS) == 1
 
 
+def test_stirling_past_the_sum_limit_reads_row_n_when_the_rows_are_in_reach(monkeypatch):
+    # one answer per input, whatever rows an earlier call built: past
+    # STIRLING_SUM_LIMIT, rows 0..697 are built, and rows 0..698 are refused
+    monkeypatch.setattr(combinatorics, "_STIRLING_ROWS", [(1,)])
+    with pytest.raises(ResourceLimitError, match=r"^S\(698, 698\) by the explicit sum needs [0-9.e+]+ digits"):
+        stirling2(698, 698)
+    assert len(combinatorics._STIRLING_ROWS) == 1
+    # S(n, n - 1) = C(n, 2) and S(n, n - 2) = C(n, 3) + 3 C(n, 4) = C(n, 3) (3n - 5) / 4
+    assert stirling2(697, 697) == 1
+    assert len(combinatorics._STIRLING_ROWS) == 698
+    assert stirling2(697, 696) == math.comb(697, 2)
+    assert stirling2(697, 695) == math.comb(697, 3) * (3 * 697 - 5) // 4
+
+
 def test_enumeration_n10_count():
     assert sum(1 for _ in enumerate_set_partitions(10)) == 115975
 

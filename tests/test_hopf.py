@@ -477,6 +477,29 @@ def test_random_elements_draw_integer_coefficients():
         assert all(type(c) is int for c in random_element(rng, 6).terms.values())
 
 
+def integer_partitions(n: int):
+    """The partitions of n, largest part first, in reverse lexicographic
+    order, by recursion on the largest part: independent of the census."""
+
+    def rec(remaining: int, largest: int):
+        if remaining == 0:
+            yield ()
+            return
+        for part in range(min(remaining, largest), 0, -1):
+            for rest in rec(remaining - part, part):
+                yield (part,) + rest
+
+    yield from rec(n, n)
+
+
+@pytest.mark.parametrize("max_weight", range(-1, 13))
+def test_basis_is_the_census_keys_in_partition_order(max_weight):
+    basis = basis_monomials(max_weight)
+    assert type(basis) is tuple
+    assert basis == tuple(Monomial(parts) for w in range(max_weight + 1) for parts in integer_partitions(w))
+    assert len(basis) == sum(partition_count(n) for n in range(max_weight + 1))
+
+
 def test_basis_weight_limit():
     assert len(basis_monomials(12)) == 272 == sum(partition_count(w) for w in range(13))
     with pytest.raises(ResourceLimitError, match=r"^basis of weight 13 exceeds the limit 12$"):
