@@ -322,15 +322,6 @@ class CoherentParam(NamedTuple):
             raise ValueError("|z|^2 must be nonnegative")
         return cls(z=math.sqrt(mod_sq), mod_sq=mod_sq)
 
-    def powers(self, r: int, s: int):
-        """conj(z)^r * z^s for a float or complex z; coherent_expectation
-        sums an exact z or an exact |z|^2 itself."""
-        z = self.z
-        if isinstance(z, float):  # real: conj(z) = z
-            return z ** (r + s)
-        z = complex(z)
-        return z.conjugate() ** r * z**s
-
 
 def coherent_expectation(form: NormalOrderedForm, z) -> Fraction | float | complex:
     """<z| form |z> by the eigenvalue property: (r,s) term -> conj(z)^r z^s.
@@ -353,9 +344,11 @@ def coherent_expectation(form: NormalOrderedForm, z) -> Fraction | float | compl
     if isinstance(param.z, (int, Fraction)):  # an exact z, also for a form with no terms
         terms, scale = _over_common_scale(form.terms)
         return _polynomial_at(((r + s, n) for (r, s), n in terms.items()), scale, Fraction(param.z))
-    terms = [c * param.powers(r, s) for (r, s), c in form.terms.items()]
-    if isinstance(param.z, float):
-        return math.fsum(terms)
+    if isinstance(param.z, float):  # real: conj(z) = z
+        return math.fsum(c * param.z ** (r + s) for (r, s), c in form.terms.items())
+    z = complex(param.z)
+    # conj(z)^r z^s is formed before c multiplies it: another grouping rounds differently
+    terms = [c * (z.conjugate() ** r * z**s) for (r, s), c in form.terms.items()]
     return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 

@@ -123,19 +123,10 @@ def cmd_dobinski(args) -> int:
     from . import enclosure  # the integers alone: no mpmath, no dataclasses
 
     value, tail, scale = enclosure._dobinski_fixed(args.n, _rational(args.y), args.k_max, args.precision)
-    # up to 10^5 digits are printed through an int, past the digits Python
-    # prints an int with; the digits printed do not depend on that limit
-    limit = int_digits_limit()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        # one digit past --precision, rounded to nearest in mpmath.nstr's layout:
-        # the digits mpmath printed but for a last one within 10^-(precision+9)
-        # of a rounding half, which either may round the other way
-        value, tail = (enclosure._nstr(x, -scale, args.precision + 1) for x in (value, tail))
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    # one digit past --precision, rounded to nearest in mpmath.nstr's layout:
+    # the digits mpmath printed but for a last one within 10^-(precision+9)
+    # of a rounding half, which either may round the other way
+    value, tail = (enclosure._nstr(x, -scale, args.precision + 1) for x in (value, tail))
     rows = [{"n": args.n, "y": args.y, "terms": args.k_max + 1, "value": value, "tail_bound": tail}]
     _emit(args, rows, ["n", "y", "terms", "value", "tail_bound"])
     return EXIT_OK

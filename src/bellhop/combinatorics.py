@@ -220,34 +220,22 @@ def _check_limit(n: int, limit: int, what: str):
         raise ResourceLimitError(f"{what} for n={int_text(n)} exceeds the limit {limit}")
 
 
-def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
-    """All restricted growth strings of length n, lexicographically."""
-    a = [0] * n
-    b = [0] * n  # running prefix maxima
-    while True:
-        yield tuple(a)
-        j = n - 1
-        while j > 0 and a[j] > b[j - 1]:
-            j -= 1
-        if j == 0:
-            return
-        a[j] += 1
-        b[j] = max(b[j - 1], a[j])
-        for i in range(j + 1, n):
-            a[i] = 0
-            b[i] = b[i - 1]
-
-
 def enumerate_set_partitions(n: int) -> Iterator[SetPartition]:
-    """Every partition of {1..n} exactly once, in restricted-growth-string
-    lexicographic order (blocks come out sorted by least element)."""
+    """Every partition of {1..n} exactly once: element i joins each block of
+    a partition of {1..i-1} in turn, then a block of its own.  That is
+    restricted-growth-string lexicographic order, with blocks sorted by
+    least element."""
     _check_limit(n, ENUMERATION_LIMIT, "set-partition enumeration")
-    for rgs in restricted_growth_strings(n):
-        nblocks = max(rgs) + 1
-        blocks: list[list[int]] = [[] for _ in range(nblocks)]
-        for i, v in enumerate(rgs, start=1):
-            blocks[v].append(i)
-        yield SetPartition(n, tuple(tuple(b) for b in blocks))
+
+    def place(i: int, blocks: tuple[tuple[int, ...], ...]) -> Iterator[SetPartition]:
+        if i > n:
+            yield SetPartition(n, blocks)
+            return
+        for j in range(len(blocks)):
+            yield from place(i + 1, blocks[:j] + (blocks[j] + (i,),) + blocks[j + 1:])
+        yield from place(i + 1, blocks + ((i,),))
+
+    yield from place(1, ())
 
 
 def diagram_census(n: int) -> DiagramCensus:

@@ -12,9 +12,10 @@ loads neither mpmath nor dataclasses.
 """
 
 import math
+import sys
 from fractions import Fraction
 
-from .errors import ResourceLimitError, _check_series, _horner, int_text
+from .errors import ResourceLimitError, _check_series, _horner, int_digits_limit, int_text
 
 # Dobinski's working digits, precision and guard: `dobinski 10` at 10^5 takes
 # ~1 s, ~2 s at a 20-digit decimal y
@@ -177,7 +178,16 @@ def _nstr(man: int, exp: int, digits: int) -> str:
             e -= 1
         else:
             break
-    text, split = str(N), 1
+    # up to 10^5 digits are printed through an int, past the digits Python
+    # prints an int with; the limit is lifted for this one str() alone
+    limit = int_digits_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text, split = str(N), 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     if min(-(digits // 3), -5) < e < digits:  # fixed point: no exponent
         if e < 0:
             text = "0" * -e + text

@@ -78,9 +78,9 @@ def _horner(numerators: Iterable[tuple[int, int]], y: Fraction, egf: bool = Fals
     return total * p**low, q_power * q**low * (math.factorial(low) if egf else 1)
 
 
-def _polynomial_at(numerators: Iterable[tuple[int, int]], scale: int, y: Fraction, egf: bool = False) -> Fraction:
-    """_horner's sum over scale, as one Fraction."""
-    numerator, denominator = _horner(numerators, y, egf)
+def _polynomial_at(numerators: Iterable[tuple[int, int]], scale: int, y: Fraction) -> Fraction:
+    """_horner's plain sum over scale, as one Fraction."""
+    numerator, denominator = _horner(numerators, y)
     return Fraction(numerator, scale * denominator)
 
 

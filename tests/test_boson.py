@@ -751,6 +751,19 @@ def test_word_moments_long_word():
     assert word_moments(parse_expression("ad^30"), 2, z) == [1, z**30, z**60]
 
 
+@pytest.mark.parametrize("text", ["ad a", "ad + a"])
+@pytest.mark.parametrize("z", [0.75, 1.25, 0.75 + 0j, 1.25 + 0j], ids=["3/4", "5/4", "3/4+0j", "5/4+0j"])
+def test_floating_moments_match_the_exact_moments_rounded(text, z):
+    # the oracle sums exactly at Fraction(z) and rounds once: no float
+    # power or grouping of the floating route enters it
+    w = parse_expression(text)
+    got = word_moments(w, 24, z)
+    want = word_moments(w, 24, Fraction(z.real))
+    assert all(type(g) is type(z) for g in got[1:])
+    for n, (g, exact) in enumerate(zip(got, want)):
+        assert abs(g - float(exact)) <= 1e-12 * float(exact), (text, z, n)
+
+
 def test_word_moments_term_bound():
     # (ad a)^24 orders to top degrees (24, 24); its cube passes the term bound
     with pytest.raises(ResourceLimitError, match="terms"):

@@ -25,7 +25,6 @@ from bellhop.combinatorics import (
     diagram_census,
     enumerate_set_partitions,
     partition_count,
-    restricted_growth_strings,
     stirling2,
 )
 from bellhop.dobinski import dobinski_bell, dobinski_bell_poly
@@ -381,6 +380,15 @@ def test_dobinski_command_prints_the_digits_mpmath_prints(n, y, K, precision, ca
     assert int_digits_limit() == limit
 
 
+def test_nstr_prints_past_the_int_digits_limit_and_restores_it():
+    # 5,001 digits, past the 4,300 Python prints an int with by default
+    limit = int_digits_limit()
+    man = 1234567890 * (10**5000 - 1) // (10**10 - 1) * 10 + 1  # the digits 1234567890 500 times, then 1
+    assert enclosure._nstr(man, 0, 5001) == "1234567890" * 500 + "1.0"
+    assert enclosure._nstr(10**5001 - 1, 0, 5000) == "1.0e+5001"  # rounded up, onto the next power of ten
+    assert int_digits_limit() == limit
+
+
 def test_nstr_lays_out_digits_as_mpmath_does():
     # random mantissas about the leading-digit exponents where nstr turns
     # from fixed point to an exponent, both ways, and far past them
@@ -494,8 +502,14 @@ def test_enumeration_blocks_by_k():
             assert by_k.get(k, 0) == stirling2(n, k)
 
 
+def _growth_string(p: SetPartition) -> tuple[int, ...]:
+    """Element i's entry is the index of its block, blocks by least element."""
+    index = {i: b for b, block in enumerate(p.blocks) for i in block}
+    return tuple(index[i] for i in range(1, p.n + 1))
+
+
 def test_rgs_lexicographic_order():
-    strings = list(restricted_growth_strings(4))
+    strings = [_growth_string(p) for p in enumerate_set_partitions(4)]
     assert strings == sorted(strings)
     assert strings[0] == (0, 0, 0, 0)
     assert strings[-1] == (0, 1, 2, 3)
@@ -619,14 +633,11 @@ def test_census_invariants(n):
 
 
 def _census_py(n):
-    """Pure-Python census kernel: tally every restricted growth string of
-    length n by the sorted sizes of its blocks."""
+    """Pure-Python census kernel: tally every enumerated partition of
+    {1..n} by the sorted sizes of its blocks."""
     counts = {}
-    for rgs in restricted_growth_strings(n):
-        sizes = [0] * (max(rgs) + 1)
-        for v in rgs:
-            sizes[v] += 1
-        key = tuple(sorted(sizes))
+    for p in enumerate_set_partitions(n):
+        key = tuple(sorted(map(len, p.blocks)))
         counts[key] = counts.get(key, 0) + 1
     return counts
 

@@ -455,6 +455,21 @@ def test_basis_failure_the_samples_miss_is_reported(weight, k, monkeypatch):
         assert checked == 875 == 19 * 45 + 19 + 1
 
 
+def test_unsorted_products_fail_commutativity(monkeypatch):
+    # the check proves AB = BA on products that Monomial sorts; a product that
+    # only concatenates breaks it at the first pair of distinct letters.  The
+    # basis is built first, while products still sort, so its keys are sorted
+    basis_monomials(3)
+    monkeypatch.setattr(Monomial, "__mul__", lambda m, n: tuple.__new__(Monomial, m + n))
+    assert check_commutativity(1).ok  # 1 and y1 alone: concatenation commutes
+    for weight in (2, 3):
+        report = check_commutativity(weight)
+        assert (report.ok, report.counterexample) == (False, "A=y1, B=y2")
+    assert str(report) == "commutativity: FAIL (10 cases) counterexample: A=y1, B=y2"
+    monkeypatch.undo()
+    assert check_commutativity(3).ok
+
+
 # random_element draws integer coefficients; these keep Fraction arithmetic
 # in the algebras under the same identities
 rational_elements = st.dictionaries(
