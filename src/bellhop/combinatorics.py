@@ -72,6 +72,7 @@ def stirling2(n: int, k: int) -> int:
     STIRLING_SUM_LIMIT digits in all, it is read from row n if rows 0..n
     are within SERIES_BITS_LIMIT (n <= 697), and refused otherwise.
     """
+    n, k = operator.index(n), operator.index(k)
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
     if k > n:
@@ -94,7 +95,10 @@ def stirling2(n: int, k: int) -> int:
 def bell(n: int) -> int:
     """Number of partitions of an n-element set; bell(0) = 1: the sum of
     Stirling row n, memoized, so bell(0..N) sums each row once a process
-    (at most 698 entries: a refusal past row 697 is not cached)."""
+    (at most 698 entries: a refusal past row 697 is not cached).  A float
+    is refused even where an int of its value is kept: the memo keys an
+    int by itself and any other argument by a tuple, so 2.0 misses B(2)."""
+    n = operator.index(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     return sum(_stirling_row(n))
@@ -103,6 +107,7 @@ def bell(n: int) -> int:
 def bell_polynomial(n: int, y) -> Fraction:
     """Exact evaluation of sum_k S(n,k) y^k at rational y = p/q, by Horner
     over a power of q: the one integer sum_k S(n,k) p^k q^(n-k) over q^n."""
+    n = operator.index(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     return _polynomial_at(enumerate(_stirling_row(n)), 1, Fraction(y))

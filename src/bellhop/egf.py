@@ -83,10 +83,15 @@ class EGFSeries:
     def zero(cls, order: int) -> "EGFSeries":
         return cls((0,) * (order + 1))
 
+    # with any other operand Python raises TypeError, as for unrelated types
     def __mul__(self, other: "EGFSeries") -> "EGFSeries":
+        if not isinstance(other, EGFSeries):
+            return NotImplemented
         return egf_mul(self, other)
 
     def __add__(self, other: "EGFSeries") -> "EGFSeries":
+        if not isinstance(other, EGFSeries):
+            return NotImplemented
         n = min(self.order, other.order)
         return EGFSeries(tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
 

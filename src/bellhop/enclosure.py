@@ -12,6 +12,7 @@ loads neither mpmath nor dataclasses.
 """
 
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -131,6 +132,7 @@ def _dobinski_fixed(n: int, y, K: int, precision: int) -> tuple[int, int, int]:
     """(v, t, s) with v/2^s <= e^{-y} P <= B_n(y) <= e^{-y} (P + T) <= (v + t)/2^s
     for _dobinski_sums' partial sum P and tail bound T: v to precision +
     guard significant digits, and t to precision + 10 or more."""
+    n, K, precision = operator.index(n), operator.index(K), operator.index(precision)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if K < 1:

@@ -20,6 +20,7 @@ multiplies normal forms (Wick), BELL monomials and tensors.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Any, Callable, Iterable
@@ -140,6 +141,7 @@ class LinearCombination:
         # algebra, so x^(a+b) = x^a x^b whatever the grouping.  A power whose
         # coefficients pass the digits Python prints an int with (2^99999999)
         # is refused before any squaring.
+        n = operator.index(n)
         if n < 0:
             raise ValueError("exponent must be nonnegative")
         if self.terms:

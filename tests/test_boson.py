@@ -333,6 +333,42 @@ def test_normal_order_matches_wick_route_on_random_texts():
             rs: (type(c), c) for rs, c in form.terms.items()}, text
 
 
+def _prime_square() -> str:
+    """The square of the 30 words of lengths 1-4 over 1/p for the first 30
+    primes: their common scale is the product of those primes."""
+    primes = [n for n in range(2, 114) if all(n % d for d in range(2, n))]
+    words = [" ".join(w) for n in range(1, 5) for w in itertools.product(("a", "ad"), repeat=n)]
+    assert len(primes) == len(words) == 30
+    return "(" + " + ".join(f"1/{p} {w}" for p, w in zip(primes, words)) + ")^2"
+
+
+# texts whose word route must print the Wick route's text, each with what it
+# exercises; "(-5/4 - 13/6 ad a^2 - 13/3 ad)^10", whose denominators 1, 4 and
+# 6 meet on shared keys, is compared in test_distinct_coefficients_match_per_word_loop
+WORD_ROUTE_TEXTS = {
+    "one-length": "(3/2 ad - 5/4 a)^6",
+    "mixed-lengths": "(ad a + a)^3 (ad + 1)^2",
+    "own-coefficients": "2 ad a + 3/2 a ad + 5 a^2 ad + 7/3 ad a^2 - 4/5 a ad a",
+    "ints-with-fractions": "(2 ad + 1/2 a)^3 (3 a - 1/3 ad)^2",
+    "power-12": "(ad + 1/2 a)^12",
+    "whole-fractions": "(4/2 ad + 3/1 a)^4",  # read as ints
+    "negated-power": "-(1/2 ad + 1/3 a)^12",  # its scalar product keeps shared coefficients
+    "30-primes-square": _prime_square(),
+}
+
+
+@pytest.mark.parametrize("text", WORD_ROUTE_TEXTS.values(), ids=WORD_ROUTE_TEXTS)
+def test_word_route_prints_the_wick_route_text(text):
+    # words as ints, folded one by one, against the Wick product of forms
+    # that `bellhop normal-order` prints
+    expr = parse_expression(text)
+    form, wick = normal_order(expr), NormalOrderedForm.parse(text)
+    assert {rs: (type(c), c) for rs, c in form.terms.items()} == {
+        rs: (type(c), c) for rs, c in wick.terms.items()}
+    assert form.terms == per_word_reference(expr)
+    assert str(form) == str(wick)
+
+
 def test_mixed_coefficients_keep_their_types():
     # the constructor reads Fraction(3) and -4/2 as the ints 3 and -2, so
     # only the 1/2 of a^2 stays a Fraction
@@ -738,6 +774,18 @@ def test_word_moments_vacuum():
     moments = word_moments(w, 4, 0)
     # <0|(a+ad)^n|0> = 0, 1, 0, 3 for n = 1..4 (double factorials)
     assert moments == [1, 0, 1, 0, 3]
+
+
+def test_exact_moments_are_their_closed_forms():
+    # summed as one integer polynomial, to order 24: the Bell polynomials at
+    # |z|^2 = 2/3, and the moments of ad + a at z = 5/4, those of a normal
+    # law of mean 2z and variance 1, sum_k C(n, 2k) (2k - 1)!! (2z)^(n - 2k)
+    y, z = Fraction(2, 3), Fraction(5, 4)
+    got = word_moments(parse_expression("ad a"), 24, CoherentParam.from_mod_sq(y))
+    assert got == [bell_polynomial(n, y) for n in range(25)]
+    got = word_moments(parse_expression("ad + a"), 24, z)
+    assert got == [sum(math.comb(n, 2 * k) * math.prod(range(1, 2 * k, 2)) * (2 * z) ** (n - 2 * k)
+                       for k in range(n // 2 + 1)) for n in range(25)]
 
 
 def test_word_moments_limit():

@@ -4,11 +4,13 @@ would see them."""
 
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -733,6 +735,9 @@ def test_hopf_verify_ok(capsys):
     assert code == 0
     assert "all axioms pass" in out
     assert "antipode" in out
+    # the default weight is 6
+    default = run(["hopf-verify"], capsys)
+    assert default[0] == 0 and default == run(["hopf-verify", "--max-weight", "6"], capsys)
 
 
 def test_hopf_verify_corrupted_antipode_exit_1(capsys):
@@ -884,8 +889,6 @@ def test_combinatorics_is_the_base_layer():
 
 
 def test_package_exports_every_name_once_loaded():
-    import importlib
-
     import bellhop
 
     assert sorted(bellhop.__all__) == sorted(n for names in EXPORTS.values() for n in names)
@@ -907,6 +910,16 @@ def test_star_import_in_a_fresh_process():
                    "print(sorted(n for n in ns if n != '__builtins__'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == str(sorted(n for names in EXPORTS.values() for n in names)) + "\n"
+
+
+def test_console_script_is_cli_main():
+    # pyproject.toml's [project.scripts], read with a regex (Python 3.10 has
+    # no tomllib): the installed `bellhop` script runs bellhop.cli.main
+    scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    entries = re.findall(r'^(\S+) = "([\w.]+):(\w+)"$', scripts, re.M)
+    assert entries == [("bellhop", "bellhop.cli", "main")]
+    _, module, name = entries[0]
+    assert getattr(importlib.import_module(module), name) is cli.main
 
 
 _LOADED = """

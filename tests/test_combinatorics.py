@@ -28,7 +28,7 @@ from bellhop.combinatorics import (
     stirling2,
 )
 from bellhop.dobinski import dobinski_bell, dobinski_bell_poly
-from bellhop.boson import CoherentParam, coherent_expectation, normal_order, number_word, stirling_via_ordering
+from bellhop.boson import BosonExpression, CoherentParam, coherent_expectation, normal_order, number_word, stirling_via_ordering
 from bellhop.egf import EGFSeries, bell_egf, egf_exp, v_to_w
 from bellhop.errors import ResourceLimitError, int_digits_limit
 from bellhop.hopf import Monomial
@@ -170,6 +170,50 @@ def test_stirling_rows_past_the_bits_limit_are_refused_before_any_is_built(monke
     assert combinatorics._STIRLING_ROWS == [(1,)] and bell.cache_info().currsize == 0
     # the largest table admitted: a process peak of 80 MiB, ~0.2 s on 2 vCPUs
     assert bell(697) == bell_triangle(697)[-1]
+
+
+# each exact integer function reads its integer arguments with
+# operator.index before any branch: a float is a TypeError whether rows are
+# kept or not, and builds no row
+NON_INTEGER_CALLS = {
+    "stirling2-n": lambda: stirling2(50.0, 3),
+    "stirling2-k": lambda: stirling2(50, 3.0),
+    "bell": lambda: bell(1.5),
+    "bell-kept-value": lambda: bell(2.0),  # B(2) is in the memo once rows are built
+    "bell_polynomial": lambda: bell_polynomial(3.0, 2),
+    "dobinski-n": lambda: dobinski_bell(3.0, 10),
+    "dobinski-K": lambda: dobinski_bell(3, 10.0),
+    "dobinski-precision": lambda: dobinski_bell_poly(3, 1, 10, 20.0),
+    "power": lambda: BosonExpression.ad() ** 2.0,
+}
+
+
+@pytest.mark.parametrize("rows", ["reset", "built"])
+@pytest.mark.parametrize("call", NON_INTEGER_CALLS.values(), ids=NON_INTEGER_CALLS)
+def test_exact_integer_functions_refuse_non_integers(call, rows, monkeypatch):
+    monkeypatch.setattr(combinatorics, "_STIRLING_ROWS", [(1,)])
+    bell.cache_clear()
+    if rows == "built":
+        bell(60)
+    kept = combinatorics._STIRLING_ROWS[:]
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
+    assert combinatorics._STIRLING_ROWS == kept
+
+
+def test_int_and_bool_arguments_keep_their_values(monkeypatch):
+    monkeypatch.setattr(combinatorics, "_STIRLING_ROWS", [(1,)])
+    bell.cache_clear()
+    by_sum = stirling2(50, 3)  # no rows built: the explicit sum
+    bell(50)
+    by_row = stirling2(50, 3)  # read from row 50
+    assert by_sum == by_row == 119649664052358811373730 == (3**50 - 3 * 2**50 + 3) // 6
+    assert type(by_sum) is type(by_row) is int
+    assert (stirling2(True, True), stirling2(True, False), bell(True), bell(False)) == (1, 0, 1, 1)
+    assert (bell_polynomial(True, 2), bell_polynomial(2, 3)) == (2, 12)
+    assert enclosure._dobinski_fixed(True, 1, True, 10) == enclosure._dobinski_fixed(1, 1, 1, 10)
+    x = BosonExpression.ad() + BosonExpression.a()
+    assert (x**True, x**False) == (x, BosonExpression.one())
 
 
 def _python(code: str) -> str:
@@ -509,10 +553,13 @@ def _growth_string(p: SetPartition) -> tuple[int, ...]:
 
 
 def test_rgs_lexicographic_order():
-    strings = [_growth_string(p) for p in enumerate_set_partitions(4)]
-    assert strings == sorted(strings)
-    assert strings[0] == (0, 0, 0, 0)
-    assert strings[-1] == (0, 1, 2, 3)
+    # n = 10: all B(10) = 115,975 partitions, in order (~0.75 s)
+    for n, count in [(4, 15), (10, 115975)]:
+        strings = [_growth_string(p) for p in enumerate_set_partitions(n)]
+        assert len(strings) == count
+        assert strings == sorted(strings)
+        assert strings[0] == (0,) * n
+        assert strings[-1] == tuple(range(n))
 
 
 def test_enumeration_limit():

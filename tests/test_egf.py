@@ -3,6 +3,7 @@ exp/log inversion, and the moment transforms."""
 
 import json
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -208,6 +209,17 @@ def test_json_round_trip_keeps_coefficient_types():
         assert back == coeffs
         assert [type(c) for c in back] == [type(c) for c in series.coeffs]
         assert_canonical(back)
+
+
+@pytest.mark.parametrize("op", [operator.mul, operator.add], ids=["mul", "add"])
+@pytest.mark.parametrize("other", [2, Fraction(1, 2), 0.5], ids=["int", "Fraction", "float"])
+def test_arithmetic_with_a_non_series_is_a_type_error(op, other):
+    # the series operators return NotImplemented, so Python raises its own
+    # TypeError, in both operand orders
+    series = EGFSeries((1, 2))
+    for left, right in [(series, other), (other, series)]:
+        with pytest.raises(TypeError, match="unsupported operand type"):
+            op(left, right)
 
 
 def test_series_is_an_immutable_value_and_not_a_tuple():

@@ -432,12 +432,15 @@ def test_combinatorial_refuses_before_any_row_or_weight(monkeypatch):
 
 
 def test_combinatorial_builds_no_stirling_row(monkeypatch):
-    # Stirling's recurrence runs on the weights, so no row is built or read
+    # Stirling's recurrence runs on the weights, so no row is built or read;
+    # the two exact routes to the cut-off integral print one value, at order
+    # 1000 too (~0.8 s), where rows 0..1000 would pass SERIES_BITS_LIMIT
     monkeypatch.setattr(combinatorics, "_STIRLING_ROWS", [(1,)])
     p = ModelParams(1.0, 0.05)
-    value = combinatorial_Z(p, 20.0, 300)
-    assert combinatorics._STIRLING_ROWS == [(1,)]
-    assert value == regularized_series_Z(p, 20.0, 300) == 12.773333645271567
+    for order in (300, 1000):
+        value = combinatorial_Z(p, 20.0, order)
+        assert combinatorics._STIRLING_ROWS == [(1,)]
+        assert value == regularized_series_Z(p, 20.0, order) == 12.773333645271567, order
 
 
 def test_combinatorial_order_zero_is_M():
