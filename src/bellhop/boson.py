@@ -12,7 +12,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .errors import ResourceLimitError, _polynomial_at, int_text
+from .errors import ResourceLimitError, _polynomial_at, size
 from .lincomb import LinearCombination, _over_common_scale, _scaled, _unscaled
 
 # word letters
@@ -292,9 +292,9 @@ def number_word(n: int = 1) -> BosonExpression:
 
 
 def stirling_via_ordering(n: int) -> tuple[int, ...]:
-    """Diagonal coefficients S(n, 1..n) read off normal_order((ad a)^n)."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    """Diagonal coefficients S(n, 1..n) read off normal_order((ad a)^n): ()
+    at n = 0, whose form is 1."""
+    n = size(n)
     form = normal_order(number_word(n))  # integer data: int coefficients
     return tuple(form.coefficient(k, k) for k in range(1, n + 1))
 
@@ -359,10 +359,7 @@ def word_moments(w: BosonExpression | NormalOrderedForm, nmax: int, z) -> list:
     Beyond nmax <= MOMENT_LIMIT, the term bound of each product of
     normal-ordered forms bounds the work.
     """
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
-    if nmax > MOMENT_LIMIT:
-        raise ResourceLimitError(f"moment order {int_text(nmax)} exceeds the limit {MOMENT_LIMIT}")
+    nmax = size(nmax, "nmax", MOMENT_LIMIT, "moment order ")
     moments: list = [Fraction(1)]
     if nmax == 0:  # w is never ordered, so its length is unchecked
         return moments

@@ -78,8 +78,6 @@ def cmd_bell(args) -> int:
     from . import combinatorics
 
     nmax = args.nmax
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
     # B(nmax) first: one call builds the rows 0..nmax, or refuses before any
     _refuse_unprintable(f"B({nmax})", combinatorics.bell(nmax))
     rows = []

@@ -14,7 +14,7 @@ import math
 import operator
 import threading
 
-from .errors import SERIES_BITS_LIMIT, ResourceLimitError, _polynomial_at, float_times, int_text
+from .errors import SERIES_BITS_LIMIT, ResourceLimitError, _polynomial_at, float_times, int_text, size
 
 ENUMERATION_LIMIT = 14  # enumeration yields B(n) partitions: B(14) = 190,899,322
 # the census keeps p(m) monomials in row m, not B(m) partitions: p(25) = 1,958
@@ -72,9 +72,7 @@ def stirling2(n: int, k: int) -> int:
     STIRLING_SUM_LIMIT digits in all, it is read from row n if rows 0..n
     are within SERIES_BITS_LIMIT (n <= 697), and refused otherwise.
     """
-    n, k = operator.index(n), operator.index(k)
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
+    n, k = size(n), size(k, "k")
     if k > n:
         return 0
     if n < len(_STIRLING_ROWS):
@@ -98,29 +96,20 @@ def bell(n: int) -> int:
     (at most 698 entries: a refusal past row 697 is not cached).  A float
     is refused even where an int of its value is kept: the memo keys an
     int by itself and any other argument by a tuple, so 2.0 misses B(2)."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return sum(_stirling_row(n))
+    return sum(_stirling_row(size(n)))
 
 
 def bell_polynomial(n: int, y) -> Fraction:
     """Exact evaluation of sum_k S(n,k) y^k at rational y = p/q, by Horner
     over a power of q: the one integer sum_k S(n,k) p^k q^(n-k) over q^n."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _polynomial_at(enumerate(_stirling_row(n)), 1, Fraction(y))
+    return _polynomial_at(enumerate(_stirling_row(size(n))), 1, Fraction(y))
 
 
 def partition_count(n: int) -> int:
     """Number of integer partitions of n, by Euler's pentagonal-number
     recurrence p(m) = sum_k>=1 (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2))
     in O(n) memory.  Independent of the census, whose key count it checks."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > PARTITION_LIMIT:
-        raise ResourceLimitError(f"partition count for n={int_text(n)} exceeds the limit {PARTITION_LIMIT}")
+    n = size(n, limit=PARTITION_LIMIT, what="partition count for n=")
     # the pentagonal numbers k(3k -+ 1)/2 <= n, of odd k and of even k, need k <= sqrt(n)
     ks = range(1, math.isqrt(n) + 1)
     added, subtracted = ([g for k in half for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)]
@@ -218,19 +207,12 @@ class DiagramCensus(NamedTuple):
         return sum(self.counts.values())
 
 
-def _check_limit(n: int, limit: int, what: str):
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > limit:
-        raise ResourceLimitError(f"{what} for n={int_text(n)} exceeds the limit {limit}")
-
-
 def enumerate_set_partitions(n: int) -> Iterator[SetPartition]:
     """Every partition of {1..n} exactly once: element i joins each block of
     a partition of {1..i-1} in turn, then a block of its own.  That is
     restricted-growth-string lexicographic order, with blocks sorted by
-    least element."""
-    _check_limit(n, ENUMERATION_LIMIT, "set-partition enumeration")
+    least element.  The empty set, n = 0, has one partition, of no blocks."""
+    n = size(n, limit=ENUMERATION_LIMIT, what="set-partition enumeration for n=")
 
     def place(i: int, blocks: tuple[tuple[int, ...], ...]) -> Iterator[SetPartition]:
         if i > n:
@@ -240,16 +222,17 @@ def enumerate_set_partitions(n: int) -> Iterator[SetPartition]:
             yield from place(i + 1, blocks[:j] + (blocks[j] + (i,),) + blocks[j + 1:])
         yield from place(i + 1, blocks + ((i,),))
 
-    yield from place(1, ())
+    return place(1, ())  # refused at the call, not at the first partition
 
 
 def diagram_census(n: int) -> DiagramCensus:
     """Tally all partitions of {1..n} by block-size multiset.
 
     The tally is the complete Bell polynomial Y_n(y_1..y_n), computed by its
-    recurrence without enumerating the partitions.
+    recurrence without enumerating the partitions; Y_0 = 1 counts the empty
+    set's one partition.
     """
-    _check_limit(n, CENSUS_LIMIT, "diagram census")
+    n = size(n, limit=CENSUS_LIMIT, what="diagram census for n=")
     # exp in BELL, i.e. the complete Bell polynomial: Y_m = sum_k C(m-1,k-1) y_k Y_{m-k}
     Y: list[dict[Monomial, int]] = [{Monomial(): 1}]
     for m in range(1, n + 1):

@@ -28,7 +28,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-from .errors import ResourceLimitError, rational
+from .errors import ResourceLimitError, rational, size
 
 # Rational input runs on integers over one scale D only while bits(D) <=
 # SCALE_RATIO * mean bits of the denominators; past that, as for 1/p_k with
@@ -77,11 +77,11 @@ class EGFSeries:
     @classmethod
     def identity(cls, order: int) -> "EGFSeries":
         """The series 1 (neutral for multiplication)."""
-        return cls((1,) + (0,) * order)
+        return cls((1,) + (0,) * size(order, "order"))
 
     @classmethod
     def zero(cls, order: int) -> "EGFSeries":
-        return cls((0,) * (order + 1))
+        return cls((0,) * (size(order, "order") + 1))
 
     # with any other operand Python raises TypeError, as for unrelated types
     def __mul__(self, other: "EGFSeries") -> "EGFSeries":
@@ -267,7 +267,7 @@ def bell_egf(order: int) -> EGFSeries:
     """The series whose n-th coefficient is the n-th Bell number."""
     from .combinatorics import bell  # only bell_egf loads combinatorics
 
-    bell(order)  # one call builds rows 0..order, or refuses before any row
+    bell(size(order, "order"))  # one call builds rows 0..order, or refuses before any row
     return EGFSeries(tuple(map(bell, range(order + 1))))
 
 

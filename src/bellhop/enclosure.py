@@ -16,7 +16,7 @@ import operator
 import sys
 from fractions import Fraction
 
-from .errors import ResourceLimitError, _check_series, _horner, int_digits_limit, int_text
+from .errors import ResourceLimitError, _check_series, _horner, int_digits_limit, int_text, size
 
 # Dobinski's working digits, precision and guard: `dobinski 10` at 10^5 takes
 # ~1 s, ~2 s at a 20-digit decimal y
@@ -132,9 +132,7 @@ def _dobinski_fixed(n: int, y, K: int, precision: int) -> tuple[int, int, int]:
     """(v, t, s) with v/2^s <= e^{-y} P <= B_n(y) <= e^{-y} (P + T) <= (v + t)/2^s
     for _dobinski_sums' partial sum P and tail bound T: v to precision +
     guard significant digits, and t to precision + 10 or more."""
-    n, K, precision = operator.index(n), operator.index(K), operator.index(precision)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n, K, precision = size(n), operator.index(K), operator.index(precision)
     if K < 1:
         raise ValueError("K must be >= 1")
     if precision < 10:

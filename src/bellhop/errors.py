@@ -1,9 +1,10 @@
-"""Exception types, limits, a long int's size for refusals, the coefficient
-rule, the one exact evaluator, a Horner pass for every exact sum at a
-rational point (as an integer pair or one Fraction), and the bound on that
-pass's work, SERIES_BITS_LIMIT."""
+"""Exception types, limits, the one reading of a size, a long int's size
+for refusals, the coefficient rule, the one exact evaluator, a Horner pass
+for every exact sum at a rational point (as an integer pair or one
+Fraction), and the bound on that pass's work, SERIES_BITS_LIMIT."""
 
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import Iterable
@@ -49,6 +50,18 @@ def int_text(n: int) -> str:
     if n < 10**30:
         return str(n)
     return f"~10^{int(n.bit_length() * math.log10(2))}"
+
+
+def size(value, name: str = "n", limit: int | None = None, what: str = "") -> int:
+    """value as a count, order or exponent: an int >= 0 (a float or str
+    raises TypeError), refused past limit, when one is given, as
+    "{what}{value} exceeds the limit {limit}", value named by int_text."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    if limit is not None and value > limit:
+        raise ResourceLimitError(f"{what}{int_text(value)} exceeds the limit {limit}")
+    return value
 
 
 def float_times(count: int, factor: float) -> float:

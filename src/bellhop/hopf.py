@@ -175,7 +175,7 @@ class CheckReport(NamedTuple):
 def _basis_of_weight(w: int) -> tuple[Monomial, ...]:
     # the census's keys, one per integer partition of w, largest part first
     # in reverse lexicographic order; kept for the w <= WEIGHT_LIMIT asked for
-    return tuple(sorted(diagram_census(w).counts, key=lambda m: m[::-1], reverse=True)) if w else (UNIT,)
+    return tuple(sorted(diagram_census(w).counts, key=lambda m: m[::-1], reverse=True))
 
 
 def basis_monomials(max_weight: int) -> tuple[Monomial, ...]:

@@ -20,13 +20,12 @@ multiplies normal forms (Wick), BELL monomials and tensors.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
 from .errors import (
-    ExpressionParseError, ResourceLimitError, float_times, int_digits_limit, int_text, rational,
+    ExpressionParseError, ResourceLimitError, float_times, int_digits_limit, int_text, rational, size,
 )
 
 
@@ -141,9 +140,7 @@ class LinearCombination:
         # algebra, so x^(a+b) = x^a x^b whatever the grouping.  A power whose
         # coefficients pass the digits Python prints an int with (2^99999999)
         # is refused before any squaring.
-        n = operator.index(n)
-        if n < 0:
-            raise ValueError("exponent must be nonnegative")
+        n = size(n, "exponent")
         if self.terms:
             largest = max(max(abs(c.numerator), c.denominator) for c in self.terms.values())
             digits = float_times(n, math.log10(largest))

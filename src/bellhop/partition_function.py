@@ -19,7 +19,7 @@ from itertools import accumulate, count, repeat
 from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import ResourceLimitError, _check_series, _horner, int_text
+from .errors import _check_series, _horner, size
 
 if TYPE_CHECKING:
     from .boson import BosonExpression, CoherentParam, NormalOrderedForm
@@ -49,7 +49,7 @@ class ModelParams(NamedTuple("ModelParams", [("beta", float), ("epsilon", float)
 
     @property
     def alpha(self) -> float:
-        return -math.expm1(self.x)  # 1 - e^x, in (0, 1)
+        return -math.expm1(self.x)  # 1 - e^x, in [0, 1)
 
 
 class QuadratureConfig(NamedTuple("QuadratureConfig", [("cutoff", float), ("method", str)])):
@@ -78,8 +78,8 @@ class DivergenceReport(NamedTuple):
 
 
 def closed_form_Z(p: ModelParams) -> float:
-    """1 / (1 - e^(-beta epsilon))."""
-    return 1.0 / p.alpha
+    """1 / (1 - e^(-beta epsilon)); inf at alpha = 0."""
+    return 1.0 / p.alpha if p.alpha else math.inf
 
 
 def integrand(y: float, p: ModelParams) -> float:
@@ -130,18 +130,18 @@ def _legendre_rule(points: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 def regularized_Z(p: ModelParams, q: QuadratureConfig) -> tuple[float, float]:
     """integral_0^M exp(-alpha y) dy, with a bound on its error.
 
-    The analytic route returns (1 - e^(-alpha M)) / alpha.  Quadrature runs
-    once over [0, M'], M' = min(M, 60 ln 2 / alpha), past which e^(-alpha y)
-    < 2^-60; its estimate, a certificate if math.exp is within 1 ulp, sums
-    bounds on the truncation, the rounding and the integral over [M', M].
-    An M' past the float range (M infinite, alpha below ~2.3e-307) raises
-    ValueError.
+    The analytic route returns (1 - e^(-alpha M)) / alpha, and M at alpha =
+    0.  Quadrature runs once over [0, M'], M' = min(M, 60 ln 2 / alpha) (M
+    at alpha = 0), past which e^(-alpha y) < 2^-60; its estimate, a
+    certificate if math.exp is within 1 ulp, sums bounds on the truncation,
+    the rounding and the integral over [M', M].  An M' past the float range
+    (M infinite, alpha below ~2.3e-307 or 0) raises ValueError.
     """
     alpha, M = p.alpha, q.cutoff
-    analytic = -math.expm1(-alpha * M) / alpha
+    analytic = -math.expm1(-alpha * M) / alpha if alpha else M
     if q.method == "analytic":
         return analytic, abs(analytic) * 1e-15
-    top, n = min(M, 60 * math.log(2) / alpha), POINTS
+    top, n = min(M, 60 * math.log(2) / alpha) if alpha else M, POINTS
     if not math.isfinite(top):
         raise ValueError(f"the quadrature range 60 ln 2 / alpha overflows at alpha = {alpha!r}")
     nodes, weights = _legendre_rule(n)
@@ -161,7 +161,7 @@ def regularized_Z(p: ModelParams, q: QuadratureConfig) -> tuple[float, float]:
     # node's exponent.  Below the normal range, each half width and its
     # product with the panel sum move the value by at most 2^-1074.
     rounding = 2.0**-53 * (PANELS + 16 + 3 * alpha * top) * value + 2 * PANELS * math.ulp(0.0)
-    tail = (math.exp(-alpha * top) - math.exp(-alpha * M)) / alpha
+    tail = (math.exp(-alpha * top) - math.exp(-alpha * M)) / alpha if alpha else 0.0
     return value, truncation + rounding + tail
 
 
@@ -176,9 +176,8 @@ def termwise_partial(n: int, p: ModelParams, M: float) -> float:
 
 def _termwise_exact(n: int, p: ModelParams, M: float) -> tuple[int, int]:
     """termwise_partial as an integer numerator over a positive denominator."""
+    n = size(n, limit=DIVERGENCE_LIMIT, what="divergence term n=")
     _check_series_args(M, n)
-    if n > DIVERGENCE_LIMIT:
-        raise ResourceLimitError(f"divergence term n={int_text(n)} exceeds the limit {DIVERGENCE_LIMIT}")
     m, d = (Fraction(-p.alpha) * Fraction(M)).as_integer_ratio()
     a, b = Fraction(M).as_integer_ratio()
     return a * m**n, b * d**n * math.factorial(n + 1)
@@ -258,8 +257,7 @@ def combinatorial_Z(p: ModelParams, M: float, N: int) -> float:
 def _check_series_args(M: float, N: int) -> None:
     if not 0 < M < math.inf:  # nan fails too
         raise ValueError("the series needs a finite cutoff M > 0")
-    if N < 0:
-        raise ValueError("N must be nonnegative")
+    size(N, "N")
 
 
 def _rounded(num: int, den: int) -> float:

@@ -594,6 +594,22 @@ def test_gauss_refuses_an_infinite_range():
     assert (value.hex(), estimate.hex()) == ("0x1.e8481000002cep+19", "0x1.0052c276351afp-25")
 
 
+@pytest.mark.parametrize("M", [1e-3, 20.0, 1e300])
+def test_every_route_answers_alpha_zero(M):
+    # beta epsilon underflows to 0, so alpha = 0 and the integrand is 1: the
+    # series routes sum to M, and the closed form and the integral follow
+    p = ModelParams(1e-200, 1e-300)
+    assert p.alpha == 0.0 and closed_form_Z(p) == math.inf
+    analytic, _ = regularized_Z(p, QuadratureConfig(M))
+    gauss, estimate = regularized_Z(p, QuadratureConfig(M, "gauss"))
+    assert analytic == M and abs(gauss - M) <= estimate
+    if M == 20.0:
+        series = regularized_series_Z(p, M, 30)
+        assert series == analytic and abs(gauss - series) <= estimate
+    with pytest.raises(ValueError, match="overflows"):
+        regularized_Z(p, QuadratureConfig(math.inf, "gauss"))
+
+
 @pytest.mark.parametrize("beta_eps", [1e-260, 1e-300, 1e-306])
 def test_gauss_estimate_stays_finite_at_a_tiny_beta_eps(beta_eps):
     # the rule's constant (n!)^4 / ((2n+1) ((2n)!)^3) must be formed before it
