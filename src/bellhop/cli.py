@@ -23,10 +23,13 @@ def _fmt_float(x: float) -> str:
     return repr(float(x))  # shortest round-trip decimal
 
 
-def _emit(args, rows: list[dict], columns: list[str]):
-    """Write rows in the selected format to --out or stdout."""
+def _emit(args, rows: list[dict], columns: list[str], plain: str | None = None):
+    """Write rows in the selected format to --out or stdout; in plain
+    format, the text plain in place of the table when one is given."""
     buf = io.StringIO()
-    if args.format == "json":
+    if args.format == "plain" and plain is not None:
+        buf.write(plain)
+    elif args.format == "json":
         import json
 
         json.dump(rows, buf, indent=None, separators=(",", ":"))
@@ -66,11 +69,12 @@ def _rational(text: str) -> Fraction:
 # --------------------------------------------------------------------------
 
 
-def _refuse_unprintable(what: str, value: int):
-    """Refuse a computed value too long for Python to print.  The work before
-    it is bounded by the limits of the modules that compute it."""
+def _refuse_unprintable(what: str, values):
+    """Refuse computed values when the widest numerator or denominator is too
+    long for Python to print: str() of an exact value prints both.  The work
+    before it is bounded by the limits of the modules that compute it."""
     limit = int_digits_limit()
-    if limit and value >= 10**limit:
+    if limit and max((max(abs(v.numerator), v.denominator) for v in values), default=0) >= 10**limit:
         raise ResourceLimitError(f"{what} has more than {limit} digits, the integer printing limit")
 
 
@@ -79,7 +83,7 @@ def cmd_bell(args) -> int:
 
     nmax = args.nmax
     # B(nmax) first: one call builds the rows 0..nmax, or refuses before any
-    _refuse_unprintable(f"B({nmax})", combinatorics.bell(nmax))
+    _refuse_unprintable(f"B({nmax})", [combinatorics.bell(nmax)])
     rows = []
     for n in range(nmax + 1):
         row = {"n": n, "bell": combinatorics.bell(n)}
@@ -98,7 +102,7 @@ def cmd_stirling(args) -> int:
 
     n, k = args.n, args.k
     value = combinatorics.stirling2(n, k)
-    _refuse_unprintable(f"S({n}, {k})", value)
+    _refuse_unprintable(f"S({n}, {k})", [value])
     _emit(args, [{"n": n, "k": k, "stirling2": value}], ["n", "k", "stirling2"])
     return EXIT_OK
 
@@ -108,12 +112,9 @@ def cmd_normal_order(args) -> int:
 
     # parsed straight into the normal-ordered basis: no word is built
     form = boson.NormalOrderedForm.parse(args.expression)
-    _refuse_unprintable("a coefficient", _largest_part(form.terms.values()))
-    if args.format == "plain":
-        _write(args, str(form) + "\n")
-    else:
-        rows = [{"r": r, "s": s, "coeff": str(c)} for (r, s), c in form.sorted_terms()]
-        _emit(args, rows, ["r", "s", "coeff"])
+    _refuse_unprintable("a coefficient", form.terms.values())
+    rows = [{"r": r, "s": s, "coeff": str(c)} for (r, s), c in form.sorted_terms()]
+    _emit(args, rows, ["r", "s", "coeff"], str(form) + "\n")
     return EXIT_OK
 
 
@@ -130,11 +131,6 @@ def cmd_dobinski(args) -> int:
     return EXIT_OK
 
 
-def _largest_part(values) -> int:
-    # the widest numerator or denominator: str() of an exact value prints both
-    return max((max(abs(v.numerator), v.denominator) for v in values), default=0)
-
-
 def cmd_egf(args) -> int:
     from . import egf
 
@@ -149,7 +145,7 @@ def cmd_egf(args) -> int:
         coeffs = [_rational(v) for v in args.coefficients]
         series = egf.EGFSeries(tuple(coeffs))
         series = egf.egf_exp(series) if args.action == "exp" else egf.egf_log(series)
-    _refuse_unprintable("an EGF coefficient", _largest_part(series.coeffs))
+    _refuse_unprintable("an EGF coefficient", series.coeffs)
     _write(args, series.to_json() + "\n")
     return EXIT_OK
 
@@ -162,12 +158,9 @@ def cmd_wv(args) -> int:
         out, first = egf.w_to_v(values), 1  # V_1..V_N
     else:
         out, first = egf.v_to_w(values), 0  # W_0..W_N
-    _refuse_unprintable("a moment", _largest_part(out))
-    if args.format == "plain":
-        _write(args, " ".join(str(v) for v in out) + "\n")
-    else:
-        rows = [{"index": i, "value": str(v)} for i, v in enumerate(out, first)]
-        _emit(args, rows, ["index", "value"])
+    _refuse_unprintable("a moment", out)
+    rows = [{"index": i, "value": str(v)} for i, v in enumerate(out, first)]
+    _emit(args, rows, ["index", "value"], " ".join(str(v) for v in out) + "\n")
     return EXIT_OK
 
 
@@ -217,19 +210,15 @@ def cmd_partition_function(args) -> int:
 def cmd_hopf_verify(args) -> int:
     from . import hopf
 
-    if args.max_weight < 0:
-        raise ValueError("--max-weight must be nonnegative")
     antipode_fn = hopf.antipode
     if args.corrupt_antipode:
         # deliberate fault: drop the sign, so the convolution identity fails
         antipode_fn = lambda a: hopf.HopfElement(dict(a.terms))
     reports = hopf.run_all_checks(args.max_weight, antipode_fn)
     ok = all(r.ok for r in reports)
-    if args.format == "plain":
-        _write(args, "".join(str(rep) + "\n" for rep in reports) + ("all axioms pass\n" if ok else ""))
-    else:
-        rows = [{"axiom": rep.name, "ok": rep.ok, "cases": rep.checked} for rep in reports]
-        _emit(args, rows, ["axiom", "ok", "cases"])
+    rows = [{"axiom": rep.name, "ok": rep.ok, "cases": rep.checked} for rep in reports]
+    plain = "".join(str(rep) + "\n" for rep in reports) + ("all axioms pass\n" if ok else "")
+    _emit(args, rows, ["axiom", "ok", "cases"], plain)
     return EXIT_OK if ok else EXIT_VERIFY
 
 

@@ -19,9 +19,9 @@ from .errors import SERIES_BITS_LIMIT, ResourceLimitError, _polynomial_at, float
 ENUMERATION_LIMIT = 14  # enumeration yields B(n) partitions: B(14) = 190,899,322
 # the census keeps p(m) monomials in row m, not B(m) partitions: p(25) = 1,958
 CENSUS_LIMIT = 25
-# digits of the powers in stirling2's explicit sum, about 10 ms of work:
-# S(1000, 1000) = 1 would take 3e6 digits, S(12000, 12000) 6e8
-STIRLING_SUM_LIMIT = 10**6
+# digits of the powers in stirling2's explicit sum, about 10 ms of work;
+# S(697, 697) takes 1.38e6, S(1000, 1000) = 1 would take 3e6, S(12000, 12000) 6e8
+STIRLING_SUM_LIMIT = 1_500_000
 # partition_count's n: p(40,000) takes ~1 s and a few MiB (Python 3.11, 2-vCPU VM)
 PARTITION_LIMIT = 40_000
 
@@ -32,8 +32,9 @@ PARTITION_LIMIT = 40_000
 
 
 # rows S(n, 0..n) built so far, row n at index n: bell (bell_egf through it)
-# and bell_polynomial extend them, stirling2 reads the rows built.  The lock
-# keeps two threads from appending a row twice, which would shift later ones
+# and bell_polynomial extend them; stirling2 reads a row built and never
+# builds one.  The lock keeps two threads from appending a row twice, which
+# would shift later ones
 _STIRLING_ROWS: list[tuple[int, ...]] = [(1,)]
 _STIRLING_LOCK = threading.Lock()
 
@@ -67,10 +68,9 @@ def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind; 0 when k > n or (k=0, n>0).
 
     Read from row n when it is built; otherwise the explicit sum
-    S(n, k) = sum_j (-1)^j C(k, j) (k - j)^n / k!, which builds no rows.
-    When its k + 1 powers of up to n log10(k) digits pass
-    STIRLING_SUM_LIMIT digits in all, it is read from row n if rows 0..n
-    are within SERIES_BITS_LIMIT (n <= 697), and refused otherwise.
+    S(n, k) = sum_j (-1)^j C(k, j) (k - j)^n / k!, which builds no rows,
+    refused before the work when its k + 1 powers of up to n log10(k)
+    digits pass STIRLING_SUM_LIMIT digits in all.
     """
     n, k = size(n), size(k, "k")
     if k > n:
@@ -79,13 +79,10 @@ def stirling2(n: int, k: int) -> int:
         return _STIRLING_ROWS[n][k]
     digits = float_times((k + 1) * n, math.log10(k)) if k > 1 else 0
     if digits > STIRLING_SUM_LIMIT:
-        try:
-            return _stirling_row(n)[k]
-        except ResourceLimitError:  # refused before any row is built
-            raise ResourceLimitError(
-                f"S({int_text(n)}, {int_text(k)}) by the explicit sum needs {digits:.3g} digits of powers, "
-                f"past the limit {STIRLING_SUM_LIMIT}"
-            ) from None
+        raise ResourceLimitError(
+            f"S({int_text(n)}, {int_text(k)}) by the explicit sum needs {digits:.3g} digits of powers, "
+            f"past the limit {STIRLING_SUM_LIMIT}"
+        )
     return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)) // math.factorial(k)
 
 

@@ -14,7 +14,7 @@ from functools import cache
 from typing import Any, Callable, Iterable, NamedTuple
 
 from .combinatorics import Monomial, diagram_census
-from .errors import ResourceLimitError, int_text
+from .errors import size
 from .lincomb import LinearCombination
 
 Rational = Fraction | int
@@ -180,8 +180,7 @@ def _basis_of_weight(w: int) -> tuple[Monomial, ...]:
 
 def basis_monomials(max_weight: int) -> tuple[Monomial, ...]:
     """All monomials of weight <= max_weight (one per integer partition), by weight."""
-    if max_weight > WEIGHT_LIMIT:
-        raise ResourceLimitError(f"basis of weight {int_text(max_weight)} exceeds the limit {WEIGHT_LIMIT}")
+    max_weight = size(max_weight, "max_weight", WEIGHT_LIMIT, "basis of weight ")
     return tuple(m for w in range(max_weight + 1) for m in _basis_of_weight(w))
 
 
@@ -257,11 +256,11 @@ def _pair_check(name: str, basis: tuple[Monomial, ...], verdict: Callable[[int, 
     first of the ordered scan, reported as A=m, B=n with its ordered
     index i |basis| + j + 1 as the cases checked.
     """
-    size = len(basis)
-    for i in range(size):
-        for j in range(i, size):
+    count = len(basis)
+    for i in range(count):
+        for j in range(i, count):
             if not verdict(i, j):
-                return CheckReport(name, False, i * size + j + 1, f"A={basis[i]}, B={basis[j]}")
+                return CheckReport(name, False, i * count + j + 1, f"A={basis[i]}, B={basis[j]}")
     return CheckReport(name, True, PAIR_CHECK_CASES)
 
 

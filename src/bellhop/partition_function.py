@@ -84,7 +84,7 @@ def closed_form_Z(p: ModelParams) -> float:
 
 def integrand(y: float, p: ModelParams) -> float:
     """exp(-alpha y): the Bell-polynomial generating function at (x, y)."""
-    if y < 0:
+    if not y >= 0:
         raise ValueError("y must be nonnegative")
     return math.exp(-p.alpha * y)
 

@@ -955,6 +955,24 @@ def test_parse_nesting_is_a_parse_error():
     assert 0 < exc.value.position < 5000
 
 
+def test_expression_nesting_is_a_parse_error():
+    with pytest.raises(ExpressionParseError, match="parentheses nested too deeply"):
+        parse_expression("(" * 5000 + "a" + ")" * 5000)
+
+
+def test_a_negative_mod_sq_is_refused():
+    with pytest.raises(ValueError):
+        CoherentParam.from_mod_sq(-1)
+
+
+def test_word_moments_at_order_zero_order_no_word():
+    # W_0 = 1 needs no ordering; W_1 orders the word, past the ordering limit
+    long_word = BosonExpression({word_key([AD] * 49): 1})
+    assert word_moments(long_word, 0, 1) == [1]
+    with pytest.raises(ResourceLimitError, match="^word of length 49 exceeds the ordering limit 48$"):
+        word_moments(long_word, 1, 1)
+
+
 def test_normal_form_key_text_is_the_word_text():
     for r in range(2 * MOMENT_LIMIT + 1):
         for s in range(2 * MOMENT_LIMIT + 1):

@@ -194,8 +194,8 @@ def test_stirling_past_the_default_printing_limit_is_refused_by_its_value(capsys
                                            ("csv", "n,k,stirling2\n600,600,1\n"),
                                            ("json", '[{"n":600,"k":600,"stirling2":1}]\n')])
 def test_stirling_past_the_sum_limit_prints_from_row_n(fmt, expected, capsys, monkeypatch):
-    # the explicit sum for S(600, 600) passes STIRLING_SUM_LIMIT, and rows
-    # 0..600 are in reach: no rows built yet, as in a fresh process
+    # no rows built yet, as in a fresh process: S(600, 600) comes from the
+    # explicit sum, whose 1.0e6 digits of powers are within STIRLING_SUM_LIMIT
     from bellhop import combinatorics
 
     monkeypatch.setattr(combinatorics, "_STIRLING_ROWS", [(1,)])
@@ -782,6 +782,11 @@ def test_hopf_verify_negative_weight_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_hopf_verify_negative_weight_names_it(capsys):
+    # hopf reads the weight as a size; the command has no check of its own
+    assert run(["hopf-verify", "--max-weight", "-1"], capsys) == (2, "", "error: max_weight must be nonnegative\n")
 
 
 def test_hopf_verify_weight_limit_exit_3(capsys):

@@ -508,6 +508,12 @@ def test_dobinski_rejects_low_precision():
         dobinski_bell(3, 0, 50)
 
 
+@pytest.mark.parametrize("y", [0, -1])
+def test_dobinski_poly_rejects_a_nonpositive_y(y):
+    with pytest.raises(ValueError, match="^y must be positive$"):
+        dobinski_bell_poly(3, y, 10)
+
+
 def test_bell_polynomial_rejects_negative_n():
     # as bell does; the Horner sum would read the last row built for n = -1
     for n in (-1, -5):
@@ -585,7 +591,7 @@ def test_stirling_sum_limit(monkeypatch):
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError, match=r"^S\(1000, 1000\) by the explicit sum needs 3e\+06 digits"):
         stirling2(1000, 1000)
-    with pytest.raises(ResourceLimitError, match=r"past the limit 1000000$"):
+    with pytest.raises(ResourceLimitError, match=r"past the limit 1500000$"):
         stirling2(12000, 12000)
     # (k + 1) n past the float range: the digits read inf, not an OverflowError
     with pytest.raises(ResourceLimitError, match=r"needs inf digits"):
@@ -595,17 +601,44 @@ def test_stirling_sum_limit(monkeypatch):
 
 
 def test_stirling_past_the_sum_limit_reads_row_n_when_the_rows_are_in_reach(monkeypatch):
-    # one answer per input, whatever rows an earlier call built: past
-    # STIRLING_SUM_LIMIT, rows 0..697 are built, and rows 0..698 are refused
+    # one answer per input, whatever rows an earlier call built: the explicit
+    # sum answers every n <= 697 that rows could, and S(698, 698) too, with
+    # no row built; once rows 0..697 are built, stirling2 reads them
     monkeypatch.setattr(combinatorics, "_STIRLING_ROWS", [(1,)])
-    with pytest.raises(ResourceLimitError, match=r"^S\(698, 698\) by the explicit sum needs [0-9.e+]+ digits"):
-        stirling2(698, 698)
-    assert len(combinatorics._STIRLING_ROWS) == 1
     # S(n, n - 1) = C(n, 2) and S(n, n - 2) = C(n, 3) + 3 C(n, 4) = C(n, 3) (3n - 5) / 4
-    assert stirling2(697, 697) == 1
+    cases = {(698, 698): 1, (697, 697): 1, (697, 696): math.comb(697, 2),
+             (697, 695): math.comb(697, 3) * (3 * 697 - 5) // 4}
+    assert {nk: stirling2(*nk) for nk in cases} == cases
+    assert len(combinatorics._STIRLING_ROWS) == 1
+    combinatorics._stirling_row(697)  # as bell(697) builds them
     assert len(combinatorics._STIRLING_ROWS) == 698
-    assert stirling2(697, 696) == math.comb(697, 2)
-    assert stirling2(697, 695) == math.comb(697, 3) * (3 * 697 - 5) // 4
+    assert {nk: stirling2(*nk) for nk in cases} == cases
+
+
+def _stirling_column(n: int, k: int) -> int:
+    """S(n, k) by the recurrence on columns 0..k alone: no explicit sum."""
+    row = [1] + [0] * k
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
+
+
+@pytest.mark.parametrize("n, k, expected", [
+    (600, 3, (3**600 - 3 * 2**600 + 3) // 6),
+    (600, 600, 1), (697, 697, 1), (698, 698, 1),
+    (697, 695, math.comb(697, 3) * (3 * 697 - 5) // 4),
+    (2000, 300, None),  # 1.49e6 digits of powers, just inside the limit
+])
+def test_stirling2_only_reads_rows(n, k, expected, monkeypatch):
+    monkeypatch.setattr(combinatorics, "_STIRLING_ROWS", [(1,)])
+    assert stirling2(n, k) == (_stirling_column(n, k) if expected is None else expected)
+    assert combinatorics._STIRLING_ROWS == [(1,)]
+    start = time.perf_counter()
+    for past in [(1500, 500), (12000, 12000)]:
+        with pytest.raises(ResourceLimitError, match=r"past the limit 1500000$"):
+            stirling2(*past)
+    assert time.perf_counter() - start < 1.0
+    assert combinatorics._STIRLING_ROWS == [(1,)]
 
 
 def test_enumeration_n10_count():

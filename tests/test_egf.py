@@ -62,6 +62,12 @@ def test_mul_expm1_squared():
         assert prod.coeffs[n] == (2**n - 2 if n >= 1 else 0)
 
 
+def test_mul_operator_is_the_series_product():
+    # (1 + 2x)(3 + 4x) to order 1: 3 + (4 + 6) x
+    product = EGFSeries((1, 2)) * EGFSeries((3, 4))
+    assert product == EGFSeries((3, 10)) == egf_mul(EGFSeries((1, 2)), EGFSeries((3, 4)))
+
+
 @settings(max_examples=40)
 @given(st.lists(rationals, min_size=1, max_size=7), st.lists(rationals, min_size=1, max_size=7))
 def test_mul_against_oracle(a, b):

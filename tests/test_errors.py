@@ -94,7 +94,7 @@ SERIES_400 = "a series of order ~10^400 takes inf bits, past 1073741824"
 # refusal has there)
 SIZES = [
     ("combinatorics.stirling2", lambda v: combinatorics.stirling2(v, 3), "n", 10**400,
-     "S(~10^400, 3) by the explicit sum needs inf digits of powers, past the limit 1000000"),
+     "S(~10^400, 3) by the explicit sum needs inf digits of powers, past the limit 1500000"),
     ("combinatorics.stirling2", lambda v: combinatorics.stirling2(5, v), "k", None, None),
     ("combinatorics.bell", combinatorics.bell, "n", 698, ROWS_698),
     ("combinatorics.bell_polynomial", lambda v: combinatorics.bell_polynomial(v, 1), "n", 698, ROWS_698),
@@ -119,6 +119,7 @@ SIZES = [
     ("egf.bell_egf", egf.bell_egf, "order", 698, ROWS_698),
     ("egf.EGFSeries.identity", egf.EGFSeries.identity, "order", None, None),
     ("egf.EGFSeries.zero", egf.EGFSeries.zero, "order", None, None),
+    ("hopf.basis_monomials", hopf.basis_monomials, "max_weight", 13, "basis of weight 13 exceeds the limit 12"),
 ]
 
 

@@ -510,7 +510,7 @@ def integer_partitions(n: int):
     yield from rec(n, n)
 
 
-@pytest.mark.parametrize("max_weight", range(-1, 13))
+@pytest.mark.parametrize("max_weight", range(13))
 def test_basis_is_the_census_keys_in_partition_order(max_weight):
     basis = basis_monomials(max_weight)
     assert type(basis) is tuple and len(set(basis)) == len(basis)
@@ -524,6 +524,13 @@ def test_basis_weight_limit():
         basis_monomials(13)
     with pytest.raises(ResourceLimitError):
         run_all_checks(13)
+
+
+@pytest.mark.parametrize("check", [check_coassociativity, check_counit, check_antipode, check_bialgebra,
+                                   check_commutativity, check_cocommutativity, run_all_checks])
+def test_every_check_refuses_a_negative_weight(check):
+    with pytest.raises(ValueError, match="^max_weight must be nonnegative$"):
+        check(-1)
 
 
 def test_random_elements_satisfy_coassociativity():
@@ -643,6 +650,22 @@ def test_parse_errors():
         parse_element("y1 +")
     with pytest.raises(ExpressionParseError):
         parse_element("x1")
+
+
+def test_tensor_parse_errors():
+    with pytest.raises(ExpressionParseError, match="unknown symbol 'x'"):
+        TensorElement.parse("x")
+
+
+def test_elements_of_different_algebras_do_not_add():
+    with pytest.raises(TypeError):
+        HopfElement() + TensorElement()
+
+
+def test_repr_and_hash():
+    assert repr(parse_element("y1")) == "HopfElement('y1')"
+    a, b = parse_element("y1 + 2*y2"), parse_element("2*y2 + y1")
+    assert a == b and hash(a) == hash(b)
 
 
 def test_json_roundtrip():

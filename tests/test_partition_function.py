@@ -1,6 +1,7 @@
 """Partition-function routes: closed form, regularized quadrature, the
 truncated combinatorial expansion, and the divergence demonstration."""
 
+import cmath
 import math
 import random
 import time
@@ -92,6 +93,11 @@ def test_integrand():
     assert abs(integrand(1 / p.alpha, p) - math.exp(-1)) < 1e-15
     with pytest.raises(ValueError):
         integrand(-1.0, p)
+
+
+def test_integrand_refuses_nan():
+    with pytest.raises(ValueError, match=r"^y must be nonnegative$"):
+        integrand(float("nan"), params(1.0))
 
 
 def test_integrand_matches_truncated_bell_sum():
@@ -541,6 +547,21 @@ def test_general_F_exp_form_consistency():
     res = general_F(number_word(1), -0.4, 1, 16)
     # truncation-aware: both forms approximate exp(e^{-0.4} - 1) closely
     assert res.discrepancy < 1e-8
+
+
+def test_general_F_past_the_float_range_is_infinite():
+    # exp of the connected sum overflows: an infinite exponential form, not an OverflowError
+    res = general_F(parse_expression("ad a"), 1.0, 30, 8)
+    assert res.exp_form_value == math.inf and math.isfinite(res.f_value)
+
+
+def test_general_F_at_a_complex_point_is_complex():
+    # <z| ad^n |z> = conj(z)^n: V_1 = -i and V_n = 0 past it, so exp(-i/2)
+    res = general_F(parse_expression("ad"), 0.5, 1j, 4)
+    assert res.v_sequence == (-1j, 0, 0, 0)
+    assert type(res.f_value) is type(res.exp_form_value) is complex
+    assert abs(res.f_value - sum((-0.5j) ** n / math.factorial(n) for n in range(5))) < 1e-15
+    assert abs(res.exp_form_value - cmath.exp(-0.5j)) < 1e-15
 
 
 def test_general_F_non_number_conserving():
