@@ -192,8 +192,14 @@ class NormalOrderedForm(LinearCombination):
         return BosonExpression({((2 << r) - 1) << s: c for (r, s), c in self.terms.items()})
 
 
-def _slot_width(n_ad: int, n_a: int) -> int:
-    """Bits per slot of the packed normal form of a word of class (n_ad, n_a).
+_CLASS_BASE = 2 * MOMENT_LIMIT + 1  # n_a < _CLASS_BASE, so n_ad _CLASS_BASE + n_a names a class
+
+
+@lru_cache(maxsize=_CLASS_BASE**2)
+def _word_class(n_ad: int, n_a: int) -> tuple[int, tuple[int, int], int]:
+    """The class key n_ad _CLASS_BASE + n_a of the words with n_ad letters ad
+    and n_a letters a, their class (n_ad, n_a), and the bits per slot of
+    their packed normal forms.
 
     Wick's theorem makes slot k of a word's form the number of ways to
     contract k disjoint (a, ad) pairs, each a left of its ad.  That is at
@@ -204,40 +210,58 @@ def _slot_width(n_ad: int, n_a: int) -> int:
     P N < 2^(bits(P) + bits(N)): such sums add without a carry between slots.
     """
     matchings = sum(math.perm(n_a, k) * math.comb(n_ad, k) for k in range(min(n_ad, n_a) + 1))
-    return matchings.bit_length() + math.comb(n_ad + n_a, n_a).bit_length()
+    width = matchings.bit_length() + math.comb(n_ad + n_a, n_a).bit_length()
+    return n_ad * _CLASS_BASE + n_a, (n_ad, n_a), width
 
 
 @lru_cache(maxsize=2**14)
-def _normal_order_word(word: Word) -> tuple[tuple[int, int], int, int]:
-    """The word's class (n_ad, n_a), slot width w and packed normal form.
+def _core_coeffs(core: Word) -> tuple[int, ...]:
+    """The slots of a core's normal form: slot k the coefficient of
+    ad^(n_ad-k) a^(n_a-k), n_ad and n_a the core's letter counts.
 
-    With w = _slot_width(n_ad, n_a), bits k w to (k + 1) w - 1 (slot k) hold
-    the coefficient of ad^(n_ad-k) a^(n_a-k), k = 0..min(n_ad, n_a).  A word
-    longer than 2 MOMENT_LIMIT letters is refused: the intermediate term
-    count grows quadratically with word length.  lru_cache keeps no
-    exception, so every call refuses it again.
+    A core is the empty word or a word from a to ad.  Leading ad's and
+    trailing a's contract with nothing, so N(ad^p w a^q) = ad^p N(w) a^q and
+    a word's slots are its core's.  A core P a^m ad is one step from its
+    prefix core P: P a^m keeps P's slots, and appending ad uses
+    a^s ad = ad a^s + s a^(s-1), so slot k - 1 feeds slot k with weight
+    s = n_a - k + 1.  A miss recurses once per ad of the core, at most
+    2 MOMENT_LIMIT deep, and rebuilds an evicted prefix on the way.
+    """
+    if core == 1:
+        return (1,)
+    prefix = core >> 1  # drop the last letter, an ad, then the a's before it
+    prefix >>= (prefix & -prefix).bit_length() - 1
+    slots = _core_coeffs(prefix)
+    n_a = core.bit_length() - core.bit_count()  # every a of the core is left of its last ad
+    if n_a >= len(slots):
+        slots += (0,)
+    return slots[:1] + tuple(c + below * (n_a - k) for k, (below, c) in enumerate(zip(slots, slots[1:])))
+
+
+@lru_cache(maxsize=2**14)
+def _normal_order_word(word: Word) -> tuple[int, int]:
+    """The word's class key (_word_class) and packed normal form.
+
+    With w the class's width, bits k w to (k + 1) w - 1 (slot k) hold the
+    coefficient of ad^(n_ad-k) a^(n_a-k), k = 0..min(n_ad, n_a): the slots
+    of the word's core (_core_coeffs).  A word longer than 2 MOMENT_LIMIT
+    letters is refused: the intermediate term count grows quadratically
+    with word length.  lru_cache keeps no exception, so every call refuses
+    it again.
     """
     length, limit = word.bit_length() - 1, 2 * MOMENT_LIMIT
     if length > limit:
         raise ResourceLimitError(f"word of length {length} exceeds the ordering limit {limit}")
-    # Left-to-right fold over the contraction count k.  After i letters ad
-    # and j letters a, term k is ad^(i-k) a^(j-k).  Appending a keeps every k; appending ad
-    # uses a^s ad = ad a^s + s a^(s-1), so term k - 1 feeds term k with
-    # weight s = j - k + 1.  Updating from the top reads each old k - 1.
-    coeffs, n_a = [1], 0
-    for bit in bin(word)[3:]:
-        if bit == "0":
-            n_a += 1
-            continue
-        if n_a >= len(coeffs):
-            coeffs.append(0)
-        for k in range(len(coeffs) - 1, 0, -1):
-            coeffs[k] += coeffs[k - 1] * (n_a - k + 1)
-    n_ad = length - n_a
-    width, packed = _slot_width(n_ad, n_a), 0
-    for c in reversed(coeffs):
+    n_ad = word.bit_count() - 1
+    key, _, width = _word_class(n_ad, length - n_ad)
+    # the core: drop the trailing a's (low zero bits), then the leading ad's
+    # (the one bits below the sentinel, which are zero bits of the flipped word)
+    core = word >> (word & -word).bit_length() - 1
+    rest = (core ^ (2 << core.bit_length() - 1) - 1).bit_length()
+    packed = 0
+    for c in reversed(_core_coeffs(core & (1 << rest) - 1 | 1 << rest)):
         packed = packed << width | c
-    return (n_ad, n_a), width, packed
+    return key, packed
 
 
 def normal_order(expr: BosonExpression) -> NormalOrderedForm:
@@ -246,25 +270,26 @@ def normal_order(expr: BosonExpression) -> NormalOrderedForm:
     Words longer than 2 MOMENT_LIMIT letters are refused (_normal_order_word).
     """
     # Words with one coefficient object and one class form a group, whose
-    # packed forms add in one sum() (see _slot_width for why no slot
+    # packed forms add in one sum() (see _word_class for why no slot
     # carries).  Products share their coefficient objects (a power of a sum
     # holds n + 1 for its 2^n words), and expr holds every object while
     # this runs, so an id names one.  Each group's sum is unpacked once,
     # times its numerator over L = the lcm of the group denominators, into
     # one integer sum per key, where equal values held by distinct objects
     # meet; each sum maps back to its coefficient once (_unscaled).
-    groups: dict[tuple[int, tuple[int, int]], tuple[int | Fraction, int, list[int]]] = {}
+    groups: dict[tuple[int, int], tuple[int | Fraction, list[int]]] = {}
     for word, coeff in expr.terms.items():
-        rs, width, packed = _normal_order_word(word)
-        key = (id(coeff), rs)
-        group = groups.get(key)
+        key, packed = _normal_order_word(word)
+        group_key = (id(coeff), key)
+        group = groups.get(group_key)
         if group is None:
-            groups[key] = (coeff, width, [packed])
+            groups[group_key] = (coeff, [packed])
         else:
-            group[2].append(packed)
-    scale = math.lcm(*{coeff.denominator for coeff, _, _ in groups.values()})
+            group[1].append(packed)
+    scale = math.lcm(*{coeff.denominator for coeff, _ in groups.values()})
     acc: dict[tuple[int, int], int] = {}
-    for (_, (r, s)), (coeff, width, group) in groups.items():
+    for (_, key), (coeff, group) in groups.items():
+        _, (r, s), width = _word_class(*divmod(key, _CLASS_BASE))
         num, packed, mask = coeff.numerator * (scale // coeff.denominator), sum(group), (1 << width) - 1
         while packed:  # slot k = 0, 1, ...: the coefficient of ad^r a^s
             c = packed & mask

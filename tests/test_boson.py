@@ -30,7 +30,10 @@ from bellhop.boson import (
     word_key,
     word_letters,
     word_moments,
+    _CLASS_BASE,
+    _core_coeffs,
     _normal_order_word,
+    _word_class,
 )
 from bellhop.combinatorics import bell, bell_polynomial, stirling2
 from bellhop.errors import ExpressionParseError, ResourceLimitError, int_digits_limit
@@ -179,10 +182,13 @@ def test_wick_product_of_forms_matches_ordering_the_product():
 
 
 def test_word_cache_is_bounded():
-    normal_order(parse_expression("(a + ad)^15"))  # 2^15 distinct words
-    info = _normal_order_word.cache_info()
-    assert info.maxsize is not None
-    assert info.currsize <= info.maxsize
+    normal_order(parse_expression("(a + ad)^15"))  # 2^15 distinct words, 2^14 - 1 cores of 15 letters
+    for cache in (_normal_order_word, _core_coeffs, _word_class):
+        info = cache.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
+    # every class of a word up to 2 MOMENT_LIMIT letters has its own entry
+    assert _word_class.cache_info().maxsize >= (2 * MOMENT_LIMIT + 1) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +217,14 @@ def per_word_reference(expr: BosonExpression) -> dict[tuple[int, int], Fraction]
 def unpacked(word: int) -> dict[tuple[int, int], int]:
     """_normal_order_word's packed form read with the documented slot width
     bits(P) + bits(N): P the partial matchings of the word's a's with its
-    ad's, N the number of words with its letters."""
-    (n_ad, n_a), returned_width, packed = _normal_order_word(word)
+    ad's, N the number of words with its letters.  The class key decodes,
+    as normal_order reads it, to the word's letter counts and that width."""
+    key, packed = _normal_order_word(word)
     letters = word_letters(word)
-    assert (n_ad, n_a) == (letters.count(AD), letters.count(A))
+    n_ad, n_a = letters.count(AD), letters.count(A)
     matchings = sum(math.perm(n_a, k) * math.comb(n_ad, k) for k in range(min(n_ad, n_a) + 1))
     width = matchings.bit_length() + math.comb(n_ad + n_a, n_a).bit_length()
-    assert returned_width == width
+    assert _word_class(*divmod(key, _CLASS_BASE)) == (key, (n_ad, n_a), width)
     slots = min(n_ad, n_a) + 1
     assert packed >> (slots * width) == 0
     out = {(n_ad - k, n_a - k): packed >> (k * width) & ((1 << width) - 1) for k in range(slots)}
@@ -243,11 +250,47 @@ def test_packed_sum_of_a_whole_class():
 
 @pytest.mark.parametrize("text", ["a^24 ad^24", "ad^24 a^24", "(a ad)^24", "(a^3 ad^2 a ad^4 a^2)^4"])
 def test_packed_word_of_48_letters(text):
+    # from cleared caches: the word's core is rebuilt along its whole prefix chain
     (word,) = parse_expression(text).terms
     assert len(word_letters(word)) == 2 * MOMENT_LIMIT
+    _normal_order_word.cache_clear()
+    _core_coeffs.cache_clear()
     assert unpacked(word) == wick_form(word).terms
     expr = BosonExpression.from_word(word_letters(word), Fraction(-7, 3))
     assert normal_order(expr) == wick_form(word) * Fraction(-7, 3)
+
+
+def test_every_word_to_12_letters_through_the_core_route():
+    # all 8,190 words of 1-12 letters, in shuffled order from cleared caches,
+    # so a word's core and the prefix cores below it are met in any order;
+    # then again with the core cache cleared before each word, so every
+    # word rebuilds its core's whole prefix chain
+    words = [1 << n | bits for n in range(1, 13) for bits in range(2**n)]
+    assert len(words) == 8190
+    random.Random(1212).shuffle(words)
+    _normal_order_word.cache_clear()
+    _core_coeffs.cache_clear()
+    for word in words:
+        assert unpacked(word) == wick_form(word).terms, word_letters(word)
+    _normal_order_word.cache_clear()
+    for word in words:
+        _core_coeffs.cache_clear()
+        assert unpacked(word) == wick_form(word).terms, word_letters(word)
+
+
+def test_words_around_one_core_share_its_slots():
+    # ad^p (a^2 ad a ad^3) a^q: one core, whose slots each word reads in its
+    # own class, with no miss of the core cache after the first
+    core = word_key((A, A, AD, A, AD, AD, AD))
+    _normal_order_word.cache_clear()
+    _core_coeffs.cache_clear()
+    slots = _core_coeffs(core)
+    misses = _core_coeffs.cache_info().misses
+    for p, q in itertools.product(range(5), repeat=2):
+        word = word_key((AD,) * p + word_letters(core) + (A,) * q)
+        want = {(4 + p - k, 3 + q - k): c for k, c in enumerate(slots) if c}
+        assert unpacked(word) == wick_form(word).terms == want
+    assert _core_coeffs.cache_info().misses == misses
 
 
 def test_packed_layout_is_the_documented_one():

@@ -193,7 +193,7 @@ def test_stirling_past_the_default_printing_limit_is_refused_by_its_value(capsys
 @pytest.mark.parametrize("fmt, expected", [("plain", "n    k    stirling2\n600  600  1\n"),
                                            ("csv", "n,k,stirling2\n600,600,1\n"),
                                            ("json", '[{"n":600,"k":600,"stirling2":1}]\n')])
-def test_stirling_past_the_sum_limit_prints_from_row_n(fmt, expected, capsys, monkeypatch):
+def test_stirling_600_600_prints_from_the_explicit_sum(fmt, expected, capsys, monkeypatch):
     # no rows built yet, as in a fresh process: S(600, 600) comes from the
     # explicit sum, whose 1.0e6 digits of powers are within STIRLING_SUM_LIMIT
     from bellhop import combinatorics
