@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from operator import itemgetter
+from operator import add, itemgetter, mul
 from typing import Iterable, NamedTuple
 
 from .errors import ResourceLimitError, _polynomial_at, size
@@ -235,19 +235,26 @@ def _core_coeffs(core: Word) -> tuple[int, ...]:
     n_a = core.bit_length() - core.bit_count()  # every a of the core is left of its last ad
     if n_a >= len(slots):
         slots += (0,)
-    return slots[:1] + tuple(c + below * (n_a - k) for k, (below, c) in enumerate(zip(slots, slots[1:])))
+    return (slots[0], *map(add, slots[1:], map(mul, slots, range(n_a, n_a - len(slots), -1))))
 
 
-@lru_cache(maxsize=2**14)
-def _normal_order_word(word: Word) -> tuple[int, int]:
-    """The word's class key (_word_class) and packed normal form.
+_CLASS_BITS = 12  # every class key is below _CLASS_BASE^2 = 2401 < 2^12
+_CLASS_MASK = (1 << _CLASS_BITS) - 1
+_WORDS_LIMIT = 2**14
+# word -> packed << _CLASS_BITS | class key, for at most _WORDS_LIMIT words
+_WORDS: dict[Word, int] = {}
 
-    With w the class's width, bits k w to (k + 1) w - 1 (slot k) hold the
-    coefficient of ad^(n_ad-k) a^(n_a-k), k = 0..min(n_ad, n_a): the slots
-    of the word's core (_core_coeffs).  A word longer than 2 MOMENT_LIMIT
-    letters is refused: the intermediate term count grows quadratically
-    with word length.  lru_cache keeps no exception, so every call refuses
-    it again.
+
+def _normal_order_word(word: Word) -> int:
+    """The word's packed normal form shifted left by _CLASS_BITS, or'd with
+    its class key (_word_class), stored in _WORDS for normal_order to read.
+
+    With w the class's width, bits k w to (k + 1) w - 1 (slot k) of the
+    packed form hold the coefficient of ad^(n_ad-k) a^(n_a-k),
+    k = 0..min(n_ad, n_a): the slots of the word's core (_core_coeffs).  A
+    word longer than 2 MOMENT_LIMIT letters is refused before anything is
+    stored: the intermediate term count grows quadratically with word
+    length.  A full _WORDS is cleared before the word is stored.
     """
     length, limit = word.bit_length() - 1, 2 * MOMENT_LIMIT
     if length > limit:
@@ -261,7 +268,14 @@ def _normal_order_word(word: Word) -> tuple[int, int]:
     packed = 0
     for c in reversed(_core_coeffs(core & (1 << rest) - 1 | 1 << rest)):
         packed = packed << width | c
-    return key, packed
+    entry = packed << _CLASS_BITS | key
+    # No lock: a dict's get, len, clear and item assignment are each
+    # atomic, so threads racing here can only clear twice or pass the
+    # bound by one entry each
+    if len(_WORDS) >= _WORDS_LIMIT:
+        _WORDS.clear()
+    _WORDS[word] = entry
+    return entry
 
 
 def normal_order(expr: BosonExpression) -> NormalOrderedForm:
@@ -278,19 +292,24 @@ def normal_order(expr: BosonExpression) -> NormalOrderedForm:
     # one integer sum per key, where equal values held by distinct objects
     # meet; each sum maps back to its coefficient once (_unscaled).
     groups: dict[tuple[int, int], tuple[int | Fraction, list[int]]] = {}
+    words = _WORDS.get  # _WORDS is cleared, never rebound
     for word, coeff in expr.terms.items():
-        key, packed = _normal_order_word(word)
-        group_key = (id(coeff), key)
+        entry = words(word)
+        if entry is None:
+            entry = _normal_order_word(word)
+        group_key = (id(coeff), entry & _CLASS_MASK)
         group = groups.get(group_key)
         if group is None:
-            groups[group_key] = (coeff, [packed])
+            groups[group_key] = (coeff, [entry])
         else:
-            group[1].append(packed)
+            group[1].append(entry)
     scale = math.lcm(*{coeff.denominator for coeff, _ in groups.values()})
     acc: dict[tuple[int, int], int] = {}
     for (_, key), (coeff, group) in groups.items():
         _, (r, s), width = _word_class(*divmod(key, _CLASS_BASE))
-        num, packed, mask = coeff.numerator * (scale // coeff.denominator), sum(group), (1 << width) - 1
+        # each entry is packed << _CLASS_BITS | key: drop the keys, then the shift
+        packed = (sum(group) - len(group) * key) >> _CLASS_BITS
+        num, mask = coeff.numerator * (scale // coeff.denominator), (1 << width) - 1
         while packed:  # slot k = 0, 1, ...: the coefficient of ad^r a^s
             c = packed & mask
             if c:

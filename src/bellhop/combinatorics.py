@@ -60,7 +60,7 @@ def _stirling_row(n: int) -> tuple[int, ...]:
             while len(rows) <= n:
                 # S(m, k) = k S(m-1, k) + S(m-1, k-1); S(m, 0) = 0 and S(m, m) = 1
                 prev = rows[-1]
-                rows.append((0, *(k * prev[k] + prev[k - 1] for k in range(1, len(prev))), 1))
+                rows.append((0, *map(operator.add, map(operator.mul, itertools.count(1), prev[1:]), prev), 1))
     return rows[n]
 
 

@@ -31,6 +31,8 @@ from bellhop.boson import (
     word_letters,
     word_moments,
     _CLASS_BASE,
+    _CLASS_BITS,
+    _WORDS,
     _core_coeffs,
     _normal_order_word,
     _word_class,
@@ -183,12 +185,38 @@ def test_wick_product_of_forms_matches_ordering_the_product():
 
 def test_word_cache_is_bounded():
     normal_order(parse_expression("(a + ad)^15"))  # 2^15 distinct words, 2^14 - 1 cores of 15 letters
-    for cache in (_normal_order_word, _core_coeffs, _word_class):
+    assert len(_WORDS) <= 2**14
+    for cache in (_core_coeffs, _word_class):
         info = cache.cache_info()
         assert info.maxsize is not None
         assert info.currsize <= info.maxsize
     # every class of a word up to 2 MOMENT_LIMIT letters has its own entry
     assert _word_class.cache_info().maxsize >= (2 * MOMENT_LIMIT + 1) ** 2
+    # a refused word of 49 letters stores nothing, called alone or through normal_order
+    _WORDS.clear()
+    long_word = word_key((AD, A) * 24 + (A,))
+    with pytest.raises(ResourceLimitError):
+        _normal_order_word(long_word)
+    with pytest.raises(ResourceLimitError):
+        normal_order(BosonExpression({long_word: 1}))
+    assert not _WORDS
+
+
+@pytest.mark.parametrize("text", ["(a + ad)^15", "(1/2 ad + 1/3 a ad^2 - 7/5 a^3)^9"])
+def test_word_cache_clears_mid_call(text):
+    # 2^15 and 3^9 = 19,683 distinct words: from an empty cache, the word
+    # after the first 2^14 clears it, so the first call ends holding only
+    # the words past the bound, and the second starts from those words and
+    # clears them again; both calls give the Wick route's terms and types
+    expr = parse_expression(text)
+    want = {rs: (type(c), c) for rs, c in NormalOrderedForm.parse(text).terms.items()}
+    _WORDS.clear()
+    form = normal_order(expr)
+    assert len(_WORDS) == len(expr.terms) - 2**14
+    assert {rs: (type(c), c) for rs, c in form.terms.items()} == want
+    form = normal_order(expr)
+    assert len(_WORDS) <= 2**14
+    assert {rs: (type(c), c) for rs, c in form.terms.items()} == want
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +245,13 @@ def per_word_reference(expr: BosonExpression) -> dict[tuple[int, int], Fraction]
 def unpacked(word: int) -> dict[tuple[int, int], int]:
     """_normal_order_word's packed form read with the documented slot width
     bits(P) + bits(N): P the partial matchings of the word's a's with its
-    ad's, N the number of words with its letters.  The class key decodes,
-    as normal_order reads it, to the word's letter counts and that width."""
-    key, packed = _normal_order_word(word)
+    ad's, N the number of words with its letters.  The entry's low
+    _CLASS_BITS bits are the class key, which decodes, as normal_order reads
+    it, to the word's letter counts and that width; the rest is the packed
+    form.  The entry is the one stored in _WORDS."""
+    entry = _normal_order_word(word)
+    assert _WORDS[word] == entry
+    key, packed = entry & (1 << _CLASS_BITS) - 1, entry >> _CLASS_BITS
     letters = word_letters(word)
     n_ad, n_a = letters.count(AD), letters.count(A)
     matchings = sum(math.perm(n_a, k) * math.comb(n_ad, k) for k in range(min(n_ad, n_a) + 1))
@@ -253,7 +285,7 @@ def test_packed_word_of_48_letters(text):
     # from cleared caches: the word's core is rebuilt along its whole prefix chain
     (word,) = parse_expression(text).terms
     assert len(word_letters(word)) == 2 * MOMENT_LIMIT
-    _normal_order_word.cache_clear()
+    _WORDS.clear()
     _core_coeffs.cache_clear()
     assert unpacked(word) == wick_form(word).terms
     expr = BosonExpression.from_word(word_letters(word), Fraction(-7, 3))
@@ -268,11 +300,11 @@ def test_every_word_to_12_letters_through_the_core_route():
     words = [1 << n | bits for n in range(1, 13) for bits in range(2**n)]
     assert len(words) == 8190
     random.Random(1212).shuffle(words)
-    _normal_order_word.cache_clear()
+    _WORDS.clear()
     _core_coeffs.cache_clear()
     for word in words:
         assert unpacked(word) == wick_form(word).terms, word_letters(word)
-    _normal_order_word.cache_clear()
+    _WORDS.clear()
     for word in words:
         _core_coeffs.cache_clear()
         assert unpacked(word) == wick_form(word).terms, word_letters(word)
@@ -282,7 +314,7 @@ def test_words_around_one_core_share_its_slots():
     # ad^p (a^2 ad a ad^3) a^q: one core, whose slots each word reads in its
     # own class, with no miss of the core cache after the first
     core = word_key((A, A, AD, A, AD, AD, AD))
-    _normal_order_word.cache_clear()
+    _WORDS.clear()
     _core_coeffs.cache_clear()
     slots = _core_coeffs(core)
     misses = _core_coeffs.cache_info().misses
@@ -299,6 +331,9 @@ def test_packed_layout_is_the_documented_one():
     words = [tuple(rng.choice((A, AD)) for _ in range(n)) for n in range(17) for _ in range(12)]
     words += [(A,) * n_a + (AD,) * n_ad for n_a in range(9) for n_ad in range(9)]
     words += [random_word(rng, 40) for _ in range(30)]
+    # the classes of 41-48 ad's, whose keys n_ad 49 + n_a pass 2^11
+    words += [(A,) * n_a + (AD,) * n_ad for n_ad in range(41, 49) for n_a in range(49 - n_ad)]
+    words += [rng.sample((AD,) * 44 + (A,) * 4, 48) for _ in range(4)]
     for word in words:
         assert unpacked(word_key(word)) == wick_form(word_key(word)).terms, word
 
