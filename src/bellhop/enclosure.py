@@ -7,8 +7,8 @@ from the binary-split Taylor sum of e^y (of pieces of y's binary digits for
 a y with a wide denominator), so the value and the tail bound come out as
 integers at one binary scale with the rounding directed: value <= B_n(y) <=
 value + tail_bound.  `bellhop dobinski` loads this module alone and prints
-the integers with _nstr; bellhop.dobinski hands them out as mpf.  The module
-loads neither mpmath nor dataclasses.
+the integers with _nstr; bellhop.dobinski hands them out as exact binary
+fractions.  The module loads neither mpmath nor dataclasses.
 """
 
 import math

@@ -2,6 +2,7 @@
 ``cli.main`` so exit codes and output are observed exactly as a shell
 would see them."""
 
+import ast
 import contextlib
 import csv
 import importlib
@@ -1012,16 +1013,39 @@ def test_dobinski_result_is_a_dataclass_before_and_after_first_use():
     assert "FrozenInstanceError" in proc.stderr
 
 
-def test_dobinski_loads_mpmath_only_for_its_mpf_results():
-    # the command prints bellhop's own integers; the library's DobinskiResult
-    # holds mpf, so dobinski_bell imports mpmath when it builds one
+def test_dobinski_never_loads_mpmath():
+    # the command prints bellhop's own integers, and the library's
+    # DobinskiResult holds them as BinaryFraction: neither imports mpmath
     proc = _python("import sys; from bellhop import cli, dobinski; "
                    "print('mpmath' in sys.modules, 'dataclasses' in sys.modules); "
                    "code = cli.main(['dobinski', '12', '--y', '2/3']); print('mpmath' in sys.modules); "
                    "dobinski.dobinski_bell(5, 30); print('mpmath' in sys.modules); sys.exit(code)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "False True"
-    assert proc.stdout.splitlines()[-2:] == ["False", "True"]
+    assert proc.stdout.splitlines()[-2:] == ["False", "False"]
+
+
+def test_dobinski_results_need_no_mpmath():
+    # with every import of mpmath refused, the library's enclosure still
+    # comes out, as exact binary fractions
+    proc = _python("import sys; sys.modules['mpmath'] = None; from fractions import Fraction; "
+                   "from bellhop import dobinski_bell_poly; "
+                   "res = dobinski_bell_poly(12, Fraction(3, 2), 60, 40); "
+                   "print(res.terms_used, res.value <= res.value + res.tail_bound, float(res.value))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"61 True {float(bell_polynomial(12, Fraction(3, 2)))}\n"
+
+
+def test_no_module_of_bellhop_imports_mpmath():
+    imported = set()
+    for source in sorted((ROOT / "src" / "bellhop").glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {(source.name, alias.name.split(".")[0]) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add((source.name, node.module.split(".")[0]))
+    assert ("enclosure.py", "math") in imported  # the scan sees imports
+    assert "mpmath" not in {module for _, module in imported}
 
 
 def readme_commands() -> list[list[str]]:

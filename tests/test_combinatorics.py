@@ -1,9 +1,11 @@
 """Exact combinatorics: recurrences vs brute-force enumeration oracles."""
 
+import copy
 import itertools
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -27,7 +29,7 @@ from bellhop.combinatorics import (
     partition_count,
     stirling2,
 )
-from bellhop.dobinski import dobinski_bell, dobinski_bell_poly
+from bellhop.dobinski import BinaryFraction, dobinski_bell, dobinski_bell_poly
 from bellhop.boson import BosonExpression, CoherentParam, coherent_expectation, normal_order, number_word, stirling_via_ordering
 from bellhop.egf import EGFSeries, bell_egf, egf_exp, v_to_w
 from bellhop.errors import ResourceLimitError, int_digits_limit
@@ -300,7 +302,7 @@ def test_dobinski_bell_certified():
 
 def test_dobinski_bell_8_tight():
     res = dobinski_bell(8, 60, 50)
-    assert abs(res.value - 4140) < mpmath.mpf(10) ** (-20)
+    assert abs(res.value - 4140) < Fraction(1, 10**20)
 
 
 def test_dobinski_tail_bound_certifies_for_small_K():
@@ -463,6 +465,64 @@ def test_exp_neg_encloses_e_to_the_minus_y(y):
         with mpmath.workprec(2 * w + 64):
             scaled = mpmath.exp(-mpmath.mpf(y.numerator) / y.denominator) * mpmath.mpf(2) ** w
             assert lo <= scaled <= hi, (y, bits)
+
+
+# y = 1, denominators of a few bits, two y whose denominators pass 16 bits
+# (e^{-y} from pieces of y's binary digits), a value past its working bits
+# (a negative binary scale), and 5,000 digits
+BINARY_GRID = [
+    (0, Fraction(1), 1, 10), (5, Fraction(1), 30, 50), (10, Fraction(2, 3), 60, 50),
+    (12, Fraction(3, 2), 60, 40), (7, Fraction(41, 5), 3, 25), (10, Fraction(10**6 + 1, 2**17), 60, 60),
+    (10, Fraction(DECIMAL_Y), 60, 200), (100, Fraction(5), 150, 10), (10, Fraction(1), 60, 5000),
+]
+
+
+@pytest.mark.parametrize("n, y, K, precision", BINARY_GRID)
+def test_dobinski_fields_read_as_the_mpf_of_the_integers(n, y, K, precision):
+    # each field is enclosure's integer over 2^scale, and mpmath reads it as
+    # the exact mpf((x, -scale)) that the fields were before BinaryFraction
+    value, tail, scale = enclosure._dobinski_fixed(n, y, K, precision)
+    res = dobinski_bell_poly(n, y, K, precision)
+    assert (scale < 0) == (n == 100)  # the one value past its working bits
+    one = mpmath.mpf(1)
+    for field, x in ((res.value, value), (res.tail_bound, tail)):
+        want = mpmath.mpf((x, -scale), prec=x.bit_length())
+        assert type(field) is BinaryFraction and field == Fraction(x) * Fraction(2) ** -scale
+        assert (field._mpf_, field.man_exp) == (want._mpf_, want.man_exp)
+        assert str(field) == str(want) and mpmath.nstr(field, 40) == mpmath.nstr(want, 40)
+        with mpmath.workprec(x.bit_length()):
+            assert mpmath.mpf(field) == want
+            assert (field - one, one - field, field + one, one + field) == (want - one, one - want, want + one, one + want)
+        # exact either way round, one unit past it in its last bit
+        above = mpmath.mpf((2 * x + 1, -scale - 1), prec=x.bit_length() + 1)
+        assert field <= want <= field and field <= above and not above <= field
+    total = res.value + res.tail_bound
+    assert type(total) is Fraction and total == Fraction(value + tail) * Fraction(2) ** -scale
+
+
+def test_binary_fraction_prints_pickles_and_copies_at_precision_5000():
+    # the value's numerator has ~5,000 digits, past the 4,300 that str(int)
+    # prints: the fields print 15 digits, as str(mpf) does, and pickle exactly
+    res = dobinski_bell(10, 60, 5000)
+    assert res.value.numerator.bit_length() > 4300 * math.log2(10)
+    assert repr(res) == ("DobinskiResult(value=BinaryFraction('115975.0'), "
+                         "tail_bound=BinaryFraction('1.03402057263653e-66'), terms_used=61, precision=5000)")
+    for field in (res.value, res.tail_bound):
+        for twin in (pickle.loads(pickle.dumps(field)), copy.copy(field), copy.deepcopy(field)):
+            assert type(twin) is BinaryFraction
+            assert (twin.numerator, twin.denominator) == (field.numerator, field.denominator)
+    assert pickle.loads(pickle.dumps(res)) == res == copy.deepcopy(res)
+
+
+def test_binary_fraction_is_in_lowest_terms_and_refuses_other_denominators():
+    x = BinaryFraction(12, 16)
+    assert (x.numerator, x.denominator, x.man_exp, x._mpf_) == (3, 4, (3, -2), (0, 3, -2, 2))
+    for num, den in [(-40, 1), (0, 8), (-3, 4), (5, 2**70)]:
+        want = mpmath.mpf(num) / den  # exact: den is a power of 2
+        assert (BinaryFraction(num, den)._mpf_, str(BinaryFraction(num, den))) == (want._mpf_, str(want))
+    for den in (3, 0, -4):
+        with pytest.raises(ValueError, match="power of 2"):
+            BinaryFraction(1, den)
 
 
 def test_dobinski_decimal_y_at_the_highest_precision(capsys):
